@@ -61,12 +61,10 @@ struct Run {
 fn analytic_lower_bound(cfg: &Config) -> u64 {
     let wlayout = Layout::dense(cfg.elements, cfg.writers, cfg.writer_kind).unwrap();
     let rlayout = Layout::dense(cfg.elements, cfg.readers, cfg.reader_kind).unwrap();
-    let mut dst_owner = Vec::with_capacity(cfg.elements);
-    for r in 0..cfg.writers {
-        for gid in wlayout.local_elements(r) {
-            dst_owner.push(rlayout.owner(gid).unwrap());
-        }
-    }
+    let dst_owner: Vec<usize> = wlayout
+        .file_order()
+        .map(|gid| rlayout.owner(gid).unwrap())
+        .collect();
     let sizes = vec![ELEMENT_BYTES as u64; cfg.elements];
     RedistPlan::new(cfg.readers, &sizes, &dst_owner).lower_bound()
 }

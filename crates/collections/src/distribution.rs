@@ -159,6 +159,25 @@ impl Axis {
             count
         }
     }
+
+    /// Axis cells owned by processor coordinate `p`, increasing (empty for
+    /// `p >= procs`). O(count): BLOCK is one range, CYCLIC(k) runs of `k`
+    /// every `k * procs` cells.
+    pub fn local_cells(&self, p: usize) -> Vec<usize> {
+        if p >= self.procs {
+            return Vec::new();
+        }
+        let count = self.local_count(p);
+        if self.k == 0 {
+            let start = p * self.block_size();
+            return (start..start + count).collect();
+        }
+        let mut out = Vec::with_capacity(count);
+        for run in (p * self.k..self.cells).step_by(self.k * self.procs) {
+            out.extend(run..(run + self.k).min(self.cells));
+        }
+        out
+    }
 }
 
 /// Closed-form owner and local offset of the cell at `coord` under the
@@ -188,6 +207,30 @@ pub fn composed_local_count(axes: &[Axis], mut rank: usize) -> usize {
         rank /= ax.procs;
     }
     count
+}
+
+/// Cells the processor-grid rank `rank` owns under the composition of
+/// `axes`, as increasing row-major linear indices (empty for a rank off
+/// the grid). O(count): the cross product of each axis's owned cells.
+pub fn composed_local_cells(axes: &[Axis], rank: usize) -> Vec<usize> {
+    if rank >= axes.iter().map(|ax| ax.procs).product() {
+        return Vec::new();
+    }
+    let mut coords = vec![0usize; axes.len()];
+    let mut r = rank;
+    for (ax, p) in axes.iter().zip(&mut coords).rev() {
+        *p = r % ax.procs;
+        r /= ax.procs;
+    }
+    let mut cells = vec![0usize];
+    for (ax, &p) in axes.iter().zip(&coords) {
+        let owned = ax.local_cells(p);
+        cells = cells
+            .iter()
+            .flat_map(|&prefix| owned.iter().map(move |&c| prefix * ax.cells + c))
+            .collect();
+    }
+    cells
 }
 
 /// A template of `len` cells distributed over `nprocs` processors.
@@ -331,8 +374,12 @@ impl Distribution {
         Ok(self.place(t)?.1)
     }
 
-    /// Number of template cells owned by `rank`.
+    /// Number of template cells owned by `rank` (0 for `rank >= nprocs`),
+    /// in O(1).
     pub fn local_count(&self, rank: usize) -> usize {
+        if rank >= self.nprocs {
+            return 0;
+        }
         match self.kind {
             DistKind::Block => {
                 let b = self.block_size();
@@ -367,13 +414,24 @@ impl Distribution {
         }
     }
 
-    /// Template cells owned by `rank`, in local-slot order.
+    /// Template cells owned by `rank`, in local-slot (increasing) order;
+    /// empty for `rank >= nprocs`. Closed-form in O(local count), never a
+    /// scan of the template: streams call this per record per rank.
     pub fn local_cells(&self, rank: usize) -> Vec<usize> {
-        // O(len) scan; distributions in this library are set up once per
-        // stream, not in inner loops.
-        (0..self.len)
-            .filter(|&t| self.owner(t).expect("t < len") == rank)
-            .collect()
+        let k = match self.kind {
+            DistKind::Block => 0,
+            DistKind::Cyclic => 1,
+            DistKind::BlockCyclic(k) => k,
+            DistKind::Composed2d(_) => {
+                return composed_local_cells(&self.axes().expect("composed kind has axes"), rank)
+            }
+        };
+        Axis {
+            cells: self.len,
+            procs: self.nprocs,
+            k,
+        }
+        .local_cells(rank)
     }
 }
 
@@ -589,21 +647,27 @@ mod tests {
             },
         ];
         let nprocs = 2 * 3 * 2;
-        let mut counts = vec![0usize; nprocs];
+        let mut cells = vec![Vec::new(); nprocs];
         for x in 0..4 {
             for y in 0..6 {
                 for z in 0..5 {
                     let (rank, local) = composed_place(&axes, &[x, y, z]);
                     assert!(rank < nprocs);
-                    assert_eq!(local, counts[rank], "slots dense in row-major order");
-                    counts[rank] += 1;
+                    assert_eq!(local, cells[rank].len(), "slots dense in row-major order");
+                    cells[rank].push((x * 6 + y) * 5 + z);
                 }
             }
         }
-        for (rank, &count) in counts.iter().enumerate() {
-            assert_eq!(count, composed_local_count(&axes, rank), "rank {rank}");
+        for (rank, owned) in cells.iter().enumerate() {
+            assert_eq!(
+                owned.len(),
+                composed_local_count(&axes, rank),
+                "rank {rank}"
+            );
+            assert_eq!(*owned, composed_local_cells(&axes, rank), "rank {rank}");
         }
-        assert_eq!(counts.iter().sum::<usize>(), 4 * 6 * 5);
+        assert!(composed_local_cells(&axes, nprocs).is_empty());
+        assert_eq!(cells.iter().map(Vec::len).sum::<usize>(), 4 * 6 * 5);
     }
 
     #[test]

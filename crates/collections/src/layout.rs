@@ -90,10 +90,30 @@ impl Layout {
     /// Global element indices owned by `rank`, in increasing order — this
     /// is also the order of the rank's local storage and of the rank's
     /// block in a d/stream file.
+    ///
+    /// O(min(template cells on `rank`, n)): the rank's cells are
+    /// enumerated in closed form and mapped back through the alignment,
+    /// unless the template holds more cells on `rank` than the collection
+    /// has elements, in which case scanning the elements is cheaper.
     pub fn local_elements(&self, rank: usize) -> Vec<usize> {
-        (0..self.n_elements)
-            .filter(|&i| self.owner(i).expect("i < len") == rank)
+        if self.dist.local_count(rank) > self.n_elements {
+            return (0..self.n_elements)
+                .filter(|&i| self.owner(i).expect("i < len") == rank)
+                .collect();
+        }
+        self.dist
+            .local_cells(rank)
+            .into_iter()
+            .filter_map(|t| self.align.element_for_cell(t))
+            .filter(|&i| i < self.n_elements)
             .collect()
+    }
+
+    /// Every element in d/stream file order: writer rank 0's local
+    /// elements, then rank 1's, and so on. O(min(template length,
+    /// nprocs · n)) in total — O(n) for a dense layout.
+    pub fn file_order(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.nprocs()).flat_map(move |w| self.local_elements(w))
     }
 
     /// Number of elements owned by `rank`.
@@ -111,13 +131,16 @@ impl Layout {
         Ok(self.place(i)?.1)
     }
 
-    /// Closed-form placement of element `i`: `(owning rank, local slot)`.
-    /// O(1) for dense identity-aligned layouts (the streaming common
-    /// case); falls back to a scan for sparse alignments, whose local
-    /// slots are not a closed-form function of the template.
+    /// Placement of element `i`: `(owning rank, local slot)`. O(1) under
+    /// the identity alignment, over a template of any length (element
+    /// `i` is cell `i`, and the owner's cells below `i` are all
+    /// elements). Other alignments cost one [`Layout::local_elements`]
+    /// of the owner, because their local slots are not a closed-form
+    /// function of the template; place many elements of such a layout
+    /// with [`Layout::place_many`] instead.
     pub fn place(&self, i: usize) -> Result<(usize, usize), CollectionError> {
         self.check(i)?;
-        if self.align == Alignment::identity() && self.dist.len() == self.n_elements {
+        if self.align == Alignment::identity() {
             return self.dist.place(i);
         }
         let owner = self.owner(i)?;
@@ -127,6 +150,28 @@ impl Layout {
             .position(|&e| e == i)
             .expect("element is in its owner's list");
         Ok((owner, slot))
+    }
+
+    /// [`Layout::place`] of each of `ids`, in order. O(len) under the
+    /// identity alignment; otherwise one [`Layout::local_elements`] per
+    /// rank fills an element-indexed table first, so
+    /// O(len + min(template length, nprocs · n)), never O(len · n).
+    pub fn place_many(&self, ids: &[usize]) -> Result<Vec<(usize, usize)>, CollectionError> {
+        if self.align == Alignment::identity() {
+            return ids.iter().map(|&i| self.place(i)).collect();
+        }
+        let mut table = vec![(0, 0); self.n_elements];
+        for rank in 0..self.nprocs() {
+            for (slot, i) in self.local_elements(rank).into_iter().enumerate() {
+                table[i] = (rank, slot);
+            }
+        }
+        ids.iter()
+            .map(|&i| {
+                self.check(i)?;
+                Ok(table[i])
+            })
+            .collect()
     }
 
     fn check(&self, i: usize) -> Result<(), CollectionError> {

@@ -1,11 +1,13 @@
 //! Property tests on distribution / alignment / layout arithmetic: the
-//! owner map must be a partition, local slots dense and monotone, and
+//! owner map must be a partition, local slots dense and monotone, the
+//! closed-form enumerations must equal a brute-force owner scan, and
 //! descriptors must roundtrip, for arbitrary parameters.
 
 use dstreams_collections::{
     Alignment, Composed2d, DistKind, Distribution, Layout, LayoutDescriptor,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn kind_strategy() -> impl Strategy<Value = DistKind> {
     prop_oneof![
@@ -15,8 +17,143 @@ fn kind_strategy() -> impl Strategy<Value = DistKind> {
     ]
 }
 
+/// 1-D kinds plus `Composed2d` shapes (rows 1..5 over 1..3 grid rows,
+/// either axis BLOCK or CYCLIC(k)).
+fn any_kind_strategy() -> impl Strategy<Value = DistKind> {
+    prop_oneof![
+        kind_strategy(),
+        (1u32..5, 1u16..3, 0u8..4, 0u8..4).prop_map(|(rows, grid_rows, row_k, col_k)| {
+            DistKind::Composed2d(Composed2d {
+                rows,
+                grid_rows,
+                row_k,
+                col_k,
+            })
+        }),
+    ]
+}
+
+/// A distribution of `kind` with at least `min_len` cells over at least
+/// `nprocs` ranks, rounded up to what a composed shape requires.
+fn fit(kind: DistKind, min_len: usize, nprocs: usize) -> Distribution {
+    let (len, nprocs) = match kind {
+        DistKind::Composed2d(c) => (
+            min_len.next_multiple_of(c.rows as usize),
+            nprocs.next_multiple_of(c.grid_rows as usize),
+        ),
+        _ => (min_len, nprocs),
+    };
+    Distribution::new(len, nprocs, kind).unwrap()
+}
+
+/// The oracle: every template cell `rank` owns, by asking `owner` of each.
+fn owner_scan(d: &Distribution, rank: usize) -> Vec<usize> {
+    (0..d.len())
+        .filter(|&t| d.owner(t).unwrap() == rank)
+        .collect()
+}
+
+/// The oracle: every element `rank` owns, by asking `owner` of each.
+fn element_scan(l: &Layout, rank: usize) -> Vec<usize> {
+    (0..l.len())
+        .filter(|&i| l.owner(i).unwrap() == rank)
+        .collect()
+}
+
+fn strictly_increasing(v: &[usize]) -> bool {
+    v.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Closed-form `local_cells` equals the owner scan on every rank and is
+/// empty past the last one; `local_count` agrees.
+fn check_local_cells(d: &Distribution) -> Result<(), TestCaseError> {
+    for r in 0..d.nprocs() + 2 {
+        let cells = d.local_cells(r);
+        prop_assert_eq!(&cells, &owner_scan(d, r), "rank {}", r);
+        prop_assert_eq!(cells.len(), d.local_count(r), "rank {}", r);
+        prop_assert!(strictly_increasing(&cells));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn local_cells_match_the_owner_scan(
+        len in 0usize..200,
+        nprocs in 1usize..9,
+        kind in kind_strategy(),
+    ) {
+        check_local_cells(&Distribution::new(len, nprocs, kind).unwrap())?;
+    }
+
+    #[test]
+    fn composed_local_cells_match_the_owner_scan(
+        rows in 1usize..6,
+        cols in 0usize..8,
+        grid_rows in 1usize..4,
+        grid_cols in 1usize..5,
+        row_k in 0u8..4,
+        col_k in 0u8..4,
+    ) {
+        // Covers 1xN and Nx1 grids, empty columns, and more ranks than
+        // cells along either axis.
+        let kind = DistKind::Composed2d(Composed2d {
+            rows: rows as u32,
+            grid_rows: grid_rows as u16,
+            row_k,
+            col_k,
+        });
+        check_local_cells(&Distribution::new(rows * cols, grid_rows * grid_cols, kind).unwrap())?;
+    }
+
+    #[test]
+    fn local_elements_match_the_owner_scan(
+        n in 0usize..60,
+        nprocs in 1usize..6,
+        kind in any_kind_strategy(),
+        stride in 1usize..4,
+        offset in 0usize..5,
+        // Mostly a snug template; sometimes one far longer than the
+        // collection, so that the element-scan fallback runs.
+        slack in prop_oneof![0usize..4, 200usize..2000],
+    ) {
+        let dist = fit(kind, stride * n + offset + slack, nprocs);
+        let nprocs = dist.nprocs();
+        let layout = Layout::new(n, dist, Alignment::affine(stride, offset).unwrap()).unwrap();
+        for r in 0..nprocs + 2 {
+            let elements = layout.local_elements(r);
+            prop_assert_eq!(&elements, &element_scan(&layout, r), "rank {}", r);
+            prop_assert_eq!(elements.len(), layout.local_count(r), "rank {}", r);
+            prop_assert!(strictly_increasing(&elements));
+        }
+        let order: Vec<usize> = layout.file_order().collect();
+        let expected: Vec<usize> = (0..nprocs).flat_map(|r| element_scan(&layout, r)).collect();
+        prop_assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn place_many_matches_place(
+        n in 0usize..60,
+        nprocs in 1usize..6,
+        kind in any_kind_strategy(),
+        stride in 1usize..4,
+        offset in 0usize..5,
+        slack in 0usize..40,
+    ) {
+        let dist = fit(kind, stride * n + offset + slack, nprocs);
+        let layout = Layout::new(n, dist, Alignment::affine(stride, offset).unwrap()).unwrap();
+        let ids: Vec<usize> = layout.file_order().collect();
+        let places = layout.place_many(&ids).unwrap();
+        prop_assert_eq!(places.len(), n);
+        for (&i, &entry) in ids.iter().zip(&places) {
+            prop_assert_eq!(entry, layout.place(i).unwrap(), "element {}", i);
+            let slot = element_scan(&layout, entry.0).iter().position(|&e| e == i);
+            prop_assert_eq!(slot, Some(entry.1), "element {}", i);
+        }
+        prop_assert!(layout.place_many(&[n]).is_err());
+    }
 
     #[test]
     fn owner_map_is_a_partition(
@@ -62,12 +199,12 @@ proptest! {
     fn aligned_layouts_partition_their_elements(
         n in 0usize..60,
         nprocs in 1usize..6,
-        kind in kind_strategy(),
+        kind in any_kind_strategy(),
         stride in 1usize..4,
         offset in 0usize..5,
     ) {
-        let template = stride * n.max(1) + offset + 1;
-        let dist = Distribution::new(template, nprocs, kind).unwrap();
+        let dist = fit(kind, stride * n.max(1) + offset + 1, nprocs);
+        let nprocs = dist.nprocs();
         let align = Alignment::affine(stride, offset).unwrap();
         let layout = Layout::new(n, dist, align).unwrap();
         let mut seen = vec![false; n];

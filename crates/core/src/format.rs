@@ -303,7 +303,8 @@ pub struct FileEntry {
 
 /// Map a size table (writer node order) back to per-element file
 /// positions, using the writer's layout recovered from the record header.
-/// Entries are returned in **file order**.
+/// Entries are returned in **file order**. O(n) for a dense writer layout
+/// (see [`Layout::file_order`]), whatever the writer's rank count.
 pub fn build_file_map(
     writer_layout: &Layout,
     sizes_node_order: &[u64],
@@ -315,23 +316,20 @@ pub fn build_file_map(
             writer_layout.len()
         )));
     }
-    let mut entries = Vec::with_capacity(writer_layout.len());
     let mut offset = 0u64;
-    let mut idx = 0usize;
-    for w in 0..writer_layout.nprocs() {
-        for global_id in writer_layout.local_elements(w) {
-            let size = sizes_node_order[idx];
-            entries.push(FileEntry {
+    Ok(writer_layout
+        .file_order()
+        .zip(sizes_node_order)
+        .map(|(global_id, &size)| {
+            let entry = FileEntry {
                 global_id,
                 offset,
                 size,
-            });
+            };
             offset += size;
-            idx += 1;
-        }
-    }
-    debug_assert_eq!(idx, sizes_node_order.len());
-    Ok(entries)
+            entry
+        })
+        .collect())
 }
 
 #[cfg(test)]

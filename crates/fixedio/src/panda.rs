@@ -190,11 +190,9 @@ pub fn read_field<T>(
     // the writer's local order within each block.
     let mut elem_pos = vec![0u64; c.len()];
     let mut cursor = info.data_base;
-    for w in 0..info.writer_layout.nprocs() {
-        for gid in info.writer_layout.local_elements(w) {
-            elem_pos[gid] = cursor;
-            cursor += elem_bytes as u64;
-        }
+    for gid in info.writer_layout.file_order() {
+        elem_pos[gid] = cursor;
+        cursor += elem_bytes as u64;
     }
 
     let fh = pfs.open(false, file, OpenMode::Read)?;

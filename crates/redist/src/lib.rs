@@ -37,7 +37,8 @@ use dstreams_collections::{CollectionError, Layout};
 /// layout — i.e. `build_file_map` order).
 ///
 /// Returns the plan plus, for each file-order entry, the `(rank,
-/// local_slot)` the element must land in under `target`.
+/// local_slot)` the element must land in under `target`, placed in O(n)
+/// for any target alignment ([`Layout::place_many`]).
 pub fn plan_for_layouts(
     nprocs: usize,
     writer: &Layout,
@@ -47,20 +48,15 @@ pub fn plan_for_layouts(
 ) -> Result<(RedistPlan, Vec<(usize, usize)>), CollectionError> {
     debug_assert_eq!(writer.len(), target.len());
     debug_assert_eq!(sizes.len(), global_ids.len());
-    let mut places = Vec::with_capacity(global_ids.len());
-    let mut owners = Vec::with_capacity(global_ids.len());
-    for &gid in global_ids {
-        let (rank, slot) = target.place(gid)?;
-        owners.push(rank);
-        places.push((rank, slot));
-    }
+    let places = target.place_many(global_ids)?;
+    let owners: Vec<usize> = places.iter().map(|&(rank, _)| rank).collect();
     Ok((RedistPlan::new(nprocs, sizes, &owners), places))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dstreams_collections::DistKind;
+    use dstreams_collections::{Alignment, DistKind, Distribution};
 
     #[test]
     fn same_layout_plan_is_message_free() {
@@ -68,7 +64,7 @@ mod tests {
         // degenerate to pure local retention.
         for kind in [DistKind::Block, DistKind::Cyclic, DistKind::BlockCyclic(3)] {
             let layout = Layout::dense(23, 4, kind).unwrap();
-            let (sizes, gids) = file_order(&layout, 4);
+            let (sizes, gids) = file_order(&layout);
             let (plan, _) = plan_for_layouts(4, &layout, &layout, &sizes, &gids).unwrap();
             assert!(plan.is_identity(), "{kind:?} should need no messages");
             assert_eq!(plan.lower_bound(), 0);
@@ -79,7 +75,7 @@ mod tests {
     fn cross_shape_plan_conserves_every_byte() {
         let writer = Layout::dense(40, 5, DistKind::BlockCyclic(3)).unwrap();
         let target = Layout::dense(40, 3, DistKind::Block).unwrap();
-        let (sizes, gids) = file_order(&writer, 5);
+        let (sizes, gids) = file_order(&writer);
         let (plan, places) = plan_for_layouts(3, &writer, &target, &sizes, &gids).unwrap();
         // Every file entry appears in exactly one transfer, aimed at the
         // rank `target.place` names.
@@ -97,17 +93,39 @@ mod tests {
         assert_eq!(msg_bytes, plan.lower_bound());
     }
 
-    /// File-order `(sizes, gids)` for a record of `1 + gid % 5`-byte
-    /// elements written under `layout` by `wprocs` writers.
-    fn file_order(layout: &Layout, wprocs: usize) -> (Vec<u64>, Vec<usize>) {
-        let mut sizes = Vec::new();
-        let mut gids = Vec::new();
-        for w in 0..wprocs {
-            for gid in layout.local_elements(w) {
-                sizes.push(1 + (gid % 5) as u64);
-                gids.push(gid);
+    #[test]
+    fn strided_target_plan_places_like_place() {
+        // A strided or offset target is placed from a per-rank table;
+        // every file entry must land exactly where per-element `place`
+        // puts it.
+        let writer = Layout::dense(30, 4, DistKind::Cyclic).unwrap();
+        for (kind, stride, offset) in [
+            (DistKind::Block, 2, 1),
+            (DistKind::Cyclic, 3, 0),
+            (DistKind::BlockCyclic(4), 2, 5),
+            (DistKind::BlockCyclic(2), 1, 4),
+        ] {
+            let dist = Distribution::new(stride * 30 + offset, 3, kind).unwrap();
+            let target = Layout::new(30, dist, Alignment::affine(stride, offset).unwrap()).unwrap();
+            let (sizes, gids) = file_order(&writer);
+            let (plan, places) = plan_for_layouts(3, &writer, &target, &sizes, &gids).unwrap();
+            for (e, &gid) in gids.iter().enumerate() {
+                assert_eq!(
+                    places[e],
+                    target.place(gid).unwrap(),
+                    "{kind:?} element {gid}"
+                );
             }
+            let msg_bytes: u64 = plan.messages().iter().map(|t| t.bytes).sum();
+            assert_eq!(msg_bytes, plan.lower_bound());
         }
+    }
+
+    /// File-order `(sizes, gids)` for a record of `1 + gid % 5`-byte
+    /// elements written under `layout`.
+    fn file_order(layout: &Layout) -> (Vec<u64>, Vec<usize>) {
+        let gids: Vec<usize> = layout.file_order().collect();
+        let sizes = gids.iter().map(|&gid| 1 + (gid % 5) as u64).collect();
         (sizes, gids)
     }
 }

@@ -14,17 +14,11 @@ use dstreams_redist::{execute, plan_for_layouts, ExecError};
 const ELEMENTS: usize = 40;
 const NPROCS: usize = 4;
 
-/// File-order `(sizes, gids)` for a record written under `layout` by
-/// `wprocs` writers, with `1 + gid % 5`-byte elements.
-fn file_order(layout: &Layout, wprocs: usize) -> (Vec<u64>, Vec<usize>) {
-    let mut sizes = Vec::new();
-    let mut gids = Vec::new();
-    for w in 0..wprocs {
-        for gid in layout.local_elements(w) {
-            sizes.push(1 + (gid % 5) as u64);
-            gids.push(gid);
-        }
-    }
+/// File-order `(sizes, gids)` for a record written under `layout`, with
+/// `1 + gid % 5`-byte elements.
+fn file_order(layout: &Layout) -> (Vec<u64>, Vec<usize>) {
+    let gids: Vec<usize> = layout.file_order().collect();
+    let sizes = gids.iter().map(|&gid| 1 + (gid % 5) as u64).collect();
     (sizes, gids)
 }
 
@@ -40,7 +34,7 @@ fn shuffle(config: MachineConfig) -> Vec<(BTreeMap<usize, Vec<u8>>, VTime)> {
     let writer = Layout::dense(ELEMENTS, NPROCS, DistKind::BlockCyclic(3)).unwrap();
     let target = Layout::dense(ELEMENTS, NPROCS, DistKind::Cyclic).unwrap();
     Machine::run(config, move |ctx| {
-        let (sizes, gids) = file_order(&writer, NPROCS);
+        let (sizes, gids) = file_order(&writer);
         let (plan, _) = plan_for_layouts(NPROCS, &writer, &target, &sizes, &gids).unwrap();
         let (lo, hi) = plan.span(ctx.rank());
         let mut raw = Vec::new();
@@ -127,7 +121,7 @@ fn cut_edge_surfaces_peer_gone_instead_of_hanging() {
     let results = Machine::run(
         MachineConfig::functional(NPROCS).with_faults(plan),
         move |ctx| {
-            let (sizes, gids) = file_order(&writer, NPROCS);
+            let (sizes, gids) = file_order(&writer);
             let (plan, _) = plan_for_layouts(NPROCS, &writer, &target, &sizes, &gids).unwrap();
             let (lo, hi) = plan.span(ctx.rank());
             let mut raw = Vec::new();

@@ -56,11 +56,9 @@ fn main() {
     let rlayout = Layout::dense(N, READERS, DistKind::Block).unwrap();
     let mut sizes = Vec::with_capacity(N);
     let mut dst = Vec::with_capacity(N);
-    for r in 0..WRITERS {
-        for gid in wlayout.local_elements(r) {
-            sizes.push(to_bytes(&element(gid), false).len() as u64);
-            dst.push(rlayout.owner(gid).unwrap());
-        }
+    for gid in wlayout.file_order() {
+        sizes.push(to_bytes(&element(gid), false).len() as u64);
+        dst.push(rlayout.owner(gid).unwrap());
     }
     let lower_bound = RedistPlan::new(READERS, &sizes, &dst).lower_bound();
 

@@ -87,11 +87,9 @@ fn analytic_min(
     let rl = Layout::dense(n, rprocs, rkind).unwrap();
     let mut sizes = Vec::with_capacity(n);
     let mut dst = Vec::with_capacity(n);
-    for r in 0..wprocs {
-        for gid in wl.local_elements(r) {
-            sizes.push(to_bytes(&blob_for(gid, seed, size_class), false).len() as u64);
-            dst.push(rl.owner(gid).unwrap());
-        }
+    for gid in wl.file_order() {
+        sizes.push(to_bytes(&blob_for(gid, seed, size_class), false).len() as u64);
+        dst.push(rl.owner(gid).unwrap());
     }
     RedistPlan::new(rprocs, &sizes, &dst).lower_bound()
 }
