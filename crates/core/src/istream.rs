@@ -332,7 +332,7 @@ impl<'a> IStream<'a> {
         let rec = match (&plan, sorted) {
             (Some((p, places)), _) => self.route_planned(&header, &file_map, p, places, &raw)?,
             (None, true) => self.route_sorted(&header, &file_map, lo, hi, &raw)?,
-            (None, false) => self.deal_unsorted(&header, &file_map, lo, hi, &raw)?,
+            (None, false) => self.deal_unsorted(&header, &file_map, lo, hi, raw)?,
         };
 
         self.verify_seal(&header, seal.as_ref(), &sizes, &data_digests)?;
@@ -438,7 +438,7 @@ impl<'a> IStream<'a> {
                 self.route_planned(&p.header, &p.file_map, plan, places, &p.raw)?
             }
             (None, true) => self.route_sorted(&p.header, &p.file_map, p.lo, p.hi, &p.raw)?,
-            (None, false) => self.deal_unsorted(&p.header, &p.file_map, p.lo, p.hi, &p.raw)?,
+            (None, false) => self.deal_unsorted(&p.header, &p.file_map, p.lo, p.hi, p.raw)?,
         };
         self.verify_seal(&p.header, p.seal.as_ref(), &p.sizes, &p.digests)?;
         self.cursor = p.data_base + p.header.data_len + self.seal_len();
@@ -801,7 +801,7 @@ impl<'a> IStream<'a> {
         file_map: &[FileEntry],
         lo: usize,
         hi: usize,
-        raw: &[u8],
+        raw: Vec<u8>,
     ) -> Result<InRecord, StreamError> {
         let base_off = if lo < hi { file_map[lo].offset } else { 0 };
         let mut segs = Vec::with_capacity(hi - lo);
@@ -817,7 +817,7 @@ impl<'a> IStream<'a> {
             header: header.clone(),
             element_pos: vec![0; segs.len()],
             element_ids,
-            data: raw.to_vec(),
+            data: raw,
             segs,
             extracts_done: 0,
         })

@@ -181,17 +181,6 @@ fn physical_read_span(d0: u64, d1: u64, stripe: u64, align: bool, file_len: u64)
 }
 
 impl FileHandle {
-    /// Aggregated [`FileHandle::write_ordered_summed`].
-    pub(crate) fn agg_write_ordered_summed(
-        &self,
-        ctx: &NodeCtx,
-        cc: CollectiveConfig,
-        block: &[u8],
-    ) -> Result<(u64, Vec<ChunkSum>), PfsError> {
-        let (off, digests, _handle) = self.agg_write_ordered(ctx, cc, block, false)?;
-        Ok((off, digests))
-    }
-
     /// Aggregated [`FileHandle::write_ordered_begin_summed`].
     pub(crate) fn agg_write_ordered_begin_summed(
         &self,
@@ -199,20 +188,8 @@ impl FileHandle {
         cc: CollectiveConfig,
         block: &[u8],
     ) -> Result<(u64, Vec<ChunkSum>, IoHandle), PfsError> {
-        let (off, digests, handle) = self.agg_write_ordered(ctx, cc, block, true)?;
+        let (off, digests, handle) = self.agg_write_ordered(ctx, cc, block, true, true)?;
         Ok((off, digests, handle.expect("begin mode returns a handle")))
-    }
-
-    /// Aggregated [`FileHandle::read_ordered_summed`].
-    pub(crate) fn agg_read_ordered_summed(
-        &self,
-        ctx: &NodeCtx,
-        cc: CollectiveConfig,
-        offset: u64,
-        len: usize,
-    ) -> Result<(Vec<u8>, Vec<ChunkSum>), PfsError> {
-        let (buf, digests, _handle) = self.agg_read_ordered(ctx, cc, offset, len, false)?;
-        Ok((buf, digests))
     }
 
     /// Aggregated [`FileHandle::read_ordered_begin_summed`].
@@ -223,16 +200,20 @@ impl FileHandle {
         offset: u64,
         len: usize,
     ) -> Result<(Vec<u8>, Vec<ChunkSum>, IoHandle), PfsError> {
-        let (buf, digests, handle) = self.agg_read_ordered(ctx, cc, offset, len, true)?;
+        let (buf, digests, handle) = self.agg_read_ordered(ctx, cc, offset, len, true, true)?;
         Ok((buf, digests, handle.expect("begin mode returns a handle")))
     }
 
-    fn agg_write_ordered(
+    /// Aggregated collective write: blocking unless `begin` (then the
+    /// cost is deferred to the returned handle); the block is hashed only
+    /// when `summed`, else its digest frame carries [`ChunkSum::EMPTY`].
+    pub(crate) fn agg_write_ordered(
         &self,
         ctx: &NodeCtx,
         cc: CollectiveConfig,
         block: &[u8],
         begin: bool,
+        summed: bool,
     ) -> Result<(u64, Vec<ChunkSum>, Option<IoHandle>), PfsError> {
         let _scope = ctx.collective_scope();
         let op = ctx.next_pfs_op();
@@ -267,8 +248,13 @@ impl FileHandle {
         // Size/digest/crash-flag exchange; rank 0 supplies the append
         // base. The digest is of the full intended block even for a
         // torn transfer (torn writes are silent; seal verification
-        // catches them later) — identical to the direct path.
-        let my_sum = ChunkSum::of(block);
+        // catches them later) — identical to the direct path, and
+        // likewise EMPTY unless `summed`.
+        let my_sum = if summed {
+            ChunkSum::of(block)
+        } else {
+            ChunkSum::EMPTY
+        };
         let mut contrib = Vec::with_capacity(25);
         contrib.extend_from_slice(&(block.len() as u64).to_le_bytes());
         contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
@@ -596,13 +582,16 @@ impl FileHandle {
         }
     }
 
-    fn agg_read_ordered(
+    /// Aggregated collective read; `begin` and `summed` as in
+    /// [`FileHandle::agg_write_ordered`].
+    pub(crate) fn agg_read_ordered(
         &self,
         ctx: &NodeCtx,
         cc: CollectiveConfig,
         offset: u64,
         len: usize,
         begin: bool,
+        summed: bool,
     ) -> Result<ReadOutcome, PfsError> {
         let _scope = ctx.collective_scope();
         let op = ctx.next_pfs_op();
@@ -749,11 +738,12 @@ impl FileHandle {
 
         // Digest exchange: every rank's digest of the bytes it received
         // — the same values the direct path's size exchange carries, so
-        // seal verification folds identically.
-        let my_sum = if my_fail {
-            ChunkSum::EMPTY
-        } else {
+        // seal verification folds identically. Unless `summed`, the
+        // frame carries EMPTY at the same size.
+        let my_sum = if summed && !my_fail {
             ChunkSum::of(&buf)
+        } else {
+            ChunkSum::EMPTY
         };
         let mut dig = Vec::with_capacity(16);
         dig.extend_from_slice(&my_sum.hash().to_le_bytes());

@@ -17,9 +17,46 @@
 //! run of zero bytes changes the hash), which is what torn-write
 //! detection needs. This is an error-*detection* code against torn and
 //! corrupted records, not a cryptographic MAC.
+//!
+//! [`ChunkSum::of`] evaluates the same sum eight bytes per step: a word
+//! at position `8k` contributes `r^(8k) · Σ_j T[j][b_j]` with the
+//! compile-time table `T[j][b] = (b + 1) · r^j`, so each step costs eight
+//! table loads and two multiplies instead of a chain of eight dependent
+//! multiplies. Only a tail shorter than eight bytes goes byte by byte.
 
 /// The fixed polynomial multiplier (odd, so powers never collapse to 0).
 const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// `r^8`: how far the running power advances per 8-byte word.
+const MULTIPLIER_POW8: u64 = pow(MULTIPLIER, 8);
+
+/// `WORD_TABLE[j][b] = (b + 1) · r^j`: byte `b` at lane `j` of a word.
+static WORD_TABLE: [[u64; 256]; 8] = word_table();
+
+const fn pow(base: u64, exp: u32) -> u64 {
+    let mut acc = 1u64;
+    let mut i = 0;
+    while i < exp {
+        acc = acc.wrapping_mul(base);
+        i += 1;
+    }
+    acc
+}
+
+const fn word_table() -> [[u64; 256]; 8] {
+    let mut table = [[0u64; 256]; 8];
+    let mut j = 0;
+    while j < 8 {
+        let rj = pow(MULTIPLIER, j as u32);
+        let mut b = 0;
+        while b < 256 {
+            table[j][b] = (b as u64 + 1).wrapping_mul(rj);
+            b += 1;
+        }
+        j += 1;
+    }
+    table
+}
 
 /// A combinable digest over a byte chunk: the polynomial hash plus the
 /// multiplier raised to the chunk length (both mod 2^64).
@@ -43,7 +80,16 @@ impl ChunkSum {
     pub fn of(bytes: &[u8]) -> ChunkSum {
         let mut hash = 0u64;
         let mut rpow = 1u64;
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut lanes = 0u64;
+            for (row, &b) in WORD_TABLE.iter().zip(word) {
+                lanes = lanes.wrapping_add(row[b as usize]);
+            }
+            hash = hash.wrapping_add(lanes.wrapping_mul(rpow));
+            rpow = rpow.wrapping_mul(MULTIPLIER_POW8);
+        }
+        for &b in words.remainder() {
             hash = hash.wrapping_add((b as u64 + 1).wrapping_mul(rpow));
             rpow = rpow.wrapping_mul(MULTIPLIER);
         }

@@ -434,7 +434,8 @@ impl FileHandle {
     /// latency plus total-bytes over the (possibly knee'd) aggregate PFS
     /// bandwidth. All ranks leave with synchronized virtual clocks.
     pub fn write_ordered(&self, ctx: &NodeCtx, block: &[u8]) -> Result<u64, PfsError> {
-        self.write_ordered_summed(ctx, block).map(|(off, _)| off)
+        self.write_ordered_impl(ctx, block, false)
+            .map(|(off, _)| off)
     }
 
     /// [`FileHandle::write_ordered`] that additionally returns the
@@ -449,8 +450,22 @@ impl FileHandle {
         ctx: &NodeCtx,
         block: &[u8],
     ) -> Result<(u64, Vec<ChunkSum>), PfsError> {
+        self.write_ordered_impl(ctx, block, true)
+    }
+
+    /// The one implementation behind both blocking collective writes.
+    /// Unless `summed`, no rank hashes its block: the exchange carries
+    /// [`ChunkSum::EMPTY`] in a frame of the same size, so messages,
+    /// virtual cost and trace are those of the summed operation.
+    fn write_ordered_impl(
+        &self,
+        ctx: &NodeCtx,
+        block: &[u8],
+        summed: bool,
+    ) -> Result<(u64, Vec<ChunkSum>), PfsError> {
         if let Some(cc) = ctx.config().collective {
-            return self.agg_write_ordered_summed(ctx, cc, block);
+            let (off, digests, _handle) = self.agg_write_ordered(ctx, cc, block, false, summed)?;
+            return Ok((off, digests));
         }
         // One logical PFS operation: its internal coordination (barriers,
         // size gather, plan broadcast) is plumbing, not API collectives.
@@ -460,7 +475,11 @@ impl FileHandle {
         // Make prior independent writes globally visible and align clocks.
         ctx.barrier()?;
         // Exchange block sizes and digests; rank 0 supplies the append base.
-        let my_sum = ChunkSum::of(block);
+        let my_sum = if summed {
+            ChunkSum::of(block)
+        } else {
+            ChunkSum::EMPTY
+        };
         let mut contrib = Vec::with_capacity(24);
         contrib.extend_from_slice(&(block.len() as u64).to_le_bytes());
         contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
@@ -578,7 +597,8 @@ impl FileHandle {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, PfsError> {
-        self.read_ordered_summed(ctx, offset, len).map(|(b, _)| b)
+        self.read_ordered_impl(ctx, offset, len, false)
+            .map(|(b, _)| b)
     }
 
     /// [`FileHandle::read_ordered`] that additionally returns the
@@ -593,8 +613,22 @@ impl FileHandle {
         offset: u64,
         len: usize,
     ) -> Result<(Vec<u8>, Vec<ChunkSum>), PfsError> {
+        self.read_ordered_impl(ctx, offset, len, true)
+    }
+
+    /// The one implementation behind both blocking collective reads;
+    /// `summed` as in [`FileHandle::write_ordered_impl`].
+    fn read_ordered_impl(
+        &self,
+        ctx: &NodeCtx,
+        offset: u64,
+        len: usize,
+        summed: bool,
+    ) -> Result<(Vec<u8>, Vec<ChunkSum>), PfsError> {
         if let Some(cc) = ctx.config().collective {
-            return self.agg_read_ordered_summed(ctx, cc, offset, len);
+            let (buf, digests, _handle) =
+                self.agg_read_ordered(ctx, cc, offset, len, false, summed)?;
+            return Ok((buf, digests));
         }
         let _scope = ctx.collective_scope();
         let op = ctx.next_pfs_op();
@@ -619,7 +653,7 @@ impl FileHandle {
         } else {
             Ok(())
         };
-        let my_sum = if read_res.is_ok() {
+        let my_sum = if summed && read_res.is_ok() {
             ChunkSum::of(&buf)
         } else {
             ChunkSum::EMPTY

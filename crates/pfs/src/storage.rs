@@ -114,10 +114,15 @@ impl Storage {
                     len: data.len(),
                     size: v.len() as u64,
                 })?;
-                if v.len() < end {
-                    v.resize(end, 0);
+                // Zero only a real gap; overwrite the overlap with the
+                // current image and append the rest.
+                let start = end - data.len();
+                if v.len() < start {
+                    v.resize(start, 0);
                 }
-                v[end - data.len()..end].copy_from_slice(data);
+                let overlap = v.len().min(end) - start;
+                v[start..start + overlap].copy_from_slice(&data[..overlap]);
+                v.extend_from_slice(&data[overlap..]);
                 Ok(())
             }
             Storage::Disk { file, size, .. } => {
@@ -221,6 +226,36 @@ mod tests {
     #[test]
     fn mem_storage_roundtrips() {
         roundtrip(Storage::new_mem());
+    }
+
+    #[test]
+    fn mem_write_straddling_the_end_overwrites_then_appends() {
+        let mut s = Storage::new_mem();
+        s.write_at(0, b"abcdef", "t").unwrap();
+        s.write_at(4, b"XYZW", "t").unwrap();
+        assert_eq!(s.len(), 8);
+        let mut buf = vec![0u8; 8];
+        s.read_at(0, &mut buf, "t").unwrap();
+        assert_eq!(&buf, b"abcdXYZW");
+        // Wholly inside the image: no growth.
+        s.write_at(1, b"q", "t").unwrap();
+        assert_eq!(s.len(), 8);
+        s.read_at(0, &mut buf, "t").unwrap();
+        assert_eq!(&buf, b"aqcdXYZW");
+    }
+
+    #[test]
+    fn mem_write_past_a_gap_zero_fills_only_the_gap() {
+        let mut s = Storage::new_mem();
+        s.write_at(0, b"ab", "t").unwrap();
+        s.write_at(5, b"cd", "t").unwrap();
+        assert_eq!(s.len(), 7);
+        let mut buf = vec![9u8; 7];
+        s.read_at(0, &mut buf, "t").unwrap();
+        assert_eq!(&buf, b"ab\0\0\0cd");
+        // An empty write past the end still extends to its offset.
+        s.write_at(9, b"", "t").unwrap();
+        assert_eq!(s.len(), 9);
     }
 
     #[test]
