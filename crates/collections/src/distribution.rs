@@ -161,22 +161,54 @@ impl Axis {
     }
 
     /// Axis cells owned by processor coordinate `p`, increasing (empty for
-    /// `p >= procs`). O(count): BLOCK is one range, CYCLIC(k) runs of `k`
-    /// every `k * procs` cells.
+    /// `p >= procs`). O(count).
     pub fn local_cells(&self, p: usize) -> Vec<usize> {
+        self.local_runs(p)
+            .into_iter()
+            .flat_map(|(c, len)| c..c + len)
+            .collect()
+    }
+
+    /// [`Axis::local_cells`] as `(first cell, len)` runs of consecutive
+    /// cells, increasing: BLOCK is one run, CYCLIC(k) runs of at most `k`
+    /// every `k * procs` cells. O(runs).
+    fn local_runs(&self, p: usize) -> Vec<(usize, usize)> {
         if p >= self.procs {
             return Vec::new();
         }
-        let count = self.local_count(p);
         if self.k == 0 {
-            let start = p * self.block_size();
-            return (start..start + count).collect();
+            let count = self.local_count(p);
+            return if count == 0 {
+                Vec::new()
+            } else {
+                vec![(p * self.block_size(), count)]
+            };
         }
-        let mut out = Vec::with_capacity(count);
-        for run in (p * self.k..self.cells).step_by(self.k * self.procs) {
-            out.extend(run..(run + self.k).min(self.cells));
-        }
-        out
+        (p * self.k..self.cells)
+            .step_by(self.k * self.procs)
+            .map(|c| (c, self.k.min(self.cells - c)))
+            .collect()
+    }
+
+    /// How many of the cells `c, c + 1, …` (at most `len`, and never
+    /// past the axis end) share `c`'s owner at consecutive local
+    /// indices. O(1): a BLOCK run ends at the owner's block end (the last
+    /// processor's block at the axis end), a CYCLIC(k) run at the end of
+    /// its block of `k` unless one processor owns the whole axis.
+    fn piece_len(&self, c: usize, len: usize) -> usize {
+        let end = if self.k == 0 {
+            let owner = self.owner(c);
+            if owner == self.procs - 1 {
+                self.cells
+            } else {
+                (owner + 1) * self.block_size()
+            }
+        } else if self.procs == 1 {
+            self.cells
+        } else {
+            c + self.k - c % self.k
+        };
+        len.min(end.min(self.cells) - c)
     }
 }
 
@@ -211,8 +243,18 @@ pub fn composed_local_count(axes: &[Axis], mut rank: usize) -> usize {
 
 /// Cells the processor-grid rank `rank` owns under the composition of
 /// `axes`, as increasing row-major linear indices (empty for a rank off
-/// the grid). O(count): the cross product of each axis's owned cells.
+/// the grid). O(count).
 pub fn composed_local_cells(axes: &[Axis], rank: usize) -> Vec<usize> {
+    composed_local_runs(axes, rank)
+        .into_iter()
+        .flat_map(|(t, len)| t..t + len)
+        .collect()
+}
+
+/// [`composed_local_cells`] as `(first cell, len)` runs: the cross
+/// product of the leading axes' owned cells with the last axis's owned
+/// runs, so each run lies within one row of the last axis. O(runs).
+fn composed_local_runs(axes: &[Axis], rank: usize) -> Vec<(usize, usize)> {
     if rank >= axes.iter().map(|ax| ax.procs).product() {
         return Vec::new();
     }
@@ -222,15 +264,25 @@ pub fn composed_local_cells(axes: &[Axis], rank: usize) -> Vec<usize> {
         *p = r % ax.procs;
         r /= ax.procs;
     }
-    let mut cells = vec![0usize];
-    for (ax, &p) in axes.iter().zip(&coords) {
+    let Some((last, lead)) = axes.split_last() else {
+        return vec![(0, 1)];
+    };
+    let mut prefixes = vec![0usize];
+    for (ax, &p) in lead.iter().zip(&coords) {
         let owned = ax.local_cells(p);
-        cells = cells
+        prefixes = prefixes
             .iter()
             .flat_map(|&prefix| owned.iter().map(move |&c| prefix * ax.cells + c))
             .collect();
     }
-    cells
+    let runs = last.local_runs(coords[axes.len() - 1]);
+    prefixes
+        .iter()
+        .flat_map(|&prefix| {
+            runs.iter()
+                .map(move |&(c, len)| (prefix * last.cells + c, len))
+        })
+        .collect()
 }
 
 /// A template of `len` cells distributed over `nprocs` processors.
@@ -418,20 +470,66 @@ impl Distribution {
     /// empty for `rank >= nprocs`. Closed-form in O(local count), never a
     /// scan of the template: streams call this per record per rank.
     pub fn local_cells(&self, rank: usize) -> Vec<usize> {
+        self.local_runs(rank)
+            .into_iter()
+            .flat_map(|(t, len)| t..t + len)
+            .collect()
+    }
+
+    /// [`Distribution::local_cells`] as increasing `(first cell, len)`
+    /// runs of consecutive cells, in O(runs): one run for BLOCK, runs of
+    /// at most `k` for CYCLIC(k) and BLOCK-CYCLIC(k), and the owned column
+    /// runs of each owned row for a composed pattern.
+    pub(crate) fn local_runs(&self, rank: usize) -> Vec<(usize, usize)> {
+        match self.axes() {
+            Some(axes) => composed_local_runs(&axes, rank),
+            None => self.axis().local_runs(rank),
+        }
+    }
+
+    /// The longest prefix of template cells `t, t + 1, …, t + len - 1`
+    /// (`t + len <= len()`) that one rank owns at consecutive local
+    /// offsets: `(owner, local offset of t, prefix length)`. O(1) for
+    /// the 1-D kinds; a composed pattern walks one step per row the
+    /// piece spans.
+    pub fn piece(&self, t: usize, len: usize) -> Result<(usize, usize, usize), CollectionError> {
+        let (owner, local) = self.place(t)?;
+        if len == 0 {
+            return Ok((owner, local, 0));
+        }
+        let Some([_, cols]) = self.axes() else {
+            return Ok((owner, local, self.axis().piece_len(t, len)));
+        };
+        // Within a row the column axis decides; a piece that reaches the
+        // row end carries on into the next row only if that row's first
+        // cell is the very next slot on the same rank.
+        let mut plen = 0;
+        loop {
+            let c = (t + plen) % cols.cells;
+            let step = cols.piece_len(c, len - plen);
+            plen += step;
+            if plen == len
+                || c + step < cols.cells
+                || self.place(t + plen)? != (owner, local + plen)
+            {
+                return Ok((owner, local, plen));
+            }
+        }
+    }
+
+    /// The single axis a 1-D kind is (BLOCK is CYCLIC with `k = 0`).
+    fn axis(&self) -> Axis {
         let k = match self.kind {
             DistKind::Block => 0,
             DistKind::Cyclic => 1,
             DistKind::BlockCyclic(k) => k,
-            DistKind::Composed2d(_) => {
-                return composed_local_cells(&self.axes().expect("composed kind has axes"), rank)
-            }
+            DistKind::Composed2d(_) => unreachable!("composed kinds have two axes"),
         };
         Axis {
             cells: self.len,
             procs: self.nprocs,
             k,
         }
-        .local_cells(rank)
     }
 }
 

@@ -96,6 +96,13 @@ impl Layout {
     /// unless the template holds more cells on `rank` than the collection
     /// has elements, in which case scanning the elements is cheaper.
     pub fn local_elements(&self, rank: usize) -> Vec<usize> {
+        if self.align == Alignment::identity() {
+            return self
+                .local_runs(rank)
+                .into_iter()
+                .flat_map(|(i, len)| i..i + len)
+                .collect();
+        }
         if self.dist.local_count(rank) > self.n_elements {
             return (0..self.n_elements)
                 .filter(|&i| self.owner(i).expect("i < len") == rank)
@@ -109,11 +116,46 @@ impl Layout {
             .collect()
     }
 
+    /// [`Layout::local_elements`] as increasing `(first element, len)`
+    /// runs of consecutive global ids. Under the identity alignment these
+    /// are the distribution's cell runs below `n`, in O(runs); other
+    /// alignments coalesce the element list.
+    fn local_runs(&self, rank: usize) -> Vec<(usize, usize)> {
+        let n = self.n_elements;
+        if self.align == Alignment::identity() {
+            return self
+                .dist
+                .local_runs(rank)
+                .into_iter()
+                .take_while(|&(i, _)| i < n)
+                .map(|(i, len)| (i, len.min(n - i)))
+                .collect();
+        }
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for i in self.local_elements(rank) {
+            match runs.last_mut() {
+                Some((first, len)) if *first + *len == i => *len += 1,
+                _ => runs.push((i, 1)),
+            }
+        }
+        runs
+    }
+
+    /// Every element in d/stream file order as `(first element, len)`
+    /// runs of consecutive global ids: the runs of writer rank 0's local
+    /// elements, then rank 1's, and so on. One run per rank for BLOCK,
+    /// runs of at most `k` for CYCLIC(k), the owned column runs of each
+    /// owned row for a composed 2-D pattern, in O(runs) under the
+    /// identity alignment.
+    pub fn file_runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.nprocs()).flat_map(move |w| self.local_runs(w))
+    }
+
     /// Every element in d/stream file order: writer rank 0's local
     /// elements, then rank 1's, and so on. O(min(template length,
     /// nprocs · n)) in total — O(n) for a dense layout.
     pub fn file_order(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.nprocs()).flat_map(move |w| self.local_elements(w))
+        self.file_runs().flat_map(|(i, len)| i..i + len)
     }
 
     /// Number of elements owned by `rank`.
@@ -137,7 +179,7 @@ impl Layout {
     /// elements). Other alignments cost one [`Layout::local_elements`]
     /// of the owner, because their local slots are not a closed-form
     /// function of the template; place many elements of such a layout
-    /// with [`Layout::place_many`] instead.
+    /// with [`Layout::pieces`] instead.
     pub fn place(&self, i: usize) -> Result<(usize, usize), CollectionError> {
         self.check(i)?;
         if self.align == Alignment::identity() {
@@ -152,26 +194,24 @@ impl Layout {
         Ok((owner, slot))
     }
 
-    /// [`Layout::place`] of each of `ids`, in order. O(len) under the
-    /// identity alignment; otherwise one [`Layout::local_elements`] per
-    /// rank fills an element-indexed table first, so
-    /// O(len + min(template length, nprocs · n)), never O(len · n).
-    pub fn place_many(&self, ids: &[usize]) -> Result<Vec<(usize, usize)>, CollectionError> {
-        if self.align == Alignment::identity() {
-            return ids.iter().map(|&i| self.place(i)).collect();
-        }
-        let mut table = vec![(0, 0); self.n_elements];
-        for rank in 0..self.nprocs() {
-            for (slot, i) in self.local_elements(rank).into_iter().enumerate() {
-                table[i] = (rank, slot);
+    /// A placement query for runs of elements, see [`Pieces::piece`].
+    /// Free under the identity alignment; other alignments first fill an
+    /// element-indexed `(rank, slot)` table from one
+    /// [`Layout::local_elements`] per rank.
+    pub fn pieces(&self) -> Pieces<'_> {
+        let table = (self.align != Alignment::identity()).then(|| {
+            let mut table = vec![(0, 0); self.n_elements];
+            for rank in 0..self.nprocs() {
+                for (slot, i) in self.local_elements(rank).into_iter().enumerate() {
+                    table[i] = (rank, slot);
+                }
             }
+            table
+        });
+        Pieces {
+            layout: self,
+            table,
         }
-        ids.iter()
-            .map(|&i| {
-                self.check(i)?;
-                Ok(table[i])
-            })
-            .collect()
     }
 
     fn check(&self, i: usize) -> Result<(), CollectionError> {
@@ -220,6 +260,40 @@ impl Layout {
             Distribution::new(self.dist.len(), nprocs, self.dist.kind())?,
             self.align,
         )
+    }
+}
+
+/// Target-side placement of element runs, from [`Layout::pieces`].
+#[derive(Debug, Clone)]
+pub struct Pieces<'a> {
+    layout: &'a Layout,
+    /// Element-indexed `(rank, slot)`, for non-identity alignments only.
+    table: Option<Vec<(usize, usize)>>,
+}
+
+impl Pieces<'_> {
+    /// The longest prefix of elements `i, i + 1, …, i + len - 1` that one
+    /// rank owns at consecutive local slots: `(owner, slot of i, prefix
+    /// length)`, the length at least 1 when `len` is. In closed form
+    /// under the identity alignment ([`Distribution::piece`]); otherwise
+    /// one table probe per element of the piece.
+    pub fn piece(&self, i: usize, len: usize) -> Result<(usize, usize, usize), CollectionError> {
+        let n = self.layout.n_elements;
+        self.layout.check(i)?;
+        if len > n - i {
+            return Err(CollectionError::IndexOutOfRange {
+                index: i + len - 1,
+                len: n,
+            });
+        }
+        let Some(table) = &self.table else {
+            return self.layout.dist.piece(i, len);
+        };
+        let (owner, slot) = table[i];
+        let plen = (1..len)
+            .find(|&j| table[i + j] != (owner, slot + j))
+            .unwrap_or(len);
+        Ok((owner, slot, plen))
     }
 }
 

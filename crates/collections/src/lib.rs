@@ -35,4 +35,4 @@ pub use distribution::{
 };
 pub use error::CollectionError;
 pub use grid::{Grid2d, GridRow, RowHalo, RunHalo};
-pub use layout::{Layout, LayoutDescriptor};
+pub use layout::{Layout, LayoutDescriptor, Pieces};

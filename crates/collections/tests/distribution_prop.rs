@@ -76,6 +76,58 @@ fn check_local_cells(d: &Distribution) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The flattened file-order runs equal the per-rank owner scans, each
+/// run is non-empty, and every piece — of every file run, and of each
+/// probed `(start, len)` range — agrees with per-element `place` and is
+/// the longest such prefix.
+fn check_runs_and_pieces(layout: &Layout, probes: &[(usize, usize)]) -> Result<(), TestCaseError> {
+    let n = layout.len();
+    let nprocs = layout.nprocs();
+    let runs: Vec<(usize, usize)> = layout.file_runs().collect();
+    prop_assert!(
+        runs.iter().all(|&(_, len)| len > 0),
+        "empty run in {:?}",
+        runs
+    );
+    let flat: Vec<usize> = runs.iter().flat_map(|&(i, len)| i..i + len).collect();
+    let expected: Vec<usize> = (0..nprocs).flat_map(|r| element_scan(layout, r)).collect();
+    prop_assert_eq!(&flat, &expected);
+    prop_assert_eq!(layout.file_order().collect::<Vec<_>>(), expected);
+
+    let pieces = layout.pieces();
+    let check = |first: usize, len: usize| -> Result<(), TestCaseError> {
+        let mut done = 0;
+        while done < len {
+            let i = first + done;
+            let (owner, slot, plen) = pieces.piece(i, len - done).unwrap();
+            prop_assert!(plen >= 1 && plen <= len - done);
+            for j in 0..plen {
+                let want = layout.place(i + j).unwrap();
+                prop_assert_eq!(want, (owner, slot + j), "element {} of {:?}", i + j, layout);
+            }
+            if done + plen < len {
+                let next = layout.place(i + plen).unwrap();
+                prop_assert!(next != (owner, slot + plen), "piece at {} too short", i);
+            }
+            done += plen;
+        }
+        Ok(())
+    };
+    for &(first, len) in &runs {
+        check(first, len)?;
+    }
+    for &(start, len) in probes {
+        if start < n {
+            check(start, len.min(n - start))?;
+        }
+    }
+    prop_assert!(pieces.piece(n, 1).is_err());
+    if n > 0 {
+        prop_assert!(pieces.piece(n - 1, 2).is_err());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
@@ -134,25 +186,40 @@ proptest! {
     }
 
     #[test]
-    fn place_many_matches_place(
+    fn file_runs_and_pieces_match_the_element_oracles(
         n in 0usize..60,
         nprocs in 1usize..6,
         kind in any_kind_strategy(),
         stride in 1usize..4,
         offset in 0usize..5,
-        slack in 0usize..40,
+        slack in prop_oneof![0usize..4, 0usize..40],
+        probes in proptest::collection::vec((0usize..60, 1usize..20), 0..8),
     ) {
         let dist = fit(kind, stride * n + offset + slack, nprocs);
         let layout = Layout::new(n, dist, Alignment::affine(stride, offset).unwrap()).unwrap();
-        let ids: Vec<usize> = layout.file_order().collect();
-        let places = layout.place_many(&ids).unwrap();
-        prop_assert_eq!(places.len(), n);
-        for (&i, &entry) in ids.iter().zip(&places) {
-            prop_assert_eq!(entry, layout.place(i).unwrap(), "element {}", i);
-            let slot = element_scan(&layout, entry.0).iter().position(|&e| e == i);
-            prop_assert_eq!(slot, Some(entry.1), "element {}", i);
-        }
-        prop_assert!(layout.place_many(&[n]).is_err());
+        check_runs_and_pieces(&layout, &probes)?;
+    }
+
+    #[test]
+    fn composed_file_runs_and_pieces_match_the_element_oracles(
+        rows in 1usize..6,
+        cols in 0usize..8,
+        grid_rows in 1usize..4,
+        grid_cols in 1usize..5,
+        row_k in 0u8..4,
+        col_k in 0u8..4,
+        probes in proptest::collection::vec((0usize..48, 1usize..20), 0..8),
+    ) {
+        // Dense composed layouts: 1xN and Nx1 grids, empty columns
+        // (`cols = 0`), more ranks than cells along either axis.
+        let kind = DistKind::Composed2d(Composed2d {
+            rows: rows as u32,
+            grid_rows: grid_rows as u16,
+            row_k,
+            col_k,
+        });
+        let layout = Layout::dense(rows * cols, grid_rows * grid_cols, kind).unwrap();
+        check_runs_and_pieces(&layout, &probes)?;
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! silently short file. Version-1 files remain readable (no seals, no
 //! verification); version-2 writers refuse to append to version-1 files.
 
-use dstreams_collections::{Layout, LayoutDescriptor};
+use dstreams_collections::LayoutDescriptor;
 
 use crate::error::StreamError;
 
@@ -290,52 +290,10 @@ pub fn decode_sizes(b: &[u8], n: usize) -> Result<Vec<u64>, StreamError> {
         .collect())
 }
 
-/// One element's placement in a record's data region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FileEntry {
-    /// Global element index.
-    pub global_id: usize,
-    /// Offset within the data region.
-    pub offset: u64,
-    /// Chunk size in bytes (sum over the interleave group's inserts).
-    pub size: u64,
-}
-
-/// Map a size table (writer node order) back to per-element file
-/// positions, using the writer's layout recovered from the record header.
-/// Entries are returned in **file order**. O(n) for a dense writer layout
-/// (see [`Layout::file_order`]), whatever the writer's rank count.
-pub fn build_file_map(
-    writer_layout: &Layout,
-    sizes_node_order: &[u64],
-) -> Result<Vec<FileEntry>, StreamError> {
-    if sizes_node_order.len() != writer_layout.len() {
-        return Err(StreamError::CorruptRecord(format!(
-            "size table has {} entries for {} elements",
-            sizes_node_order.len(),
-            writer_layout.len()
-        )));
-    }
-    let mut offset = 0u64;
-    Ok(writer_layout
-        .file_order()
-        .zip(sizes_node_order)
-        .map(|(global_id, &size)| {
-            let entry = FileEntry {
-                global_id,
-                offset,
-                size,
-            };
-            offset += size;
-            entry
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dstreams_collections::DistKind;
+    use dstreams_collections::{DistKind, Layout};
 
     #[test]
     fn file_header_roundtrips() {
@@ -453,24 +411,5 @@ mod tests {
         assert_eq!(decode_sizes(&b, 4).unwrap(), sizes);
         assert!(decode_sizes(&b, 5).is_err());
         assert!(decode_sizes(&b[1..], 4).is_err());
-    }
-
-    #[test]
-    fn file_map_follows_node_order() {
-        // 5 elements CYCLIC over 2 ranks: rank 0 owns 0,2,4; rank 1 owns 1,3.
-        let layout = Layout::dense(5, 2, DistKind::Cyclic).unwrap();
-        let sizes = vec![10, 20, 30, 40, 50]; // node order: e0,e2,e4,e1,e3
-        let map = build_file_map(&layout, &sizes).unwrap();
-        let ids: Vec<usize> = map.iter().map(|e| e.global_id).collect();
-        assert_eq!(ids, vec![0, 2, 4, 1, 3]);
-        let offsets: Vec<u64> = map.iter().map(|e| e.offset).collect();
-        assert_eq!(offsets, vec![0, 10, 30, 60, 100]);
-        assert_eq!(map[4].size, 50);
-    }
-
-    #[test]
-    fn file_map_rejects_wrong_size_count() {
-        let layout = Layout::dense(5, 2, DistKind::Block).unwrap();
-        assert!(build_file_map(&layout, &[1, 2, 3]).is_err());
     }
 }

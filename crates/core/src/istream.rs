@@ -19,14 +19,12 @@ use dstreams_collections::{Collection, Layout};
 use dstreams_machine::wire::{frame_blocks, unframe_blocks};
 use dstreams_machine::NodeCtx;
 use dstreams_pfs::{ChunkSum, FileHandle, IoHandle, OpenMode, Pfs};
-use dstreams_redist::{DistView, RedistPlan};
+use dstreams_redist::{DistView, Piece, RedistPlan};
 use dstreams_trace::{EventKind, StreamPhase};
 
 use crate::data::{Extractor, StreamData};
 use crate::error::StreamError;
-use crate::format::{
-    build_file_map, decode_sizes, encode_sizes, FileEntry, FileHeader, RecordHeader, RecordSeal,
-};
+use crate::format::{FileHeader, RecordHeader, RecordSeal};
 
 /// How a sorted read routes file-order elements to their owners under
 /// the reader's layout.
@@ -62,6 +60,38 @@ struct InRecord {
     extracts_done: u32,
 }
 
+/// A record's decoded metadata: everything a rank learns before the data
+/// read.
+struct RecordMeta {
+    header: RecordHeader,
+    seal: Option<RecordSeal>,
+    /// The writer's layout, from the self-describing header.
+    writer: Layout,
+    /// The size table, in file order.
+    sizes: Vec<u64>,
+    /// Digest of each rank's slice of the size table, in rank order.
+    table_digests: Vec<ChunkSum>,
+    data_base: u64,
+}
+
+/// How the bytes a rank reads become its buffered record. Each variant
+/// holds per-element data for this rank's own elements only.
+enum Route {
+    /// Planned sorted read: the schedule, the pieces of the file this
+    /// rank owns under its layout, and its slot-ordered segment table.
+    Planned {
+        plan: RedistPlan,
+        pieces: Vec<Piece>,
+        segs: Vec<(usize, usize)>,
+        ids: Vec<usize>,
+    },
+    /// Naive sorted read of file-order elements `[lo, hi)`: their global
+    /// ids and sizes.
+    Naive { ids: Vec<usize>, sizes: Vec<u64> },
+    /// Unsorted read of file-order elements `[lo, hi)`.
+    Unsorted { ids: Vec<usize>, sizes: Vec<u64> },
+}
+
 /// A record fetched ahead of consumption: metadata is fully decoded, the
 /// data bytes are materialized, and the collective read's service cost is
 /// elapsing in background virtual time. The consuming `read` retires the
@@ -69,19 +99,13 @@ struct InRecord {
 struct Prefetched {
     header: RecordHeader,
     seal: Option<RecordSeal>,
-    sizes: Vec<u64>,
-    file_map: Vec<FileEntry>,
+    table_digests: Vec<ChunkSum>,
     data_base: u64,
-    /// File-order element range `[lo, hi)` this rank read.
-    lo: usize,
-    hi: usize,
+    route: Route,
     raw: Vec<u8>,
     digests: Vec<ChunkSum>,
     handle: IoHandle,
     sorted: bool,
-    /// The redistribution schedule (planned sorted reads only), with the
-    /// target `(rank, slot)` of every file-order entry.
-    plan: Option<(RedistPlan, Vec<(usize, usize)>)>,
 }
 
 /// An input d/stream bound to one file and the *reader's* layout.
@@ -310,33 +334,25 @@ impl<'a> IStream<'a> {
         }
 
         // --- parallel read 1: record header + size table -------------------
-        let (header, seal, sizes, file_map, data_base) = self.fetch_metadata()?;
+        let meta = self.fetch_metadata()?;
 
         // --- parallel read 2: the data, then (for sorted reads) routing ----
         // Under the planned strategy the planner picks the conforming
         // spans (so that cross-rank traffic is minimal); otherwise the
         // balanced split of the naive/unsorted paths applies.
-        let plan = if sorted && self.strategy == ReadStrategy::Planned {
-            Some(self.build_plan(&header, &file_map)?)
-        } else {
-            None
-        };
-        let (lo, hi) = match &plan {
-            Some((p, _)) => p.span(self.ctx.rank()),
-            None => self.element_range(file_map.len(), sorted),
-        };
-        let (off, len) = Self::span(&file_map, data_base, lo, hi);
+        let (route, off, len) = self.prepare_route(&meta, sorted)?;
         let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
         let (raw, data_digests) = self.fh.read_ordered_summed(self.ctx, off, len)?;
         drop(data_span);
-        let rec = match (&plan, sorted) {
-            (Some((p, places)), _) => self.route_planned(&header, &file_map, p, places, &raw)?,
-            (None, true) => self.route_sorted(&header, &file_map, lo, hi, &raw)?,
-            (None, false) => self.deal_unsorted(&header, &file_map, lo, hi, raw)?,
-        };
+        let rec = self.finish_route(&meta.header, route, raw)?;
 
-        self.verify_seal(&header, seal.as_ref(), &sizes, &data_digests)?;
-        self.cursor = data_base + header.data_len + self.seal_len();
+        self.verify_seal(
+            &meta.header,
+            meta.seal.as_ref(),
+            &meta.table_digests,
+            &data_digests,
+        )?;
+        self.cursor = meta.data_base + meta.header.data_len + self.seal_len();
         self.current = Some(rec);
         Ok(())
     }
@@ -374,7 +390,7 @@ impl<'a> IStream<'a> {
         self.ctx.emit_with(|| EventKind::PhaseBegin {
             phase: StreamPhase::ReadAhead,
         });
-        let (header, seal, sizes, file_map, data_base) = match self.fetch_metadata() {
+        let meta = match self.fetch_metadata() {
             Ok(m) => m,
             Err(StreamError::EndOfStream) => {
                 self.ctx.emit_with(|| EventKind::PhaseEnd {
@@ -384,32 +400,20 @@ impl<'a> IStream<'a> {
             }
             Err(e) => return Err(e),
         };
-        let plan = if sorted && self.strategy == ReadStrategy::Planned {
-            Some(self.build_plan(&header, &file_map)?)
-        } else {
-            None
-        };
-        let (lo, hi) = match &plan {
-            Some((p, _)) => p.span(self.ctx.rank()),
-            None => self.element_range(file_map.len(), sorted),
-        };
-        let (off, len) = Self::span(&file_map, data_base, lo, hi);
+        let (route, off, len) = self.prepare_route(&meta, sorted)?;
         let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
         let (raw, digests, handle) = self.fh.read_ordered_begin_summed(self.ctx, off, len)?;
         drop(data_span);
         self.prefetched = Some(Prefetched {
-            header,
-            seal,
-            sizes,
-            file_map,
-            data_base,
-            lo,
-            hi,
+            header: meta.header,
+            seal: meta.seal,
+            table_digests: meta.table_digests,
+            data_base: meta.data_base,
+            route,
             raw,
             digests,
             handle,
             sorted,
-            plan,
         });
         Ok(true)
     }
@@ -433,14 +437,8 @@ impl<'a> IStream<'a> {
     /// route/deal and verify exactly as the synchronous path does.
     fn finish_prefetched(&mut self, p: Prefetched) -> Result<(), StreamError> {
         p.handle.wait(self.ctx)?;
-        let rec = match (&p.plan, p.sorted) {
-            (Some((plan, places)), _) => {
-                self.route_planned(&p.header, &p.file_map, plan, places, &p.raw)?
-            }
-            (None, true) => self.route_sorted(&p.header, &p.file_map, p.lo, p.hi, &p.raw)?,
-            (None, false) => self.deal_unsorted(&p.header, &p.file_map, p.lo, p.hi, p.raw)?,
-        };
-        self.verify_seal(&p.header, p.seal.as_ref(), &p.sizes, &p.digests)?;
+        let rec = self.finish_route(&p.header, p.route, p.raw)?;
+        self.verify_seal(&p.header, p.seal.as_ref(), &p.table_digests, &p.digests)?;
         self.cursor = p.data_base + p.header.data_len + self.seal_len();
         self.current = Some(rec);
         self.ctx.emit_with(|| EventKind::PhaseEnd {
@@ -449,21 +447,9 @@ impl<'a> IStream<'a> {
         Ok(())
     }
 
-    /// Decode the next record's header, seal, size table and file map —
-    /// everything before the data read. Does not move the cursor.
-    #[allow(clippy::type_complexity)]
-    fn fetch_metadata(
-        &mut self,
-    ) -> Result<
-        (
-            RecordHeader,
-            Option<RecordSeal>,
-            Vec<u64>,
-            Vec<FileEntry>,
-            u64,
-        ),
-        StreamError,
-    > {
+    /// Decode the next record's header, seal, size table and writer
+    /// layout — everything before the data read. Does not move the cursor.
+    fn fetch_metadata(&mut self) -> Result<RecordMeta, StreamError> {
         let (header, seal) = self.read_header()?;
         let n = header.n_elements as usize;
         if n != self.layout.len() {
@@ -472,18 +458,110 @@ impl<'a> IStream<'a> {
                 stream: self.layout.len(),
             });
         }
-        let sizes = self.read_size_table(n)?;
-        let writer_layout = Layout::from_descriptor(&header.layout)?;
-        let file_map = build_file_map(&writer_layout, &sizes)?;
-        let total: u64 = sizes.iter().sum();
-        if total != header.data_len {
+        let (sizes, table_digests) = self.read_size_table(n)?;
+        let writer = Layout::from_descriptor(&header.layout)?;
+        if writer.len() != n {
             return Err(StreamError::CorruptRecord(format!(
-                "size table sums to {total}, header claims {}",
+                "size table has {n} entries for {} elements",
+                writer.len()
+            )));
+        }
+        let total = sizes.iter().try_fold(0u64, |acc, &s| acc.checked_add(s));
+        if total != Some(header.data_len) {
+            return Err(StreamError::CorruptRecord(format!(
+                "size table sums to {}, header claims {}",
+                total.map_or("more than 2^64".to_string(), |t| t.to_string()),
                 header.data_len
             )));
         }
         let data_base = self.cursor + RecordHeader::LEN as u64 + (n as u64) * 8;
-        Ok((header, seal, sizes, file_map, data_base))
+        Ok(RecordMeta {
+            header,
+            seal,
+            writer,
+            sizes,
+            table_digests,
+            data_base,
+        })
+    }
+
+    /// Choose how this rank reads and routes the record: its route plus
+    /// the file offset and length of the bytes it reads. The planned path
+    /// takes its byte span from the plan's run prefix sums; the naive and
+    /// unsorted paths sum the sizes before their slice. Either way only
+    /// this rank's own elements get per-element entries.
+    fn prepare_route(
+        &self,
+        meta: &RecordMeta,
+        sorted: bool,
+    ) -> Result<(Route, u64, usize), StreamError> {
+        let rank = self.ctx.rank();
+        if sorted && self.strategy == ReadStrategy::Planned {
+            // Writer layout from the self-describing header, target
+            // layout from the stream: deterministic from data every rank
+            // already holds, so the plan never travels.
+            let (plan, pieces) = dstreams_redist::plan_for_layouts(
+                self.ctx.nprocs(),
+                &meta.writer,
+                &self.layout,
+                &meta.sizes,
+                rank,
+            )?;
+            let ids = self.layout.local_elements(rank);
+            let mut slot_sizes = vec![0usize; ids.len()];
+            for p in &pieces {
+                for (slot, &size) in slot_sizes[p.slot..p.slot + p.len]
+                    .iter_mut()
+                    .zip(&meta.sizes[p.start..p.start + p.len])
+                {
+                    *slot = size as usize;
+                }
+            }
+            let mut segs = Vec::with_capacity(slot_sizes.len());
+            let mut off = 0usize;
+            for len in slot_sizes {
+                segs.push((off, len));
+                off += len;
+            }
+            let (lo, hi) = plan.byte_span(rank);
+            let route = Route::Planned {
+                plan,
+                pieces,
+                segs,
+                ids,
+            };
+            return Ok((route, meta.data_base + lo, (hi - lo) as usize));
+        }
+        let (lo, hi) = self.element_range(meta.sizes.len(), sorted);
+        let ids = slice_ids(&meta.writer, lo, hi);
+        let before: u64 = meta.sizes[..lo].iter().sum();
+        let sizes = meta.sizes[lo..hi].to_vec();
+        let len: u64 = sizes.iter().sum();
+        let route = if sorted {
+            Route::Naive { ids, sizes }
+        } else {
+            Route::Unsorted { ids, sizes }
+        };
+        Ok((route, meta.data_base + before, len as usize))
+    }
+
+    /// Turn the bytes this rank read into its buffered record.
+    fn finish_route(
+        &mut self,
+        header: &RecordHeader,
+        route: Route,
+        raw: Vec<u8>,
+    ) -> Result<InRecord, StreamError> {
+        match route {
+            Route::Planned {
+                plan,
+                pieces,
+                segs,
+                ids,
+            } => self.route_planned(header, &plan, &pieces, segs, ids, &raw),
+            Route::Naive { ids, sizes } => self.route_sorted(header, &ids, &sizes, &raw),
+            Route::Unsorted { ids, sizes } => Ok(self.deal_unsorted(header, ids, &sizes, raw)),
+        }
     }
 
     /// The file-order element range `[lo, hi)` this rank reads: balanced
@@ -501,17 +579,18 @@ impl<'a> IStream<'a> {
         }
     }
 
-    /// Verify the commit seal: metadata is re-hashed locally (every rank
-    /// holds the header and full size table), the data digests came back
-    /// with the collective read — the per-rank spans tile the data region
-    /// in file order, so folding them reproduces the digest of the whole
-    /// region. Every rank reaches the same verdict from the same
-    /// broadcast/gathered inputs: no extra communication.
+    /// Verify the commit seal: every digest came back with a collective
+    /// read — the header is hashed locally (every rank holds it), the
+    /// size table and data digests arrive per rank, and the per-rank
+    /// slices tile each region in file order, so folding them reproduces
+    /// the digest of the whole record. Every rank reaches the same
+    /// verdict from the same broadcast/gathered inputs: no extra
+    /// communication.
     fn verify_seal(
         &self,
         header: &RecordHeader,
         seal: Option<&RecordSeal>,
-        sizes: &[u64],
+        table_digests: &[ChunkSum],
         data_digests: &[ChunkSum],
     ) -> Result<(), StreamError> {
         let Some(seal) = seal else {
@@ -524,10 +603,10 @@ impl<'a> IStream<'a> {
                 seal.record_len
             )));
         }
-        let mut digest = ChunkSum::of(&header.encode()).then(ChunkSum::of(&encode_sizes(sizes)));
-        for d in data_digests {
-            digest = digest.then(*d);
-        }
+        let digest = table_digests
+            .iter()
+            .chain(data_digests)
+            .fold(ChunkSum::of(&header.encode()), |acc, d| acc.then(*d));
         if digest.hash() != seal.checksum {
             return Err(StreamError::CorruptRecord(
                 "record fails its commit-seal checksum (torn or corrupted data)".into(),
@@ -602,7 +681,8 @@ impl<'a> IStream<'a> {
         Some(seal)
     }
 
-    fn read_size_table(&mut self, n: usize) -> Result<Vec<u64>, StreamError> {
+    /// The size table and the digest of every rank's slice of it.
+    fn read_size_table(&mut self, n: usize) -> Result<(Vec<u64>, Vec<ChunkSum>), StreamError> {
         let _span = crate::phase::span(self.ctx, StreamPhase::SizeTable);
         // Balanced parallel read of the size table, then all-gather so
         // every rank holds the whole table.
@@ -611,88 +691,63 @@ impl<'a> IStream<'a> {
         let table_base = self.cursor + RecordHeader::LEN as u64;
         let lo = (rank * n) / nprocs;
         let hi = ((rank + 1) * n) / nprocs;
-        let my = self
-            .fh
-            .read_ordered(self.ctx, table_base + lo as u64 * 8, (hi - lo) * 8)?;
+        let (my, digests) =
+            self.fh
+                .read_ordered_summed(self.ctx, table_base + lo as u64 * 8, (hi - lo) * 8)?;
         let slices = self.ctx.all_gather(my)?;
-        let mut full = Vec::with_capacity(n * 8);
-        for s in &slices {
-            full.extend_from_slice(s);
+        let bytes: usize = slices.iter().map(Vec::len).sum();
+        let mut sizes = Vec::with_capacity(n);
+        for slice in &slices {
+            sizes.extend(
+                slice
+                    .chunks_exact(8)
+                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
+            );
         }
-        decode_sizes(&full, n)
-    }
-
-    /// Contiguous span (file offset, length, entry range) of file-order
-    /// entries `[lo, hi)`.
-    fn span(file_map: &[FileEntry], data_base: u64, lo: usize, hi: usize) -> (u64, usize) {
-        if lo >= hi {
-            return (data_base, 0);
+        if bytes != n * 8 || sizes.len() != n {
+            return Err(StreamError::CorruptRecord(format!(
+                "size table is {bytes} bytes, expected {}",
+                n * 8
+            )));
         }
-        let start = file_map[lo].offset;
-        let end = file_map[hi - 1].offset + file_map[hi - 1].size;
-        (data_base + start, (end - start) as usize)
-    }
-
-    /// Compute the redistribution schedule for the record described by
-    /// `header`/`file_map`: writer layout from the self-describing
-    /// header, target layout from the stream. Deterministic from data
-    /// every rank already holds, so the plan never travels.
-    fn build_plan(
-        &self,
-        header: &RecordHeader,
-        file_map: &[FileEntry],
-    ) -> Result<(RedistPlan, Vec<(usize, usize)>), StreamError> {
-        let writer_layout = Layout::from_descriptor(&header.layout)?;
-        let sizes: Vec<u64> = file_map.iter().map(|e| e.size).collect();
-        let gids: Vec<usize> = file_map.iter().map(|e| e.global_id).collect();
-        let (plan, places) = dstreams_redist::plan_for_layouts(
-            self.ctx.nprocs(),
-            &writer_layout,
-            &self.layout,
-            &sizes,
-            &gids,
-        )?;
-        Ok((plan, places))
+        Ok((sizes, digests))
     }
 
     /// Phase 2 of a planned sorted read: run the redistribution schedule,
-    /// landing every element this rank owns directly in its slot of one
-    /// flat buffer. Only mismatched bytes cross ranks, with no framing.
+    /// landing every interval this rank owns directly in its slots of one
+    /// flat buffer, one copy per piece. Only mismatched bytes cross
+    /// ranks, with no framing.
     fn route_planned(
         &mut self,
         header: &RecordHeader,
-        file_map: &[FileEntry],
         plan: &RedistPlan,
-        places: &[(usize, usize)],
+        pieces: &[Piece],
+        segs: Vec<(usize, usize)>,
+        ids: Vec<usize>,
         raw: &[u8],
     ) -> Result<InRecord, StreamError> {
         let rank = self.ctx.rank();
         let route_span = crate::phase::span(self.ctx, StreamPhase::Route);
-        let local_ids = self.layout.local_elements(rank);
+        let total = segs.last().map_or(0, |&(off, len)| off + len);
+        let mut data = vec![0u8; total];
 
-        // Slot-ordered segment table over one flat buffer.
-        let mut slot_sizes = vec![0usize; local_ids.len()];
-        for (e, &(r, slot)) in places.iter().enumerate() {
-            if r == rank {
-                slot_sizes[slot] = file_map[e].size as usize;
-            }
-        }
-        let mut segs = Vec::with_capacity(slot_sizes.len());
-        let mut off = 0usize;
-        for &len in &slot_sizes {
-            segs.push((off, len));
-            off += len;
-        }
-        let mut data = vec![0u8; off];
-
-        let sizes: Vec<u64> = file_map.iter().map(|e| e.size).collect();
         let file = self.fh.file().name().to_string();
-        dstreams_redist::execute(self.ctx, plan, &sizes, raw, &file, |e, bytes| {
-            let (owner, slot) = places[e];
-            debug_assert_eq!(owner, rank);
-            let (o, l) = segs[slot];
-            debug_assert_eq!(l, bytes.len());
-            data[o..o + l].copy_from_slice(bytes);
+        dstreams_redist::execute(self.ctx, plan, raw, &file, |iv, bytes| {
+            // The interval is one ownership run of this rank: the pieces
+            // from its start on tile it exactly.
+            let first = pieces.partition_point(|p| p.start < iv.start);
+            let mut cursor = 0usize;
+            for p in pieces[first..]
+                .iter()
+                .take_while(|p| p.start < iv.start + iv.len)
+            {
+                let (lo, _) = segs[p.slot];
+                let (last, len) = segs[p.slot + p.len - 1];
+                let n = last + len - lo;
+                data[lo..lo + n].copy_from_slice(&bytes[cursor..cursor + n]);
+                cursor += n;
+            }
+            debug_assert_eq!(cursor, bytes.len());
         })
         .map_err(|e| match e {
             dstreams_redist::ExecError::Machine(m) => StreamError::Machine(m),
@@ -714,33 +769,33 @@ impl<'a> IStream<'a> {
         Ok(InRecord {
             header: header.clone(),
             element_pos: vec![0; segs.len()],
-            element_ids: local_ids,
+            element_ids: ids,
             data,
             segs,
             extracts_done: 0,
         })
     }
 
-    /// Route file-order elements `[lo, hi)` (read into `raw`) to their
-    /// owners under the reader layout — phase 2 of a sorted read.
+    /// Route file-order elements `[lo, hi)` (global `ids`, `sizes`, read
+    /// into `raw`) to their owners under the reader layout — phase 2 of
+    /// a naive sorted read.
     fn route_sorted(
         &mut self,
         header: &RecordHeader,
-        file_map: &[FileEntry],
-        lo: usize,
-        hi: usize,
+        ids: &[usize],
+        sizes: &[u64],
         raw: &[u8],
     ) -> Result<InRecord, StreamError> {
         let nprocs = self.ctx.nprocs();
         let rank = self.ctx.rank();
         let route_span = crate::phase::span(self.ctx, StreamPhase::Route);
         let mut parts: Vec<Vec<Vec<u8>>> = vec![Vec::new(); nprocs];
-        let base_off = if lo < hi { file_map[lo].offset } else { 0 };
-        for e in &file_map[lo..hi] {
-            let rel = (e.offset - base_off) as usize;
-            let bytes = &raw[rel..rel + e.size as usize];
-            let owner = self.layout.owner(e.global_id)?;
-            parts[owner].push((e.global_id as u64).to_le_bytes().to_vec());
+        let mut rel = 0usize;
+        for (&gid, &size) in ids.iter().zip(sizes) {
+            let bytes = &raw[rel..rel + size as usize];
+            rel += size as usize;
+            let owner = self.layout.owner(gid)?;
+            parts[owner].push((gid as u64).to_le_bytes().to_vec());
             parts[owner].push(bytes.to_vec());
         }
         let framed: Vec<Vec<u8>> = parts.iter().map(|p| frame_blocks(p)).collect();
@@ -793,34 +848,32 @@ impl<'a> IStream<'a> {
         })
     }
 
-    /// Deal file-order elements `[lo, hi)` (read into `raw`) out as this
-    /// rank's contiguous run — the communication-free unsorted path.
+    /// Deal file-order elements `[lo, hi)` (global `ids`, `sizes`, read
+    /// into `raw`) out as this rank's contiguous run — the
+    /// communication-free unsorted path.
     fn deal_unsorted(
         &mut self,
         header: &RecordHeader,
-        file_map: &[FileEntry],
-        lo: usize,
-        hi: usize,
+        ids: Vec<usize>,
+        sizes: &[u64],
         raw: Vec<u8>,
-    ) -> Result<InRecord, StreamError> {
-        let base_off = if lo < hi { file_map[lo].offset } else { 0 };
-        let mut segs = Vec::with_capacity(hi - lo);
-        let mut element_ids = Vec::with_capacity(hi - lo);
-        for e in &file_map[lo..hi] {
-            let rel = (e.offset - base_off) as usize;
-            segs.push((rel, e.size as usize));
-            element_ids.push(e.global_id);
+    ) -> InRecord {
+        let mut segs = Vec::with_capacity(sizes.len());
+        let mut rel = 0usize;
+        for &size in sizes {
+            segs.push((rel, size as usize));
+            rel += size as usize;
         }
         self.ctx.charge_memcpy(raw.len());
 
-        Ok(InRecord {
+        InRecord {
             header: header.clone(),
             element_pos: vec![0; segs.len()],
-            element_ids,
+            element_ids: ids,
             data: raw,
             segs,
             extracts_done: 0,
-        })
+        }
     }
 
     /// Skip the next record without buffering its data (cursor advance
@@ -950,4 +1003,23 @@ impl<'a> IStream<'a> {
         }
         Ok(())
     }
+}
+
+/// Global ids of file-order elements `[lo, hi)` of a record written under
+/// `writer`, walked from its file-order runs: runs before `lo` are
+/// skipped whole, so only the slice gets per-element entries.
+fn slice_ids(writer: &Layout, lo: usize, hi: usize) -> Vec<usize> {
+    let mut ids = Vec::with_capacity(hi - lo);
+    let mut e = 0usize;
+    for (first, len) in writer.file_runs() {
+        if e >= hi {
+            break;
+        }
+        let (a, b) = (lo.max(e), hi.min(e + len));
+        if a < b {
+            ids.extend(first + (a - e)..first + (b - e));
+        }
+        e += len;
+    }
+    ids
 }

@@ -5,9 +5,12 @@
 
 use dstreams_collections::{Collection, DistKind, Layout};
 use dstreams_core::MetaMode;
-use dstreams_core::{impl_stream_data, IStream, MetaPolicy, OStream, StreamError, StreamOptions};
+use dstreams_core::{
+    impl_stream_data, FileHeader, IStream, MetaPolicy, OStream, ReadStrategy, StreamError,
+    StreamOptions,
+};
 use dstreams_machine::{Machine, MachineConfig};
-use dstreams_pfs::Pfs;
+use dstreams_pfs::{OpenMode, Pfs};
 
 /// The paper's running example: a particle list of variable size.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -220,6 +223,45 @@ fn multiple_records_read_in_write_order() {
         r.close().unwrap();
     })
     .unwrap();
+}
+
+#[test]
+fn writer_layout_disagreeing_with_the_size_table_is_corrupt() {
+    // A record whose header counts 12 elements (and holds 12 sizes) but
+    // whose writer-layout descriptor claims 11 cannot be mapped to file
+    // positions: every read strategy must call it corrupt.
+    for (strategy, sorted) in [
+        (ReadStrategy::Planned, true),
+        (ReadStrategy::Naive, true),
+        (ReadStrategy::Planned, false),
+    ] {
+        let pfs = Pfs::in_memory(2);
+        let p = pfs.clone();
+        Machine::run(MachineConfig::functional(2), move |ctx| {
+            let layout = Layout::dense(12, 2, DistKind::Cyclic).unwrap();
+            let g = Collection::new(ctx, layout.clone(), |i| i as u32).unwrap();
+            let mut s = OStream::create(ctx, &p, &layout, "skew").unwrap();
+            s.insert_collection(&g).unwrap();
+            s.write().unwrap();
+            s.close().unwrap();
+            if ctx.is_root() {
+                // The descriptor's element count opens the layout field,
+                // 24 bytes into the record header after the file header.
+                let fh = p.open(false, "skew", OpenMode::Read).unwrap();
+                fh.write_at(ctx, (FileHeader::LEN + 24) as u64, &11u64.to_le_bytes())
+                    .unwrap();
+            }
+            ctx.barrier().unwrap();
+
+            let mut r = IStream::open_with(ctx, &p, &layout, "skew", strategy).unwrap();
+            let got = if sorted { r.read() } else { r.unsorted_read() };
+            assert!(
+                matches!(got, Err(StreamError::CorruptRecord(_))),
+                "{strategy:?} sorted={sorted}: {got:?}"
+            );
+        })
+        .unwrap();
+    }
 }
 
 #[test]

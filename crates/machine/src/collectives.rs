@@ -10,7 +10,9 @@
 //! Each collective message carries a one-byte opcode so that accidentally
 //! mismatched collectives across ranks (e.g. one rank calls `barrier` while
 //! another calls `gather`) are detected instead of silently exchanging
-//! garbage.
+//! garbage. The opcode trails the payload, so a sender appends it to a
+//! buffer it owns and a receiver strips it with a `pop`: each leg copies
+//! a payload at most once.
 
 use dstreams_trace::{CollOp, EventKind};
 
@@ -45,27 +47,34 @@ impl Op {
     }
 }
 
-fn tagged(op: Op, payload: &[u8]) -> Vec<u8> {
+/// `payload` with `op` appended, taking over the caller's buffer.
+fn tagged(op: Op, mut payload: Vec<u8>) -> Vec<u8> {
+    payload.push(op as u8);
+    payload
+}
+
+/// A tagged copy of a payload the caller keeps.
+fn tagged_copy(op: Op, payload: &[u8]) -> Vec<u8> {
     let mut v = Vec::with_capacity(payload.len() + 1);
-    v.push(op as u8);
     v.extend_from_slice(payload);
+    v.push(op as u8);
     v
 }
 
+/// Check and strip the trailing opcode in place.
 fn untag(op: Op, mut payload: Vec<u8>) -> Result<Vec<u8>, MachineError> {
-    if payload.is_empty() {
+    let Some(byte) = payload.pop() else {
         return Err(MachineError::CollectiveMismatch(
             "empty collective payload".into(),
         ));
-    }
-    let got = Op::from_byte(payload[0]);
+    };
+    let got = Op::from_byte(byte);
     if got != Some(op) {
         return Err(MachineError::CollectiveMismatch(format!(
             "expected {:?}, peer sent {:?}",
             op, got
         )));
     }
-    payload.remove(0);
     Ok(payload)
 }
 
@@ -94,10 +103,10 @@ impl NodeCtx {
                 untag(Op::Barrier, p)?;
             }
             for to in 1..n {
-                self.send(to, tag_down, &tagged(Op::Barrier, &[]))?;
+                self.send_owned(to, tag_down, tagged(Op::Barrier, Vec::new()))?;
             }
         } else {
-            self.send(0, tag_up, &tagged(Op::Barrier, &[]))?;
+            self.send_owned(0, tag_up, tagged(Op::Barrier, Vec::new()))?;
             let p = self.recv(0, tag_down)?;
             untag(Op::Barrier, p)?;
         }
@@ -143,7 +152,7 @@ impl NodeCtx {
         while mask > 0 {
             if relative + mask < n {
                 let dst = (relative + mask + root) % n;
-                self.send(dst, tag, &tagged(Op::Broadcast, &buf))?;
+                self.send_owned(dst, tag, tagged_copy(Op::Broadcast, &buf))?;
             }
             mask >>= 1;
         }
@@ -178,7 +187,7 @@ impl NodeCtx {
             }
             Ok(Some(out))
         } else {
-            self.send(root, tag, &tagged(Op::Gather, &data))?;
+            self.send_owned(root, tag, tagged(Op::Gather, data))?;
             Ok(None)
         }
     }
@@ -192,8 +201,12 @@ impl NodeCtx {
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let gathered = self.gather(0, data)?;
-        let framed = self.broadcast(0, gathered.map(|g| frame_blocks(&g)).unwrap_or_default())?;
+        // The root already holds every buffer; only the others unframe.
+        if let Some(gathered) = self.gather(0, data)? {
+            self.broadcast(0, frame_blocks(&gathered))?;
+            return Ok(gathered);
+        }
+        let framed = self.broadcast(0, Vec::new())?;
         unframe_blocks(&framed).ok_or_else(|| {
             MachineError::CollectiveMismatch("all_gather: malformed framed payload".into())
         })
@@ -239,7 +252,7 @@ impl NodeCtx {
                 if to == root {
                     own = part;
                 } else {
-                    self.send(to, tag, &tagged(Op::Scatter, &part))?;
+                    self.send_owned(to, tag, tagged(Op::Scatter, part))?;
                 }
             }
             Ok(own)
@@ -277,11 +290,16 @@ impl NodeCtx {
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
         // Shifted exchange schedule: round k pairs rank r with r±k, which
         // avoids hot-spotting any single receiver.
-        out[self.rank()] = parts[self.rank()].clone();
+        let mut parts = parts;
+        out[self.rank()] = std::mem::take(&mut parts[self.rank()]);
         for k in 1..n {
             let to = (self.rank() + k) % n;
             let from = (self.rank() + n - k) % n;
-            self.send(to, tag, &tagged(Op::AllToAll, &parts[to]))?;
+            self.send_owned(
+                to,
+                tag,
+                tagged(Op::AllToAll, std::mem::take(&mut parts[to])),
+            )?;
             out[from] = untag(Op::AllToAll, self.recv(from, tag)?)?;
         }
         Ok(out)
@@ -321,7 +339,7 @@ impl NodeCtx {
             }
             Ok(Some(acc))
         } else {
-            self.send(root, tag, &tagged(Op::Reduce, &value.to_wire()))?;
+            self.send_owned(root, tag, tagged(Op::Reduce, value.to_wire()))?;
             Ok(None)
         }
     }

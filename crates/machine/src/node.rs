@@ -404,6 +404,17 @@ impl NodeCtx {
     /// suspect, a tombstone tells the receiver the edge is dead, and the
     /// send returns [`MachineError::PeerGone`] instead of hanging.
     pub fn send(&self, to: usize, tag: Tag, payload: &[u8]) -> Result<(), MachineError> {
+        self.send_owned(to, tag, payload.to_vec())
+    }
+
+    /// [`NodeCtx::send`] of a buffer the caller gives up: the payload
+    /// moves into the envelope without another copy.
+    pub(crate) fn send_owned(
+        &self,
+        to: usize,
+        tag: Tag,
+        payload: Vec<u8>,
+    ) -> Result<(), MachineError> {
         self.check_alive()?;
         if to >= self.tx.len() {
             return Err(MachineError::InvalidRank {
@@ -471,7 +482,7 @@ impl NodeCtx {
                 seq,
                 arrival,
                 tombstone: false,
-                payload: payload.to_vec(),
+                payload,
             };
             let gone = |_| MachineError::PeerGone { rank: to };
             match fate {
@@ -524,7 +535,7 @@ impl NodeCtx {
             seq,
             arrival,
             tombstone: false,
-            payload: payload.to_vec(),
+            payload,
         };
         self.emit_with(|| EventKind::MsgSend {
             to,

@@ -19,7 +19,7 @@ use std::fmt;
 use dstreams_machine::{MachineError, NodeCtx, REDIST_SHUTTLE_TAG};
 use dstreams_trace::EventKind;
 
-use crate::plan::RedistPlan;
+use crate::plan::{Interval, RedistPlan, Transfer};
 
 /// Failures while executing a redistribution schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,44 +72,62 @@ impl From<MachineError> for ExecError {
 
 /// Execute `plan` on the calling rank.
 ///
-/// * `sizes` — file-order sizes of **all** elements in the record (every
-///   rank has them from the size table).
 /// * `raw` — the bytes this rank read in phase 1: the file-order
 ///   concatenation of its span `plan.span(ctx.rank())`.
 /// * `file` — name stamped into the `RedistShuttle` trace events.
-/// * `place` — called exactly once per element this rank ends up owning,
-///   with the element's file-order index and its payload bytes, whether
-///   it arrived over the wire or was retained locally.
+/// * `place` — called exactly once per interval this rank ends up
+///   owning, with the interval and its payload bytes (the file-order
+///   concatenation of its elements), whether it arrived over the wire or
+///   was retained locally.
+///
+/// Works interval by interval: every interval's offset in `raw` follows
+/// from the byte counts of the span's intervals, so no per-element sizes
+/// are needed.
 pub fn execute(
     ctx: &NodeCtx,
     plan: &RedistPlan,
-    sizes: &[u64],
     raw: &[u8],
     file: &str,
-    mut place: impl FnMut(usize, &[u8]),
+    mut place: impl FnMut(&Interval, &[u8]),
 ) -> Result<(), ExecError> {
     let rank = ctx.rank();
-    let (lo, hi) = plan.span(rank);
+    let mine = |t: &&Transfer| t.src == rank;
 
-    // Byte offset of each span element inside `raw`.
-    let mut offs = Vec::with_capacity(hi - lo + 1);
+    // Offset of each of this rank's intervals inside `raw`: its span's
+    // intervals tile `raw` in file order.
+    let mut starts: Vec<(usize, u64)> = plan
+        .messages()
+        .iter()
+        .chain(plan.retained())
+        .filter(mine)
+        .flat_map(|t| t.intervals.iter().map(|iv| (iv.start, iv.bytes)))
+        .collect();
+    starts.sort_unstable();
     let mut acc = 0usize;
-    for size in &sizes[lo..hi] {
-        offs.push(acc);
-        acc += *size as usize;
+    for (_, bytes) in &mut starts {
+        let len = *bytes as usize;
+        *bytes = acc as u64;
+        acc += len;
     }
-    offs.push(acc);
     debug_assert_eq!(acc, raw.len(), "raw buffer must hold exactly the span");
-    let slice_of = |e: usize| -> &[u8] { &raw[offs[e - lo]..offs[e + 1 - lo]] };
+    let slice_of = |iv: &Interval| -> &[u8] {
+        let k = starts.partition_point(|&(start, _)| start < iv.start);
+        let off = starts[k].1 as usize;
+        &raw[off..off + iv.bytes as usize]
+    };
 
     // Post every outgoing transfer before the first receive.
-    for t in plan.messages().iter().filter(|t| t.src == rank) {
-        let mut payload = Vec::with_capacity(t.bytes as usize);
-        for iv in &t.intervals {
-            payload.extend_from_slice(&raw[offs[iv.start - lo]..offs[iv.start + iv.len - lo]]);
+    for t in plan.messages().iter().filter(mine) {
+        match t.intervals.as_slice() {
+            [iv] => ctx.send(t.dst, REDIST_SHUTTLE_TAG, slice_of(iv))?,
+            ivs => {
+                let mut payload = Vec::with_capacity(t.bytes as usize);
+                for iv in ivs {
+                    payload.extend_from_slice(slice_of(iv));
+                }
+                ctx.send(t.dst, REDIST_SHUTTLE_TAG, &payload)?;
+            }
         }
-        debug_assert_eq!(payload.len() as u64, t.bytes);
-        ctx.send(t.dst, REDIST_SHUTTLE_TAG, &payload)?;
         ctx.emit_with(|| EventKind::RedistShuttle {
             outgoing: true,
             peer: t.dst,
@@ -120,11 +138,9 @@ pub fn execute(
     }
 
     // Locally-retained intervals: memmoves, never messages.
-    for t in plan.retained().iter().filter(|t| t.src == rank) {
+    for t in plan.retained().iter().filter(mine) {
         for iv in &t.intervals {
-            for e in iv.start..iv.start + iv.len {
-                place(e, slice_of(e));
-            }
+            place(iv, slice_of(iv));
         }
         ctx.charge_memcpy(t.bytes as usize);
     }
@@ -141,11 +157,9 @@ pub fn execute(
         }
         let mut cursor = 0usize;
         for iv in &t.intervals {
-            for (e, size) in sizes.iter().enumerate().skip(iv.start).take(iv.len) {
-                let len = *size as usize;
-                place(e, &payload[cursor..cursor + len]);
-                cursor += len;
-            }
+            let len = iv.bytes as usize;
+            place(iv, &payload[cursor..cursor + len]);
+            cursor += len;
         }
         ctx.emit_with(|| EventKind::RedistShuttle {
             outgoing: false,

@@ -35,6 +35,21 @@ pub struct Interval {
     pub bytes: u64,
 }
 
+/// A run of contiguous file-order elements that all go to one rank: the
+/// planner's unit of work. [`RedistPlan::from_runs`] merges adjacent
+/// runs bound for the same rank, so the ones it plans on are maximal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OwnerRun {
+    /// First file-order element index of the run.
+    pub start: usize,
+    /// Number of contiguous elements.
+    pub len: usize,
+    /// Rank owning every element of the run under the target layout.
+    pub owner: usize,
+    /// Total payload bytes of the run.
+    pub bytes: u64,
+}
+
 /// Everything moving from one reader rank to one owner rank: the
 /// coalesced intervals, their byte count, and their element count. When
 /// `src == dst` the transfer is *retained* — it becomes a local memmove
@@ -60,6 +75,8 @@ pub struct RedistPlan {
     n: usize,
     /// Phase-1 file-order span `[lo, hi)` per rank.
     spans: Vec<(usize, usize)>,
+    /// Byte range `[lo, hi)` of each span within the record's data.
+    byte_spans: Vec<(u64, u64)>,
     /// Cross-rank transfers, sorted by `(src, dst)`.
     messages: Vec<Transfer>,
     /// Locally-retained transfers (`src == dst`), sorted by rank.
@@ -80,120 +97,129 @@ impl RedistPlan {
     /// If `sizes` and `dst_owner` differ in length, `nprocs` is zero, or
     /// any destination rank is out of range.
     pub fn new(nprocs: usize, sizes: &[u64], dst_owner: &[usize]) -> RedistPlan {
-        assert!(nprocs > 0, "plan needs at least one rank");
         assert_eq!(sizes.len(), dst_owner.len(), "one destination per element");
-        assert!(
-            dst_owner.iter().all(|&d| d < nprocs),
-            "destination ranks must be < nprocs"
-        );
-        let n = sizes.len();
+        let runs = dst_owner
+            .iter()
+            .zip(sizes)
+            .enumerate()
+            .map(|(start, (&owner, &bytes))| OwnerRun {
+                start,
+                len: 1,
+                owner,
+                bytes,
+            });
+        RedistPlan::from_runs(nprocs, runs)
+    }
 
-        // Ownership runs: candidate boundaries for the phase-1 spans.
-        // cand[i] is a file-order index; cand is strictly increasing,
-        // starts at 0 and ends at n.
-        let mut cand = vec![0usize];
-        for e in 1..n {
-            if dst_owner[e] != dst_owner[e - 1] {
-                cand.push(e);
+    /// Plan from ownership runs that tile the file order `[0, n)` in
+    /// increasing order. O(P · r) for `P = nprocs` ranks and `r` maximal
+    /// runs, independent of `n`.
+    ///
+    /// # Panics
+    /// If `nprocs` is zero, the runs leave a gap or overlap, or an owner
+    /// is out of range.
+    pub fn from_runs(nprocs: usize, runs: impl IntoIterator<Item = OwnerRun>) -> RedistPlan {
+        assert!(nprocs > 0, "plan needs at least one rank");
+        let mut merged: Vec<OwnerRun> = Vec::new();
+        let mut n = 0usize;
+        for run in runs {
+            assert_eq!(run.start, n, "runs must tile the file order");
+            assert!(run.owner < nprocs, "destination ranks must be < nprocs");
+            n += run.len;
+            match merged.last_mut() {
+                _ if run.len == 0 => {}
+                Some(last) if last.owner == run.owner => {
+                    last.len += run.len;
+                    last.bytes += run.bytes;
+                }
+                _ => merged.push(run),
             }
         }
-        cand.push(n.max(cand.last().copied().unwrap_or(0)));
-        if n == 0 {
-            cand = vec![0, 0];
-        }
-        let r = cand.len() - 1; // number of runs
-
-        // Prefix sums at candidate boundaries: total bytes, and bytes
-        // owned by each rank (within a run the owner is constant, so
-        // run-boundary prefixes capture everything the cost needs).
-        let mut total_pref = vec![0u64; r + 1];
-        let mut owned_pref = vec![vec![0u64; r + 1]; nprocs];
-        for i in 0..r {
-            let run_bytes: u64 = sizes[cand[i]..cand[i + 1]].iter().sum();
-            total_pref[i + 1] = total_pref[i] + run_bytes;
-            let owner = if cand[i] < n { dst_owner[cand[i]] } else { 0 };
-            for (p, pref) in owned_pref.iter_mut().enumerate() {
-                pref[i + 1] = pref[i] + if p == owner { run_bytes } else { 0 };
-            }
+        let runs = merged;
+        if runs.is_empty() {
+            return RedistPlan {
+                nprocs,
+                n: 0,
+                spans: vec![(0, 0); nprocs],
+                byte_spans: vec![(0, 0); nprocs],
+                messages: Vec::new(),
+                retained: Vec::new(),
+                lower_bound: 0,
+            };
         }
 
-        // DP over (rank, candidate boundary): D[c] = cheapest way to
+        // Candidate span boundaries are the run boundaries: cand[c] is
+        // the file-order index where run c starts (cand[r] = n), and
+        // total_pref[c] the bytes before it.
+        let r = runs.len();
+        let mut cand = Vec::with_capacity(r + 1);
+        let mut total_pref = Vec::with_capacity(r + 1);
+        let mut bytes = 0u64;
+        for run in &runs {
+            cand.push(run.start);
+            total_pref.push(bytes);
+            bytes += run.bytes;
+        }
+        cand.push(n);
+        total_pref.push(bytes);
+
+        // DP over (rank, candidate boundary): dp[c] = cheapest way to
         // cover the first `cand[c]` elements with the spans of ranks
         // 0..p. Cost is lexicographic (moved bytes, imbalance), where
         // imbalance is the span's element-count deviation from the
         // balanced split — so among equally-cheap schedules the balanced
         // one wins, and a same-layout read degenerates to zero moves.
-        const INF: (u64, u64) = (u64::MAX, u64::MAX);
+        // Ties go to the earliest start boundary.
         let target = |p: usize| -> usize { ((p + 1) * n) / nprocs - (p * n) / nprocs };
-        let add = |a: (u64, u64), b: (u64, u64)| -> (u64, u64) {
-            (a.0.saturating_add(b.0), a.1.saturating_add(b.1))
-        };
-        let mut dp = vec![INF; r + 1];
-        dp[0] = (0, 0);
+        let mut dp: Vec<Option<(u64, u64)>> = vec![None; r + 1];
+        dp[0] = Some((0, 0));
         // choice[p][c] = boundary index where rank p's span starts.
         let mut choice = vec![vec![0usize; r + 1]; nprocs];
-        for p in 0..nprocs {
-            let mut next = vec![INF; r + 1];
-            for cj in 0..=r {
-                for ci in 0..=cj {
-                    if dp[ci] == INF {
-                        continue;
-                    }
-                    let moved =
-                        (total_pref[cj] - total_pref[ci]) - (owned_pref[p][cj] - owned_pref[p][ci]);
-                    let span_len = cand[cj] - cand[ci];
-                    let imb = span_len.abs_diff(target(p)) as u64;
-                    let cost = add(dp[ci], (moved, imb));
-                    if cost < next[cj] {
-                        next[cj] = cost;
-                        choice[p][cj] = ci;
-                    }
-                }
+        let mut notowned = vec![0u64; r + 1];
+        for (p, choice) in choice.iter_mut().enumerate() {
+            for c in 0..r {
+                let moved = if runs[c].owner == p { 0 } else { runs[c].bytes };
+                notowned[c + 1] = notowned[c] + moved;
             }
-            dp = next;
+            dp = span_step(&dp, &cand, &notowned, target(p), choice);
         }
 
-        // Reconstruct the span boundaries.
+        // Reconstruct the span boundaries (as run indices).
         let mut bounds = vec![0usize; nprocs + 1];
-        bounds[nprocs] = n;
-        let mut c = r;
+        bounds[nprocs] = r;
         for p in (0..nprocs).rev() {
-            c = choice[p][c];
-            bounds[p] = cand[c];
+            bounds[p] = choice[p][bounds[p + 1]];
         }
-        let spans: Vec<(usize, usize)> = (0..nprocs).map(|p| (bounds[p], bounds[p + 1])).collect();
+        let spans: Vec<(usize, usize)> = (0..nprocs)
+            .map(|p| (cand[bounds[p]], cand[bounds[p + 1]]))
+            .collect();
+        let byte_spans: Vec<(u64, u64)> = (0..nprocs)
+            .map(|p| (total_pref[bounds[p]], total_pref[bounds[p + 1]]))
+            .collect();
 
-        // Emit the per-pair transfer intervals: walk each span, splitting
-        // at ownership changes, coalescing contiguous same-destination
-        // elements into intervals.
+        // Emit the per-pair transfer intervals: spans start and end at
+        // run boundaries and runs are maximal, so each run of a span is
+        // one coalesced interval toward its owner.
         let mut messages: Vec<Transfer> = Vec::new();
         let mut retained: Vec<Transfer> = Vec::new();
         let mut lower_bound = 0u64;
-        for (p, &(lo, hi)) in spans.iter().enumerate() {
+        for p in 0..nprocs {
             let mut per_dst: Vec<Option<Transfer>> = vec![None; nprocs];
-            let mut e = lo;
-            while e < hi {
-                let dst = dst_owner[e];
-                let start = e;
-                let mut bytes = 0u64;
-                while e < hi && dst_owner[e] == dst {
-                    bytes += sizes[e];
-                    e += 1;
-                }
-                let t = per_dst[dst].get_or_insert_with(|| Transfer {
+            for run in &runs[bounds[p]..bounds[p + 1]] {
+                let t = per_dst[run.owner].get_or_insert_with(|| Transfer {
                     src: p,
-                    dst,
+                    dst: run.owner,
                     intervals: Vec::new(),
                     bytes: 0,
                     elements: 0,
                 });
                 t.intervals.push(Interval {
-                    start,
-                    len: e - start,
-                    bytes,
+                    start: run.start,
+                    len: run.len,
+                    bytes: run.bytes,
                 });
-                t.bytes += bytes;
-                t.elements += (e - start) as u64;
+                t.bytes += run.bytes;
+                t.elements += run.len as u64;
             }
             for t in per_dst.into_iter().flatten() {
                 if t.dst == p {
@@ -204,12 +230,12 @@ impl RedistPlan {
                 }
             }
         }
-        messages.sort_by_key(|t| (t.src, t.dst));
 
         RedistPlan {
             nprocs,
             n,
             spans,
+            byte_spans,
             messages,
             retained,
             lower_bound,
@@ -229,6 +255,12 @@ impl RedistPlan {
     /// Phase-1 file-order span `[lo, hi)` read by `rank`.
     pub fn span(&self, rank: usize) -> (usize, usize) {
         self.spans[rank]
+    }
+
+    /// Byte range `[lo, hi)` of [`RedistPlan::span`]`(rank)` within the
+    /// record's data region.
+    pub fn byte_span(&self, rank: usize) -> (u64, u64) {
+        self.byte_spans[rank]
     }
 
     /// Cross-rank transfers, sorted by `(src, dst)`. One message each.
@@ -260,6 +292,89 @@ impl RedistPlan {
     pub fn is_identity(&self) -> bool {
         self.messages.is_empty()
     }
+}
+
+/// One rank's DP step: for every end boundary `cj`, the cheapest
+/// `prev[ci] + (moved(ci, cj), imbalance(ci, cj))` over `ci <= cj`,
+/// recording the winning `ci` (the smallest on ties) in `choice[cj]`.
+///
+/// `moved = notowned[cj] - notowned[ci]` separates, so the first
+/// component is minimised by the running minimum of `a(ci) =
+/// prev[ci].0 - notowned[ci]`; the set of boundaries attaining it (the
+/// *tie set*) restarts whenever that minimum drops. Within the tie set
+/// the second component is `prev[ci].1 + |x - cand[ci]|` with `x =
+/// cand[cj] - target`, and `x` only grows with `cj`: boundaries with
+/// `cand[ci] <= x` sit left of the kink and keep a running minimum of
+/// `prev[ci].1 - cand[ci]`, the rest sit right of it and form a sliding
+/// window whose minimum of `prev[ci].1 + cand[ci]` a monotone deque
+/// tracks. Every boundary enters and leaves each structure once: O(r).
+fn span_step(
+    prev: &[Option<(u64, u64)>],
+    cand: &[usize],
+    notowned: &[u64],
+    target: usize,
+    choice: &mut [usize],
+) -> Vec<Option<(u64, u64)>> {
+    let mut next = vec![None; prev.len()];
+    let mut best_a: Option<i128> = None;
+    let mut ties: Vec<usize> = Vec::new();
+    let mut crossed = 0usize;
+    // (prev[ci].1 - cand[ci], ci): best boundary left of the kink.
+    let mut left: Option<(i64, usize)> = None;
+    // Boundaries right of the kink, prev[ci].1 + cand[ci] non-decreasing.
+    let mut right: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
+    let right_key = |ci: usize, d1: u64| d1 as i64 + cand[ci] as i64;
+    for cj in 0..prev.len() {
+        if let Some((d0, d1)) = prev[cj] {
+            let a = d0 as i128 - notowned[cj] as i128;
+            if best_a.is_none_or(|b| a < b) {
+                best_a = Some(a);
+                ties.clear();
+                crossed = 0;
+                left = None;
+                right.clear();
+            }
+            if best_a == Some(a) {
+                ties.push(cj);
+                let key = right_key(cj, d1);
+                while right
+                    .back()
+                    .is_some_and(|&b| right_key(b, prev[b].expect("tie is reachable").1) > key)
+                {
+                    right.pop_back();
+                }
+                right.push_back(cj);
+            }
+        }
+        if ties.is_empty() {
+            continue;
+        }
+        let x = cand[cj] as i64 - target as i64;
+        while crossed < ties.len() && cand[ties[crossed]] as i64 <= x {
+            let ci = ties[crossed];
+            let v = prev[ci].expect("tie is reachable").1 as i64 - cand[ci] as i64;
+            if left.is_none_or(|(best, _)| v < best) {
+                left = Some((v, ci));
+            }
+            crossed += 1;
+        }
+        while right.front().is_some_and(|&f| cand[f] as i64 <= x) {
+            right.pop_front();
+        }
+        let left_best = left.map(|(v, ci)| (v + x, ci));
+        let right_best = right
+            .front()
+            .map(|&ci| (right_key(ci, prev[ci].expect("tie is reachable").1) - x, ci));
+        let (_, ci) = match (left_best, right_best) {
+            (Some(l), Some(r)) => l.min(r),
+            (l, r) => l.or(r).expect("the tie set is not empty"),
+        };
+        let (d0, d1) = prev[ci].expect("tie is reachable");
+        let imbalance = (cand[cj] - cand[ci]).abs_diff(target) as u64;
+        next[cj] = Some((d0 + (notowned[cj] - notowned[ci]), d1 + imbalance));
+        choice[cj] = ci;
+    }
+    next
 }
 
 #[cfg(test)]

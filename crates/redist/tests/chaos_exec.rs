@@ -9,17 +9,33 @@ use std::collections::BTreeMap;
 
 use dstreams_collections::{DistKind, Layout};
 use dstreams_machine::{FaultPlan, Machine, MachineConfig, MachineError, MsgFaultPlan, VTime};
-use dstreams_redist::{execute, plan_for_layouts, ExecError};
+use dstreams_redist::{execute, plan_for_layouts, ExecError, Interval};
 
 const ELEMENTS: usize = 40;
 const NPROCS: usize = 4;
 
-/// File-order `(sizes, gids)` for a record written under `layout`, with
+/// File-order sizes of a record written under `layout`, with
 /// `1 + gid % 5`-byte elements.
-fn file_order(layout: &Layout) -> (Vec<u64>, Vec<usize>) {
-    let gids: Vec<usize> = layout.file_order().collect();
-    let sizes = gids.iter().map(|&gid| 1 + (gid % 5) as u64).collect();
-    (sizes, gids)
+fn file_sizes(layout: &Layout) -> Vec<u64> {
+    layout
+        .file_order()
+        .map(|gid| 1 + (gid % 5) as u64)
+        .collect()
+}
+
+/// Split each placed interval back into its elements, keyed by
+/// file-order index.
+fn per_element<'a>(
+    sizes: &'a [u64],
+    mut place: impl FnMut(usize, &[u8]) + 'a,
+) -> impl FnMut(&Interval, &[u8]) + 'a {
+    move |iv, bytes| {
+        let mut cursor = 0usize;
+        for (e, &size) in sizes.iter().enumerate().skip(iv.start).take(iv.len) {
+            place(e, &bytes[cursor..cursor + size as usize]);
+            cursor += size as usize;
+        }
+    }
 }
 
 /// Deterministic payload byte for file-order element `e`.
@@ -34,21 +50,21 @@ fn shuffle(config: MachineConfig) -> Vec<(BTreeMap<usize, Vec<u8>>, VTime)> {
     let writer = Layout::dense(ELEMENTS, NPROCS, DistKind::BlockCyclic(3)).unwrap();
     let target = Layout::dense(ELEMENTS, NPROCS, DistKind::Cyclic).unwrap();
     Machine::run(config, move |ctx| {
-        let (sizes, gids) = file_order(&writer);
-        let (plan, _) = plan_for_layouts(NPROCS, &writer, &target, &sizes, &gids).unwrap();
+        let sizes = file_sizes(&writer);
+        let (plan, _) = plan_for_layouts(NPROCS, &writer, &target, &sizes, ctx.rank()).unwrap();
         let (lo, hi) = plan.span(ctx.rank());
         let mut raw = Vec::new();
         for (e, size) in sizes.iter().enumerate().take(hi).skip(lo) {
             raw.extend(std::iter::repeat_n(fill(e), *size as usize));
         }
         let mut got: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
-        execute(ctx, &plan, &sizes, &raw, "chaos", |e, bytes| {
+        let place = per_element(&sizes, |e, bytes| {
             assert!(
                 got.insert(e, bytes.to_vec()).is_none(),
                 "element {e} placed twice"
             );
-        })
-        .unwrap();
+        });
+        execute(ctx, &plan, &raw, "chaos", place).unwrap();
         (got, ctx.now())
     })
     .unwrap()
@@ -121,14 +137,14 @@ fn cut_edge_surfaces_peer_gone_instead_of_hanging() {
     let results = Machine::run(
         MachineConfig::functional(NPROCS).with_faults(plan),
         move |ctx| {
-            let (sizes, gids) = file_order(&writer);
-            let (plan, _) = plan_for_layouts(NPROCS, &writer, &target, &sizes, &gids).unwrap();
+            let sizes = file_sizes(&writer);
+            let (plan, _) = plan_for_layouts(NPROCS, &writer, &target, &sizes, ctx.rank()).unwrap();
             let (lo, hi) = plan.span(ctx.rank());
             let mut raw = Vec::new();
             for (e, size) in sizes.iter().enumerate().take(hi).skip(lo) {
                 raw.extend(std::iter::repeat_n(fill(e), *size as usize));
             }
-            execute(ctx, &plan, &sizes, &raw, "cut", |_, _| {})
+            execute(ctx, &plan, &raw, "cut", |_, _| {})
         },
     )
     .unwrap();

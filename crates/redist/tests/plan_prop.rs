@@ -4,10 +4,125 @@
 //! finds the true minimum over **all** conforming contiguous span
 //! partitions — checked here against exhaustive enumeration on small
 //! instances, which is exactly the slide-argument the planner's
-//! minimality claim rests on.
+//! minimality claim rests on. The O(P · r) DP is checked against the
+//! plain O(P · r²) loop it replaced, kept here as the reference oracle.
 
-use dstreams_redist::RedistPlan;
+use dstreams_redist::{Interval, OwnerRun, RedistPlan, Transfer};
 use proptest::prelude::*;
+
+/// The plan's observable schedule: spans, messages, retained transfers
+/// and the lower bound.
+type Schedule = (Vec<(usize, usize)>, Vec<Transfer>, Vec<Transfer>, u64);
+
+fn schedule(plan: &RedistPlan) -> Schedule {
+    (
+        (0..plan.nprocs()).map(|p| plan.span(p)).collect(),
+        plan.messages().to_vec(),
+        plan.retained().to_vec(),
+        plan.lower_bound(),
+    )
+}
+
+/// The reference planner: for every rank and end boundary, try every
+/// start boundary (O(P · r²)), with lexicographic (moved bytes,
+/// imbalance) costs and ties to the earliest start.
+fn reference_plan(nprocs: usize, sizes: &[u64], dst_owner: &[usize]) -> Schedule {
+    let n = sizes.len();
+    let mut cand = vec![0usize];
+    for e in 1..n {
+        if dst_owner[e] != dst_owner[e - 1] {
+            cand.push(e);
+        }
+    }
+    cand.push(n.max(cand.last().copied().unwrap_or(0)));
+    if n == 0 {
+        cand = vec![0, 0];
+    }
+    let r = cand.len() - 1;
+    let mut total_pref = vec![0u64; r + 1];
+    let mut owned_pref = vec![vec![0u64; r + 1]; nprocs];
+    for i in 0..r {
+        let run_bytes: u64 = sizes[cand[i]..cand[i + 1]].iter().sum();
+        total_pref[i + 1] = total_pref[i] + run_bytes;
+        let owner = if cand[i] < n { dst_owner[cand[i]] } else { 0 };
+        for (p, pref) in owned_pref.iter_mut().enumerate() {
+            pref[i + 1] = pref[i] + if p == owner { run_bytes } else { 0 };
+        }
+    }
+    const INF: (u64, u64) = (u64::MAX, u64::MAX);
+    let target = |p: usize| -> usize { ((p + 1) * n) / nprocs - (p * n) / nprocs };
+    let add = |a: (u64, u64), b: (u64, u64)| (a.0.saturating_add(b.0), a.1.saturating_add(b.1));
+    let mut dp = vec![INF; r + 1];
+    dp[0] = (0, 0);
+    let mut choice = vec![vec![0usize; r + 1]; nprocs];
+    for p in 0..nprocs {
+        let mut next = vec![INF; r + 1];
+        for cj in 0..=r {
+            for ci in 0..=cj {
+                if dp[ci] == INF {
+                    continue;
+                }
+                let moved =
+                    (total_pref[cj] - total_pref[ci]) - (owned_pref[p][cj] - owned_pref[p][ci]);
+                let imb = (cand[cj] - cand[ci]).abs_diff(target(p)) as u64;
+                let cost = add(dp[ci], (moved, imb));
+                if cost < next[cj] {
+                    next[cj] = cost;
+                    choice[p][cj] = ci;
+                }
+            }
+        }
+        dp = next;
+    }
+    let mut bounds = vec![0usize; nprocs + 1];
+    bounds[nprocs] = n;
+    let mut c = r;
+    for p in (0..nprocs).rev() {
+        c = choice[p][c];
+        bounds[p] = cand[c];
+    }
+    let spans: Vec<(usize, usize)> = (0..nprocs).map(|p| (bounds[p], bounds[p + 1])).collect();
+    let mut messages = Vec::new();
+    let mut retained = Vec::new();
+    let mut lower_bound = 0u64;
+    for (p, &(lo, hi)) in spans.iter().enumerate() {
+        let mut per_dst: Vec<Option<Transfer>> = vec![None; nprocs];
+        let mut e = lo;
+        while e < hi {
+            let dst = dst_owner[e];
+            let start = e;
+            let mut bytes = 0u64;
+            while e < hi && dst_owner[e] == dst {
+                bytes += sizes[e];
+                e += 1;
+            }
+            let t = per_dst[dst].get_or_insert_with(|| Transfer {
+                src: p,
+                dst,
+                intervals: Vec::new(),
+                bytes: 0,
+                elements: 0,
+            });
+            t.intervals.push(Interval {
+                start,
+                len: e - start,
+                bytes,
+            });
+            t.bytes += bytes;
+            t.elements += (e - start) as u64;
+        }
+        for t in per_dst.into_iter().flatten() {
+            if t.dst == p {
+                retained.push(t);
+            } else {
+                lower_bound += t.bytes;
+                messages.push(t);
+            }
+        }
+    }
+    messages.sort_by_key(|t| (t.src, t.dst));
+    (spans, messages, retained, lower_bound)
+}
 
 /// Minimum moved bytes over every monotone span partition, by brute
 /// force: enumerate all boundary vectors 0 <= b1 <= ... <= b_{P-1} <= n.
@@ -96,6 +211,53 @@ proptest! {
         prop_assert!(count.iter().all(|&c| c == 1));
         let msg_bytes: u64 = plan.messages().iter().map(|t| t.bytes).sum();
         prop_assert_eq!(msg_bytes, plan.lower_bound());
+    }
+
+    /// The O(P · r) planner reproduces the reference loop exactly —
+    /// spans, messages, retained transfers and lower bound — on random
+    /// sizes and owners, whether handed elements or pre-cut runs.
+    #[test]
+    fn run_plan_equals_the_quadratic_reference(
+        nprocs in 1usize..7,
+        elems in proptest::collection::vec((0u64..12, 0usize..7), 0..60),
+        // Mostly few owners, so runs are long and ties plentiful.
+        owners in 1usize..7,
+        cuts in proptest::collection::vec(1usize..5, 0..60),
+    ) {
+        let sizes: Vec<u64> = elems.iter().map(|&(s, _)| s).collect();
+        let dst: Vec<usize> = elems.iter().map(|&(_, d)| d % owners.min(nprocs)).collect();
+        let want = reference_plan(nprocs, &sizes, &dst);
+        prop_assert_eq!(schedule(&RedistPlan::new(nprocs, &sizes, &dst)), want.clone());
+
+        // The same elements cut into arbitrary same-owner runs, some of
+        // them empty: `from_runs` merges them back.
+        let mut runs = Vec::new();
+        let mut e = 0usize;
+        let mut k = 0usize;
+        while e < sizes.len() {
+            let mut len = cuts.get(k).copied().unwrap_or(1).min(sizes.len() - e);
+            while e + len > e + 1 && dst[e..e + len].iter().any(|&d| d != dst[e]) {
+                len -= 1;
+            }
+            runs.push(OwnerRun { start: e, len: 0, owner: dst[e], bytes: 0 });
+            runs.push(OwnerRun {
+                start: e,
+                len,
+                owner: dst[e],
+                bytes: sizes[e..e + len].iter().sum(),
+            });
+            e += len;
+            k += 1;
+        }
+        let plan = RedistPlan::from_runs(nprocs, runs);
+        prop_assert_eq!(schedule(&plan), want);
+        // Byte spans are the prefix sums at the span boundaries.
+        for p in 0..nprocs {
+            let (lo, hi) = plan.span(p);
+            let before: u64 = sizes[..lo].iter().sum();
+            let within: u64 = sizes[lo..hi].iter().sum();
+            prop_assert_eq!(plan.byte_span(p), (before, before + within));
+        }
     }
 
     /// When the destination map is already grouped in rank order (the
