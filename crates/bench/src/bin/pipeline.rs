@@ -63,8 +63,7 @@ impl Row {
 fn run_config(nprocs: usize, n_segments: usize, iterations: usize) -> Row {
     let mut spec = OverlapSpec::paragon(nprocs, n_segments, iterations);
     spec.compute = calibrate_compute(spec).expect("calibration");
-    let sync_s = run_checkpoint(spec).expect("synchronous run");
-    spec.pipelined = true;
+    let sync_s = run_checkpoint(OverlapSpec { depth: 0, ..spec }).expect("synchronous run");
     let (pipelined_s, trace) = run_checkpoint_traced(spec).expect("pipelined run");
     // Distribution of how long ranks actually blocked waiting for async
     // write-behind to retire — the tail is what the speedup hides.

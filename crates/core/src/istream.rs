@@ -92,11 +92,12 @@ enum Route {
     Unsorted { ids: Vec<usize>, sizes: Vec<u64> },
 }
 
-/// A record fetched ahead of consumption: metadata is fully decoded, the
-/// data bytes are materialized, and the collective read's service cost is
-/// elapsing in background virtual time. The consuming `read` retires the
-/// handle, routes the elements, and verifies the seal.
-struct Prefetched {
+/// A fetched record: metadata is fully decoded and this rank's data
+/// bytes are materialized. Consuming it routes the elements and verifies
+/// the seal. A prefetched record travels with the handle of its
+/// collective read, whose service cost is elapsing in background
+/// virtual time; the consuming `read` retires it first.
+struct Fetched {
     header: RecordHeader,
     seal: Option<RecordSeal>,
     table_digests: Vec<ChunkSum>,
@@ -104,7 +105,6 @@ struct Prefetched {
     route: Route,
     raw: Vec<u8>,
     digests: Vec<ChunkSum>,
-    handle: IoHandle,
     sorted: bool,
 }
 
@@ -118,8 +118,8 @@ pub struct IStream<'a> {
     /// Whether records carry commit seals (file format version ≥ 2).
     sealed: bool,
     current: Option<InRecord>,
-    /// Read-ahead record in flight, if any.
-    prefetched: Option<Prefetched>,
+    /// Read-ahead record in flight, if any, with its read's handle.
+    prefetched: Option<(Fetched, IoHandle)>,
     /// Routing strategy for sorted reads.
     strategy: ReadStrategy,
 }
@@ -317,11 +317,11 @@ impl<'a> IStream<'a> {
                 });
             }
         }
-        if let Some(p) = self.prefetched.take() {
-            if p.sorted != sorted {
+        if let Some((f, handle)) = self.prefetched.take() {
+            if f.sorted != sorted {
                 // Retire the in-flight cost before surfacing the misuse
                 // so the rank's async queue stays consistent.
-                let _ = p.handle.wait(self.ctx);
+                let _ = handle.wait(self.ctx);
                 self.ctx.emit_with(|| EventKind::PhaseEnd {
                     phase: StreamPhase::ReadAhead,
                 });
@@ -330,29 +330,60 @@ impl<'a> IStream<'a> {
                     "the prefetched record was fetched with the other read mode",
                 ));
             }
-            return self.finish_prefetched(p);
+            // Stall only for cost not already hidden behind compute.
+            handle.wait(self.ctx)?;
+            self.consume(f)?;
+            self.ctx.emit_with(|| EventKind::PhaseEnd {
+                phase: StreamPhase::ReadAhead,
+            });
+            return Ok(());
         }
+        let (f, _) = self.fetch(sorted, false)?;
+        self.consume(f)
+    }
 
-        // --- parallel read 1: record header + size table -------------------
+    /// The one fetch behind [`IStream::read`] and [`IStream::prefetch`]:
+    /// parallel read 1 decodes the record header and size table, parallel
+    /// read 2 reads this rank's data span — blocking, or in `begin` mode
+    /// with the handle returned for the caller to retire. Under the
+    /// planned strategy the planner picks the conforming spans (so that
+    /// cross-rank traffic is minimal); otherwise the balanced split of
+    /// the naive/unsorted paths applies. Does not move the cursor.
+    fn fetch(
+        &mut self,
+        sorted: bool,
+        begin: bool,
+    ) -> Result<(Fetched, Option<IoHandle>), StreamError> {
         let meta = self.fetch_metadata()?;
-
-        // --- parallel read 2: the data, then (for sorted reads) routing ----
-        // Under the planned strategy the planner picks the conforming
-        // spans (so that cross-rank traffic is minimal); otherwise the
-        // balanced split of the naive/unsorted paths applies.
         let (route, off, len) = self.prepare_route(&meta, sorted)?;
         let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-        let (raw, data_digests) = self.fh.read_ordered_summed(self.ctx, off, len)?;
+        let (raw, digests, handle) = if begin {
+            let (raw, digests, handle) = self.fh.read_ordered_begin_summed(self.ctx, off, len)?;
+            (raw, digests, Some(handle))
+        } else {
+            let (raw, digests) = self.fh.read_ordered_summed(self.ctx, off, len)?;
+            (raw, digests, None)
+        };
         drop(data_span);
-        let rec = self.finish_route(&meta.header, route, raw)?;
+        let fetched = Fetched {
+            header: meta.header,
+            seal: meta.seal,
+            table_digests: meta.table_digests,
+            data_base: meta.data_base,
+            route,
+            raw,
+            digests,
+            sorted,
+        };
+        Ok((fetched, handle))
+    }
 
-        self.verify_seal(
-            &meta.header,
-            meta.seal.as_ref(),
-            &meta.table_digests,
-            &data_digests,
-        )?;
-        self.cursor = meta.data_base + meta.header.data_len + self.seal_len();
+    /// Buffer a fetched record: route (or deal) its elements, verify the
+    /// seal, and move the cursor past it.
+    fn consume(&mut self, f: Fetched) -> Result<(), StreamError> {
+        let rec = self.finish_route(&f.header, f.route, f.raw)?;
+        self.verify_seal(&f.header, f.seal.as_ref(), &f.table_digests, &f.digests)?;
+        self.cursor = f.data_base + f.header.data_len + self.seal_len();
         self.current = Some(rec);
         Ok(())
     }
@@ -390,32 +421,20 @@ impl<'a> IStream<'a> {
         self.ctx.emit_with(|| EventKind::PhaseBegin {
             phase: StreamPhase::ReadAhead,
         });
-        let meta = match self.fetch_metadata() {
-            Ok(m) => m,
+        match self.fetch(sorted, true) {
+            Ok((fetched, handle)) => {
+                let handle = handle.expect("begin mode returns a handle");
+                self.prefetched = Some((fetched, handle));
+                Ok(true)
+            }
             Err(StreamError::EndOfStream) => {
                 self.ctx.emit_with(|| EventKind::PhaseEnd {
                     phase: StreamPhase::ReadAhead,
                 });
-                return Ok(false);
+                Ok(false)
             }
-            Err(e) => return Err(e),
-        };
-        let (route, off, len) = self.prepare_route(&meta, sorted)?;
-        let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-        let (raw, digests, handle) = self.fh.read_ordered_begin_summed(self.ctx, off, len)?;
-        drop(data_span);
-        self.prefetched = Some(Prefetched {
-            header: meta.header,
-            seal: meta.seal,
-            table_digests: meta.table_digests,
-            data_base: meta.data_base,
-            route,
-            raw,
-            digests,
-            handle,
-            sorted,
-        });
-        Ok(true)
+            Err(e) => Err(e),
+        }
     }
 
     /// Whether a prefetched record is in flight.
@@ -430,21 +449,6 @@ impl<'a> IStream<'a> {
             .as_ref()
             .map(|rec| (rec.header.n_inserts - rec.extracts_done) as usize)
             .unwrap_or(0)
-    }
-
-    /// Consume a prefetched record: retire the collective read's handle
-    /// (stalling only for cost not already hidden behind compute), then
-    /// route/deal and verify exactly as the synchronous path does.
-    fn finish_prefetched(&mut self, p: Prefetched) -> Result<(), StreamError> {
-        p.handle.wait(self.ctx)?;
-        let rec = self.finish_route(&p.header, p.route, p.raw)?;
-        self.verify_seal(&p.header, p.seal.as_ref(), &p.table_digests, &p.digests)?;
-        self.cursor = p.data_base + p.header.data_len + self.seal_len();
-        self.current = Some(rec);
-        self.ctx.emit_with(|| EventKind::PhaseEnd {
-            phase: StreamPhase::ReadAhead,
-        });
-        Ok(())
     }
 
     /// Decode the next record's header, seal, size table and writer
@@ -984,11 +988,11 @@ impl<'a> IStream<'a> {
     /// (its deferred cost retired, its data discarded) — closing is how a
     /// reader abandons a read-ahead it no longer wants.
     pub fn close(mut self) -> Result<(), StreamError> {
-        if let Some(p) = self.prefetched.take() {
+        if let Some((_, handle)) = self.prefetched.take() {
             self.ctx.emit_with(|| EventKind::PhaseEnd {
                 phase: StreamPhase::ReadAhead,
             });
-            p.handle.wait(self.ctx)?;
+            handle.wait(self.ctx)?;
         }
         if let Some(rec) = &self.current {
             if rec.extracts_done < rec.header.n_inserts {

@@ -338,9 +338,7 @@ impl<'a> OStream<'a> {
     /// Stage the current interleave group for emission: everything a
     /// write record needs short of the file operations themselves —
     /// the metadata exchange, the packing pass, and the lazily-written
-    /// file header. Shared verbatim by the blocking [`OStream::write`]
-    /// and the split-collective [`OStream::write_begin`] so both produce
-    /// identical file bytes.
+    /// file header.
     #[allow(clippy::type_complexity)]
     fn stage_record(
         &mut self,
@@ -443,14 +441,17 @@ impl<'a> OStream<'a> {
     /// Flush the current interleave group to the file as one write record
     /// (the d/stream `write` primitive). Collective.
     pub fn write(&mut self) -> Result<(), StreamError> {
+        self.write_record(false).map(drop)
+    }
+
+    /// The one implementation behind [`OStream::write`] and
+    /// [`OStream::write_begin`]: stage the interleave group, emit it as
+    /// one record, reset the group.
+    fn write_record(&mut self, begin: bool) -> Result<Option<PendingWrite>, StreamError> {
         let (mode, header, file_prefix, local_sizes, data) = self.stage_record()?;
-        if let Some(scratch) = self.scratch.clone() {
-            self.write_smp(&scratch, &header, file_prefix, &local_sizes, &data)?;
-        } else {
-            self.write_per_node(mode, &header, file_prefix, &local_sizes, &data)?;
-        }
+        let pending = self.emit_record(mode, &header, file_prefix, &local_sizes, &data, begin)?;
         self.finish_record();
-        Ok(())
+        Ok(pending)
     }
 
     /// Emit one record whose data comes straight from a [`DistView`] —
@@ -500,11 +501,7 @@ impl<'a> OStream<'a> {
                 &gathered
             }
         };
-        if let Some(scratch) = self.scratch.clone() {
-            self.write_smp(&scratch, &header, file_prefix, &local_sizes, data)?;
-        } else {
-            self.write_per_node(mode, &header, file_prefix, &local_sizes, data)?;
-        }
+        self.emit_record(mode, &header, file_prefix, &local_sizes, data, false)?;
         self.records_written += 1;
         Ok(())
     }
@@ -534,81 +531,9 @@ impl<'a> OStream<'a> {
                  (single-buffer SMP mode is synchronous-only)",
             ));
         }
-        let (mode, header, file_prefix, local_sizes, data) = self.stage_record()?;
-        self.ctx.emit_with(|| EventKind::PhaseBegin {
-            phase: StreamPhase::WriteBehind,
-        });
-        let prefix_len = file_prefix.len();
-        let pending = match mode {
-            MetaMode::Gathered => {
-                let meta_span = crate::phase::span(self.ctx, StreamPhase::Metadata);
-                let gathered = self.ctx.gather(0, encode_sizes(&local_sizes))?;
-                let (block, meta_sum) = if let Some(tables) = gathered {
-                    let mut b = file_prefix;
-                    b.extend_from_slice(&header.encode());
-                    for t in &tables {
-                        b.extend_from_slice(t);
-                    }
-                    let meta_sum = ChunkSum::of(&b[prefix_len..]);
-                    b.extend_from_slice(&data);
-                    (b, meta_sum)
-                } else {
-                    (data.clone(), ChunkSum::EMPTY)
-                };
-                drop(meta_span);
-                let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-                let (_, digests, h) = self.fh.write_ordered_begin_summed(self.ctx, &block)?;
-                drop(data_span);
-                let seal = if self.ctx.is_root() && !h.peer_crashed() {
-                    let mut digest = meta_sum.then(ChunkSum::of(&data));
-                    for d in &digests[1..] {
-                        digest = digest.then(*d);
-                    }
-                    Some(self.seal_record_begin(&header, digest)?)
-                } else {
-                    None
-                };
-                PendingWrite {
-                    meta: None,
-                    data: h,
-                    seal,
-                }
-            }
-            MetaMode::Parallel => {
-                let mut meta = file_prefix;
-                if self.ctx.is_root() {
-                    meta.extend_from_slice(&header.encode());
-                }
-                meta.extend_from_slice(&encode_sizes(&local_sizes));
-                let st = crate::phase::span(self.ctx, StreamPhase::SizeTable);
-                let (_, meta_digests, mh) = self.fh.write_ordered_begin_summed(self.ctx, &meta)?;
-                drop(st);
-                let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-                let (_, data_digests, dh) = self.fh.write_ordered_begin_summed(self.ctx, &data)?;
-                drop(data_span);
-                let crashed = mh.peer_crashed() || dh.peer_crashed();
-                let seal = if self.ctx.is_root() && !crashed {
-                    let mut digest = ChunkSum::of(&meta[prefix_len..]);
-                    for d in &meta_digests[1..] {
-                        digest = digest.then(*d);
-                    }
-                    for d in &data_digests {
-                        digest = digest.then(*d);
-                    }
-                    Some(self.seal_record_begin(&header, digest)?)
-                } else {
-                    None
-                };
-                PendingWrite {
-                    meta: Some(mh),
-                    data: dh,
-                    seal,
-                }
-            }
-        };
-        self.finish_record();
+        let pending = self.write_record(true)?;
         self.in_flight += 1;
-        Ok(pending)
+        Ok(pending.expect("begin mode returns a pending write"))
     }
 
     /// Retire a split-collective write: synchronize this rank's clock
@@ -687,30 +612,17 @@ impl<'a> OStream<'a> {
 
     /// Append the commit seal for the record just written (root only): the
     /// record becomes durable — a crash before this point leaves a
-    /// detectable torn tail, never a silently short record.
-    fn seal_record(&self, header: &RecordHeader, digest: ChunkSum) -> Result<(), StreamError> {
-        debug_assert!(self.ctx.is_root());
-        let record_len = RecordHeader::LEN as u64 + header.n_elements * 8 + header.data_len;
-        let seal = RecordSeal {
-            record_len,
-            checksum: digest.hash(),
-        }
-        .encode();
-        let base = self.fh.len();
-        self.fh.write_at(self.ctx, base, &seal)?;
-        Ok(())
-    }
-
-    /// Nonblocking [`OStream::seal_record`]: the seal bytes land now —
-    /// so the next record's append base is already correct — with the
-    /// service cost deferred behind the data collective's on this rank's
-    /// serial async queue. The seal therefore *completes* strictly after
-    /// the data it certifies.
-    fn seal_record_begin(
+    /// detectable torn tail, never a silently short record. In `begin`
+    /// mode the seal bytes land now — so the next record's append base is
+    /// already correct — with the service cost deferred behind the data
+    /// collective's on this rank's serial async queue: the seal
+    /// *completes* strictly after the data it certifies.
+    fn seal_record(
         &self,
         header: &RecordHeader,
         digest: ChunkSum,
-    ) -> Result<IoHandle, StreamError> {
+        begin: bool,
+    ) -> Result<Option<IoHandle>, StreamError> {
         debug_assert!(self.ctx.is_root());
         let record_len = RecordHeader::LEN as u64 + header.n_elements * 8 + header.data_len;
         let seal = RecordSeal {
@@ -719,21 +631,58 @@ impl<'a> OStream<'a> {
         }
         .encode();
         let base = self.fh.len();
-        Ok(self.fh.write_at_begin(self.ctx, base, &seal)?)
+        Ok(if begin {
+            Some(self.fh.write_at_begin(self.ctx, base, &seal)?)
+        } else {
+            self.fh.write_at(self.ctx, base, &seal)?;
+            None
+        })
     }
 
-    /// Per-node-buffer emission (distributed-memory machines, and the
-    /// default everywhere): collective parallel operations.
-    fn write_per_node(
+    /// One node-order collective write of this record, blocking or
+    /// begin: every rank's block digest, and the in-flight handle in
+    /// begin mode.
+    fn write_ordered(
+        &self,
+        block: &[u8],
+        begin: bool,
+    ) -> Result<(Vec<ChunkSum>, Option<IoHandle>), StreamError> {
+        Ok(if begin {
+            let (_, digests, handle) = self.fh.write_ordered_begin_summed(self.ctx, block)?;
+            (digests, Some(handle))
+        } else {
+            let (_, digests) = self.fh.write_ordered_summed(self.ctx, block)?;
+            (digests, None)
+        })
+    }
+
+    /// Emit one staged record: a single plain write in single-buffer SMP
+    /// mode, else per-node collective parallel operations (distributed-
+    /// memory machines, and the default everywhere). In `begin` mode the
+    /// collectives are split: the bytes land now and the returned
+    /// [`PendingWrite`] carries their deferred cost.
+    fn emit_record(
         &mut self,
         mode: MetaMode,
         header: &RecordHeader,
         file_prefix: Vec<u8>,
         local_sizes: &[u64],
         data: &[u8],
-    ) -> Result<(), StreamError> {
+        begin: bool,
+    ) -> Result<Option<PendingWrite>, StreamError> {
+        if let Some(scratch) = self.scratch.clone() {
+            self.write_smp(&scratch, header, file_prefix, local_sizes, data)?;
+            return Ok(None);
+        }
+        if begin {
+            self.ctx.emit_with(|| EventKind::PhaseBegin {
+                phase: StreamPhase::WriteBehind,
+            });
+        }
         let prefix_len = file_prefix.len();
-        match mode {
+        // The record digest in file order (root only), the metadata
+        // handle (parallel mode) and the data handle.
+        let (digest, meta_handle, data_handle) = match mode {
             MetaMode::Gathered => {
                 // Size info travels to node 0 and is written at the head
                 // of its per-node buffer: a single parallel operation.
@@ -755,25 +704,19 @@ impl<'a> OStream<'a> {
                 };
                 drop(meta);
                 let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-                let (_, digests) = self.fh.write_ordered_summed(self.ctx, &block)?;
+                let (digests, handle) = self.write_ordered(&block, begin)?;
                 drop(data_span);
-                // Under collective buffering a peer's power-cut completes
-                // the collective on the survivors (the aggregation layer's
-                // closing crash-flag all-reduce); the record must then stay
-                // unsealed so recovery truncates it away.
-                if self.fh.take_peer_crashed() {
-                    return Ok(());
-                }
-                if self.ctx.is_root() {
-                    // Record digest in file order: metadata, then rank 0's
-                    // data (hashed locally — its collective block includes
-                    // the metadata), then the other ranks' blocks.
+                // Metadata, then rank 0's data (hashed locally — its
+                // collective block includes the metadata), then the other
+                // ranks' blocks.
+                let digest = self.ctx.is_root().then(|| {
                     let mut digest = meta_sum.then(ChunkSum::of(data));
                     for d in &digests[1..] {
                         digest = digest.then(*d);
                     }
-                    self.seal_record(header, digest)?;
-                }
+                    digest
+                });
+                (digest, None, handle)
             }
             MetaMode::Parallel => {
                 // Two parallel operations: metadata (record header from
@@ -785,35 +728,46 @@ impl<'a> OStream<'a> {
                 }
                 meta.extend_from_slice(&encode_sizes(local_sizes));
                 let st = crate::phase::span(self.ctx, StreamPhase::SizeTable);
-                let (_, meta_digests) = self.fh.write_ordered_summed(self.ctx, &meta)?;
+                let (meta_digests, meta_handle) = self.write_ordered(&meta, begin)?;
                 drop(st);
                 let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-                let (_, data_digests) = self.fh.write_ordered_summed(self.ctx, data)?;
+                let (data_digests, data_handle) = self.write_ordered(data, begin)?;
                 drop(data_span);
-                // Sticky across both collectives of this record; see the
-                // gathered arm.
-                if self.fh.take_peer_crashed() {
-                    return Ok(());
-                }
-                if self.ctx.is_root() {
+                let digest = self.ctx.is_root().then(|| {
                     let mut digest = ChunkSum::of(&meta[prefix_len..]);
-                    for d in &meta_digests[1..] {
+                    for d in meta_digests[1..].iter().chain(&data_digests) {
                         digest = digest.then(*d);
                     }
-                    for d in &data_digests {
-                        digest = digest.then(*d);
-                    }
-                    self.seal_record(header, digest)?;
-                }
+                    digest
+                });
+                (digest, meta_handle, data_handle)
             }
-        }
-        Ok(())
+        };
+        // A power-cut on some rank must leave the record unsealed so
+        // recovery truncates it away. Begin mode learns it from the
+        // handles' crash-flag reductions; blocking, only collective
+        // buffering completes the collective on the survivors, and its
+        // sticky flag covers both collectives of the record.
+        let crashed = self.fh.take_peer_crashed()
+            || meta_handle
+                .iter()
+                .chain(&data_handle)
+                .any(IoHandle::peer_crashed);
+        let seal = match digest {
+            Some(digest) if !crashed => self.seal_record(header, digest, begin)?,
+            _ => None,
+        };
+        Ok(data_handle.map(|data| PendingWrite {
+            meta: meta_handle,
+            data,
+            seal,
+        }))
     }
 
     /// Single-buffer emission (shared-memory machines): every rank packs
     /// its block into one shared staging buffer in parallel, then rank 0
     /// issues a single plain write of the whole record. Produces exactly
-    /// the same file bytes as [`OStream::write_per_node`].
+    /// the same file bytes as the per-node emission.
     fn write_smp(
         &mut self,
         scratch: &SharedBuffer,

@@ -40,21 +40,19 @@
 
 use std::borrow::Cow;
 
-use dstreams_machine::wire::{frame_blocks, unframe_blocks};
 use dstreams_machine::{
     CollectiveConfig, FaultDecision, MachineError, NodeCtx, VTime, AGG_SHUTTLE_RETRY_BASE,
     AGG_SHUTTLE_TAG,
 };
-use dstreams_trace::{CollectiveRegime, EventKind, FaultKind, PfsOp};
+use dstreams_trace::{EventKind, FaultKind, PfsOp};
 
 use crate::checksum::ChunkSum;
 use crate::error::PfsError;
-use crate::file::{decode_u64, FileHandle};
+use crate::file::{
+    charge_collective, check_my_size, decode_size_digests, decode_u64, deferred_crash,
+    rank_crashed, size_digest_frame, FileHandle, ReadOutcome, WriteOutcome,
+};
 use crate::nonblocking::IoHandle;
-
-/// What an aggregated ordered read hands back: this rank's bytes, their
-/// per-chunk digests, and the deferred-cost handle in begin mode.
-type ReadOutcome = (Vec<u8>, Vec<ChunkSum>, Option<IoHandle>);
 
 /// The configured aggregator ranks minus the ranks whose transfer this
 /// operation power-cuts. Every rank computes the same set from the
@@ -181,29 +179,6 @@ fn physical_read_span(d0: u64, d1: u64, stripe: u64, align: bool, file_len: u64)
 }
 
 impl FileHandle {
-    /// Aggregated [`FileHandle::write_ordered_begin_summed`].
-    pub(crate) fn agg_write_ordered_begin_summed(
-        &self,
-        ctx: &NodeCtx,
-        cc: CollectiveConfig,
-        block: &[u8],
-    ) -> Result<(u64, Vec<ChunkSum>, IoHandle), PfsError> {
-        let (off, digests, handle) = self.agg_write_ordered(ctx, cc, block, true, true)?;
-        Ok((off, digests, handle.expect("begin mode returns a handle")))
-    }
-
-    /// Aggregated [`FileHandle::read_ordered_begin_summed`].
-    pub(crate) fn agg_read_ordered_begin_summed(
-        &self,
-        ctx: &NodeCtx,
-        cc: CollectiveConfig,
-        offset: u64,
-        len: usize,
-    ) -> Result<(Vec<u8>, Vec<ChunkSum>, IoHandle), PfsError> {
-        let (buf, digests, handle) = self.agg_read_ordered(ctx, cc, offset, len, true, true)?;
-        Ok((buf, digests, handle.expect("begin mode returns a handle")))
-    }
-
     /// Aggregated collective write: blocking unless `begin` (then the
     /// cost is deferred to the returned handle); the block is hashed only
     /// when `summed`, else its digest frame carries [`ChunkSum::EMPTY`].
@@ -214,7 +189,7 @@ impl FileHandle {
         block: &[u8],
         begin: bool,
         summed: bool,
-    ) -> Result<(u64, Vec<ChunkSum>, Option<IoHandle>), PfsError> {
+    ) -> Result<WriteOutcome, PfsError> {
         let _scope = ctx.collective_scope();
         let op = ctx.next_pfs_op();
         let fate = self.collective_fate(ctx, op, Some(block.len()))?;
@@ -255,61 +230,12 @@ impl FileHandle {
         } else {
             ChunkSum::EMPTY
         };
-        let mut contrib = Vec::with_capacity(25);
-        contrib.extend_from_slice(&(block.len() as u64).to_le_bytes());
-        contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
-        contrib.extend_from_slice(&my_sum.rpow().to_le_bytes());
-        contrib.push(my_crash as u8);
-        let gathered = ctx.gather(0, contrib)?;
-        let plan = if ctx.is_root() {
-            let frames = gathered.expect("root gathers");
-            let base = self.file.len();
-            let mut blocks = Vec::with_capacity(frames.len() + 1);
-            blocks.push(base.to_le_bytes().to_vec());
-            for frame in &frames {
-                if frame.len() != 25 {
-                    return Err(PfsError::CollectiveMismatch(
-                        "aggregated write: malformed size/digest frame".into(),
-                    ));
-                }
-                blocks.push(frame.clone());
-            }
-            frame_blocks(&blocks)
-        } else {
-            Vec::new()
-        };
-        let plan = ctx.broadcast(0, plan)?;
-        let parts = unframe_blocks(&plan).ok_or_else(|| {
-            PfsError::CollectiveMismatch("aggregated write: malformed plan".into())
-        })?;
+        let frame = size_digest_frame(block.len(), my_sum, &[my_crash as u8]);
+        let (base, frames) = self.exchange_write_plan(ctx, frame)?;
+        let (sizes, digests) = decode_size_digests(&frames, 1)?;
+        let crashed: Vec<bool> = frames.iter().map(|frame| frame[24] != 0).collect();
+        check_my_size(ctx, &sizes, block.len())?;
         let nprocs = ctx.nprocs();
-        if parts.len() != nprocs + 1 {
-            return Err(PfsError::CollectiveMismatch(
-                "aggregated write: plan size mismatch".into(),
-            ));
-        }
-        let base = decode_u64(&parts[0], "aggregated write plan base")?;
-        let mut sizes = Vec::with_capacity(nprocs);
-        let mut digests = Vec::with_capacity(nprocs);
-        let mut crashed = Vec::with_capacity(nprocs);
-        for frame in &parts[1..] {
-            if frame.len() != 25 {
-                return Err(PfsError::CollectiveMismatch(
-                    "aggregated write: malformed plan frame".into(),
-                ));
-            }
-            sizes.push(decode_u64(&frame[..8], "aggregated write plan size")?);
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[8..16], "aggregated write plan digest hash")?,
-                decode_u64(&frame[16..24], "aggregated write plan digest rpow")?,
-            ));
-            crashed.push(frame[24] != 0);
-        }
-        if sizes[ctx.rank()] != block.len() as u64 {
-            return Err(PfsError::CollectiveMismatch(
-                "aggregated write: my block size desynchronized".into(),
-            ));
-        }
         let mut offsets = Vec::with_capacity(nprocs);
         let mut acc = base;
         for &s in &sizes {
@@ -522,32 +448,9 @@ impl FileHandle {
             self.pfs.model.collective_cost(phys_total, phys_max, nlive)
         };
         if let Some(k) = my_domain {
-            let (p0, plen) = spans[k];
-            ctx.emit_with(|| EventKind::PfsCollective {
-                op: PfsOp::Write,
-                file: self.file.name().to_string(),
-                offset: p0,
-                bytes: plen,
-                total_bytes: total,
-                share_bytes: total / nprocs as u64,
-                stripes: self.pfs.model.stripes_touched(p0, plen),
-                regime: if self.pfs.model.collective_knee(phys_max) {
-                    CollectiveRegime::CacheKnee
-                } else {
-                    CollectiveRegime::Streaming
-                },
-                cost_ns: cost.as_nanos(),
-            });
-            self.account_collective(ctx, total);
+            self.record_collective(ctx, PfsOp::Write, spans[k], total, phys_max, cost);
         }
-        let async_op = if begin {
-            Some(ctx.async_submit(if my_crash { VTime::ZERO } else { cost }))
-        } else {
-            if !my_crash {
-                ctx.advance(cost);
-            }
-            None
-        };
+        let submitted = charge_collective(ctx, begin, my_crash, cost);
 
         // Closing flag all-reduce: replaces the direct path's bare
         // barrier and tells every survivor whether the record this
@@ -557,28 +460,18 @@ impl FileHandle {
         // `data_lost` from the exchanged suspicions, so the bit is
         // redundant but cheap insurance against divergence.)
         let flags = ctx.all_reduce(my_crash as u64 | ((data_lost as u64) << 1), |a, b| a | b)?;
-        if begin {
-            let deferred = if my_crash {
-                ctx.fault_mark_dead();
-                Some(MachineError::RankCrashed { rank: me }.into())
-            } else {
-                None
-            };
-            let handle = IoHandle::new(
-                async_op.expect("begin mode submitted"),
-                deferred,
-                flags != 0,
-            );
-            Ok((my_off, digests, Some(handle)))
-        } else {
-            if flags != 0 && !my_crash {
-                self.agg_peer_crash.set(true);
+        match submitted {
+            Some(op) => {
+                let handle = IoHandle::new(op, deferred_crash(ctx, my_crash), flags != 0);
+                Ok((my_off, digests, Some(handle)))
             }
-            if my_crash {
-                ctx.fault_mark_dead();
-                return Err(MachineError::RankCrashed { rank: me }.into());
+            None if my_crash => Err(rank_crashed(ctx)),
+            None => {
+                if flags != 0 {
+                    self.agg_peer_crash.set(true);
+                }
+                Ok((my_off, digests, None))
             }
-            Ok((my_off, digests, None))
         }
     }
 
@@ -595,18 +488,7 @@ impl FileHandle {
     ) -> Result<ReadOutcome, PfsError> {
         let _scope = ctx.collective_scope();
         let op = ctx.next_pfs_op();
-        let fate = self.collective_fate(ctx, op, None)?;
-        let my_crash = matches!(fate, FaultDecision::Crash { .. });
-        if my_crash {
-            self.emit_fault(ctx, FaultKind::Crash, op, 0);
-            if !begin {
-                // Power cut on entry: identical to the direct blocking
-                // read — peers block in the opening barrier and observe
-                // PeerGone when the thread unwinds.
-                ctx.fault_mark_dead();
-                return Err(MachineError::RankCrashed { rank: ctx.rank() }.into());
-            }
-        }
+        let my_crash = self.collective_read_entry(ctx, op, begin)?;
         ctx.barrier()?;
 
         // Span/crash-flag exchange.
@@ -782,37 +664,11 @@ impl FileHandle {
             self.pfs.model.collective_cost(phys_total, phys_max, nlive)
         };
         if let Some(k) = my_domain {
-            let (p0, plen) = spans[k];
-            ctx.emit_with(|| EventKind::PfsCollective {
-                op: PfsOp::Read,
-                file: self.file.name().to_string(),
-                offset: p0,
-                bytes: plen,
-                total_bytes: total,
-                share_bytes: total / nprocs as u64,
-                stripes: self.pfs.model.stripes_touched(p0, plen),
-                regime: if self.pfs.model.collective_knee(phys_max) {
-                    CollectiveRegime::CacheKnee
-                } else {
-                    CollectiveRegime::Streaming
-                },
-                cost_ns: cost.as_nanos(),
-            });
-            self.account_collective(ctx, total);
+            self.record_collective(ctx, PfsOp::Read, spans[k], total, phys_max, cost);
         }
-        if begin {
-            let async_op = ctx.async_submit(if my_crash { VTime::ZERO } else { cost });
-            let deferred = if my_crash {
-                ctx.fault_mark_dead();
-                Some(MachineError::RankCrashed { rank: me }.into())
-            } else {
-                None
-            };
-            Ok((buf, digests, Some(IoHandle::new(async_op, deferred, false))))
-        } else {
-            ctx.advance(cost);
-            Ok((buf, digests, None))
-        }
+        let submitted = charge_collective(ctx, begin, my_crash, cost);
+        let handle = submitted.map(|op| IoHandle::new(op, deferred_crash(ctx, my_crash), false));
+        Ok((buf, digests, handle))
     }
 }
 

@@ -18,13 +18,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dstreams_machine::wire::{frame_blocks, unframe_blocks};
-use dstreams_machine::{FaultDecision, MachineError, NodeCtx, VTime};
+use dstreams_machine::{AsyncOp, FaultDecision, MachineError, NodeCtx, VTime};
 use dstreams_trace::{CollectiveRegime, EventKind, FaultKind, IndependentRegime, PfsOp};
 use parking_lot::Mutex;
 
 use crate::checksum::ChunkSum;
 use crate::error::PfsError;
 use crate::model::Regime;
+use crate::nonblocking::IoHandle;
 use crate::pfs::PfsShared;
 use crate::storage::Storage;
 
@@ -113,7 +114,19 @@ impl FileHandle {
 
     // ---- independent operations (the "unbuffered" path) -------------------
 
-    fn charge_independent(&self, ctx: &NodeCtx, op: PfsOp, offset: u64, bytes: usize) {
+    /// Charge one independent operation: the service cost goes onto the
+    /// clock now (`deferred == None`, blocking) or onto the rank's async
+    /// queue together with the folded retry backoff (`Some(backoff)`,
+    /// begin mode). Event, traffic and stats bookkeeping are the same
+    /// either way.
+    fn charge_independent(
+        &self,
+        ctx: &NodeCtx,
+        op: PfsOp,
+        offset: u64,
+        bytes: usize,
+        deferred: Option<VTime>,
+    ) -> Option<AsyncOp> {
         let traffic = &self.pfs.rank_traffic[ctx.rank()];
         let before = traffic.load(Ordering::Relaxed);
         // Working-set estimate: this file's bytes, mirrored on every rank
@@ -123,7 +136,13 @@ impl FileHandle {
             .model
             .independent_regime(self.file.len(), ctx.nprocs());
         let cost = self.pfs.model.independent_cost(bytes, regime, ctx.nprocs());
-        ctx.advance(cost);
+        let submitted = match deferred {
+            Some(backoff) => Some(ctx.async_submit(cost + backoff)),
+            None => {
+                ctx.advance(cost);
+                None
+            }
+        };
         ctx.emit_with(|| EventKind::PfsIndependent {
             op,
             file: self.file.name.clone(),
@@ -150,6 +169,7 @@ impl FileHandle {
                 .disk_regime_ops
                 .fetch_add(1, Ordering::Relaxed);
         }
+        submitted
     }
 
     // ---- fault injection and retry -----------------------------------------
@@ -163,15 +183,26 @@ impl FileHandle {
         });
     }
 
-    /// Charge one virtual-time backoff pause and record the retry.
-    /// Returns `false` when the policy's retry budget is exhausted.
-    fn backoff_and_retry(&self, ctx: &NodeCtx, op: u64, attempt: &mut u32) -> bool {
+    /// Take one retry backoff pause and record the retry: on the clock
+    /// now, or — given `fold` (begin mode) — added to the deferred cost,
+    /// so the retries happen "in the background". Returns `false` when
+    /// the policy's retry budget is exhausted.
+    fn backoff_and_retry(
+        &self,
+        ctx: &NodeCtx,
+        op: u64,
+        attempt: &mut u32,
+        fold: Option<&mut VTime>,
+    ) -> bool {
         let policy = self.pfs.retry;
         if *attempt >= policy.max_retries {
             return false;
         }
         let pause = policy.backoff(*attempt);
-        ctx.advance(pause);
+        match fold {
+            Some(folded) => *folded += pause,
+            None => ctx.advance(pause),
+        }
         *attempt += 1;
         let next = *attempt;
         ctx.emit_with(|| EventKind::PfsRetry {
@@ -196,17 +227,9 @@ impl FileHandle {
         Ok(())
     }
 
-    /// Power-cut a write: persist the seeded prefix, record the fault,
-    /// mark the rank dead and surface the crash to the caller. Peers
-    /// observe `PeerGone` when this rank's thread unwinds.
-    fn crash_write(
-        &self,
-        ctx: &NodeCtx,
-        op: u64,
-        offset: u64,
-        data: &[u8],
-        keep: Option<usize>,
-    ) -> PfsError {
+    /// Power-cut a write: persist the seeded prefix and record the fault.
+    /// The caller decides when the rank dies ([`rank_crashed`]).
+    fn crash_prefix(&self, ctx: &NodeCtx, op: u64, offset: u64, data: &[u8], keep: Option<usize>) {
         let k = keep.unwrap_or(0).min(data.len());
         if k > 0 {
             let _ = self
@@ -216,8 +239,6 @@ impl FileHandle {
                 .write_at(offset, &data[..k], &self.file.name);
         }
         self.emit_fault(ctx, FaultKind::Crash, op, k as u64);
-        ctx.fault_mark_dead();
-        MachineError::RankCrashed { rank: ctx.rank() }.into()
     }
 
     /// Consult the fault plan at the head of a collective operation,
@@ -237,7 +258,7 @@ impl FileHandle {
             match ctx.fault_decision(op, attempt, write_len) {
                 FaultDecision::Transient => {
                     self.emit_fault(ctx, FaultKind::Transient, op, 0);
-                    if self.backoff_and_retry(ctx, op, &mut attempt) {
+                    if self.backoff_and_retry(ctx, op, &mut attempt, None) {
                         continue;
                     }
                     return Err(Self::injected_transient(op));
@@ -245,6 +266,31 @@ impl FileHandle {
                 fate => return Ok(fate),
             }
         }
+    }
+
+    /// Head of a collective read: retire transients, and on a power-cut
+    /// either die at once (blocking: this rank never joins the
+    /// collective; peers block in the opening barrier and observe
+    /// `PeerGone` when the thread unwinds) or keep participating with
+    /// death deferred to the handle (`begin`). Returns whether this rank
+    /// was power-cut.
+    pub(crate) fn collective_read_entry(
+        &self,
+        ctx: &NodeCtx,
+        op: u64,
+        begin: bool,
+    ) -> Result<bool, PfsError> {
+        let my_crash = matches!(
+            self.collective_fate(ctx, op, None)?,
+            FaultDecision::Crash { .. }
+        );
+        if my_crash {
+            self.emit_fault(ctx, FaultKind::Crash, op, 0);
+            if !begin {
+                return Err(rank_crashed(ctx));
+            }
+        }
+        Ok(my_crash)
     }
 
     /// Independent write at the private position; advances the position.
@@ -267,34 +313,30 @@ impl FileHandle {
     /// real-disk backend) are retried with exponential virtual-time
     /// backoff under the PFS [`crate::RetryPolicy`].
     pub fn write_at(&self, ctx: &NodeCtx, offset: u64, data: &[u8]) -> Result<(), PfsError> {
+        self.write_at_impl(ctx, offset, data, false).map(drop)
+    }
+
+    /// The one implementation behind [`FileHandle::write_at`] and
+    /// [`FileHandle::write_at_begin`]. The bytes land now either way;
+    /// `begin` only moves the service cost and the retry backoff onto
+    /// the async queue and defers a power-cut's death to the handle.
+    pub(crate) fn write_at_impl(
+        &self,
+        ctx: &NodeCtx,
+        offset: u64,
+        data: &[u8],
+        begin: bool,
+    ) -> Result<Option<IoHandle>, PfsError> {
         let op = ctx.next_pfs_op();
         let mut attempt = 0u32;
+        let mut folded = VTime::ZERO;
         loop {
             self.check_alive(ctx)?;
-            match ctx.fault_decision(op, attempt, Some(data.len())) {
-                FaultDecision::Proceed => {
-                    let res = self
-                        .file
-                        .storage
-                        .lock()
-                        .write_at(offset, data, &self.file.name);
-                    match res {
-                        Ok(()) => {
-                            self.charge_independent(ctx, PfsOp::Write, offset, data.len());
-                            return Ok(());
-                        }
-                        Err(e)
-                            if self.pfs.retry.is_transient(&e)
-                                && self.backoff_and_retry(ctx, op, &mut attempt) =>
-                        {
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
+            let keep = match ctx.fault_decision(op, attempt, Some(data.len())) {
+                FaultDecision::Proceed => data.len(),
                 FaultDecision::Transient => {
                     self.emit_fault(ctx, FaultKind::Transient, op, 0);
-                    if self.backoff_and_retry(ctx, op, &mut attempt) {
+                    if self.backoff_and_retry(ctx, op, &mut attempt, begin.then_some(&mut folded)) {
                         continue;
                     }
                     return Err(Self::injected_transient(op));
@@ -305,16 +347,48 @@ impl FileHandle {
                     // Full cost is charged: the node believed it wrote.
                     let keep = keep.min(data.len());
                     self.emit_fault(ctx, FaultKind::Torn, op, keep as u64);
-                    self.file
-                        .storage
-                        .lock()
-                        .write_at(offset, &data[..keep], &self.file.name)?;
-                    self.charge_independent(ctx, PfsOp::Write, offset, data.len());
-                    return Ok(());
+                    keep
                 }
                 FaultDecision::Crash { keep } => {
-                    return Err(self.crash_write(ctx, op, offset, data, keep));
+                    self.crash_prefix(ctx, op, offset, data, keep);
+                    let crashed = rank_crashed(ctx);
+                    if !begin {
+                        return Err(crashed);
+                    }
+                    // A dead disk serves nothing: zero deferred cost, the
+                    // crash outcome rides the handle.
+                    let submitted = ctx.async_submit(VTime::ZERO);
+                    return Ok(Some(IoHandle::new(submitted, Some(crashed), true)));
                 }
+            };
+            let res = self
+                .file
+                .storage
+                .lock()
+                .write_at(offset, &data[..keep], &self.file.name);
+            match res {
+                Ok(()) => {
+                    let submitted = self.charge_independent(
+                        ctx,
+                        PfsOp::Write,
+                        offset,
+                        data.len(),
+                        begin.then_some(folded),
+                    );
+                    return Ok(submitted.map(|op| IoHandle::new(op, None, false)));
+                }
+                Err(e)
+                    if self.pfs.retry.is_transient(&e)
+                        && self.backoff_and_retry(
+                            ctx,
+                            op,
+                            &mut attempt,
+                            begin.then_some(&mut folded),
+                        ) =>
+                {
+                    continue;
+                }
+                Err(e) => return Err(e),
             }
         }
     }
@@ -331,15 +405,14 @@ impl FileHandle {
             match ctx.fault_decision(op, attempt, None) {
                 FaultDecision::Transient => {
                     self.emit_fault(ctx, FaultKind::Transient, op, 0);
-                    if self.backoff_and_retry(ctx, op, &mut attempt) {
+                    if self.backoff_and_retry(ctx, op, &mut attempt, None) {
                         continue;
                     }
                     return Err(Self::injected_transient(op));
                 }
                 FaultDecision::Crash { .. } => {
                     self.emit_fault(ctx, FaultKind::Crash, op, 0);
-                    ctx.fault_mark_dead();
-                    return Err(MachineError::RankCrashed { rank: ctx.rank() }.into());
+                    return Err(rank_crashed(ctx));
                 }
                 // Torn applies to writes only; a read proceeds.
                 FaultDecision::Proceed | FaultDecision::Torn { .. } => {
@@ -350,12 +423,12 @@ impl FileHandle {
                         .read_at(offset, buf, &self.file.name);
                     match res {
                         Ok(()) => {
-                            self.charge_independent(ctx, PfsOp::Read, offset, buf.len());
+                            self.charge_independent(ctx, PfsOp::Read, offset, buf.len(), None);
                             return Ok(());
                         }
                         Err(e)
                             if self.pfs.retry.is_transient(&e)
-                                && self.backoff_and_retry(ctx, op, &mut attempt) =>
+                                && self.backoff_and_retry(ctx, op, &mut attempt, None) =>
                         {
                             continue;
                         }
@@ -434,8 +507,8 @@ impl FileHandle {
     /// latency plus total-bytes over the (possibly knee'd) aggregate PFS
     /// bandwidth. All ranks leave with synchronized virtual clocks.
     pub fn write_ordered(&self, ctx: &NodeCtx, block: &[u8]) -> Result<u64, PfsError> {
-        self.write_ordered_impl(ctx, block, false)
-            .map(|(off, _)| off)
+        self.write_ordered_impl(ctx, block, false, false)
+            .map(|(off, ..)| off)
     }
 
     /// [`FileHandle::write_ordered`] that additionally returns the
@@ -450,22 +523,29 @@ impl FileHandle {
         ctx: &NodeCtx,
         block: &[u8],
     ) -> Result<(u64, Vec<ChunkSum>), PfsError> {
-        self.write_ordered_impl(ctx, block, true)
+        self.write_ordered_impl(ctx, block, false, true)
+            .map(|(off, digests, _)| (off, digests))
     }
 
-    /// The one implementation behind both blocking collective writes.
-    /// Unless `summed`, no rank hashes its block: the exchange carries
-    /// [`ChunkSum::EMPTY`] in a frame of the same size, so messages,
-    /// virtual cost and trace are those of the summed operation.
-    fn write_ordered_impl(
+    /// The one implementation behind every collective write, blocking
+    /// and begin ([`FileHandle::write_ordered_begin_summed`]), direct and
+    /// aggregated. Unless `summed`, no rank hashes its block: the
+    /// exchange carries [`ChunkSum::EMPTY`] in a frame of the same size,
+    /// so messages, virtual cost and trace are those of the summed
+    /// operation. `begin` changes only how the operation ends: the cost
+    /// is submitted to the async queue instead of advancing the clock, a
+    /// crash-flag all-reduce replaces the closing barrier, and a
+    /// power-cut rank keeps participating, its death deferred to the
+    /// returned handle.
+    pub(crate) fn write_ordered_impl(
         &self,
         ctx: &NodeCtx,
         block: &[u8],
+        begin: bool,
         summed: bool,
-    ) -> Result<(u64, Vec<ChunkSum>), PfsError> {
+    ) -> Result<WriteOutcome, PfsError> {
         if let Some(cc) = ctx.config().collective {
-            let (off, digests, _handle) = self.agg_write_ordered(ctx, cc, block, false, summed)?;
-            return Ok((off, digests));
+            return self.agg_write_ordered(ctx, cc, block, begin, summed);
         }
         // One logical PFS operation: its internal coordination (barriers,
         // size gather, plan broadcast) is plumbing, not API collectives.
@@ -480,61 +560,16 @@ impl FileHandle {
         } else {
             ChunkSum::EMPTY
         };
-        let mut contrib = Vec::with_capacity(24);
-        contrib.extend_from_slice(&(block.len() as u64).to_le_bytes());
-        contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
-        contrib.extend_from_slice(&my_sum.rpow().to_le_bytes());
-        let gathered = ctx.gather(0, contrib)?;
-        let plan = if ctx.is_root() {
-            let frames = gathered.expect("root gathers");
-            let base = self.file.len();
-            let mut blocks = Vec::with_capacity(frames.len() + 1);
-            blocks.push(base.to_le_bytes().to_vec());
-            for frame in &frames {
-                if frame.len() != 24 {
-                    return Err(PfsError::CollectiveMismatch(
-                        "write_ordered: malformed size/digest frame".into(),
-                    ));
-                }
-                blocks.push(frame.clone());
-            }
-            frame_blocks(&blocks)
-        } else {
-            Vec::new()
-        };
-        let plan = ctx.broadcast(0, plan)?;
-        let parts = unframe_blocks(&plan)
-            .ok_or_else(|| PfsError::CollectiveMismatch("write_ordered: malformed plan".into()))?;
-        if parts.len() != ctx.nprocs() + 1 {
-            return Err(PfsError::CollectiveMismatch(
-                "write_ordered: plan size mismatch".into(),
-            ));
-        }
-        let base = decode_u64(&parts[0], "write_ordered plan base")?;
-        let mut sizes = Vec::with_capacity(ctx.nprocs());
-        let mut digests = Vec::with_capacity(ctx.nprocs());
-        for frame in &parts[1..] {
-            if frame.len() != 24 {
-                return Err(PfsError::CollectiveMismatch(
-                    "write_ordered: malformed plan frame".into(),
-                ));
-            }
-            sizes.push(decode_u64(&frame[..8], "write_ordered plan size")?);
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[8..16], "write_ordered plan digest hash")?,
-                decode_u64(&frame[16..24], "write_ordered plan digest rpow")?,
-            ));
-        }
-        if sizes[ctx.rank()] != block.len() as u64 {
-            return Err(PfsError::CollectiveMismatch(
-                "write_ordered: my block size desynchronized".into(),
-            ));
-        }
+        let frame = size_digest_frame(block.len(), my_sum, &[]);
+        let (base, frames) = self.exchange_write_plan(ctx, frame)?;
+        let (sizes, digests) = decode_size_digests(&frames, 0)?;
+        check_my_size(ctx, &sizes, block.len())?;
         let my_off = base + sizes[..ctx.rank()].iter().sum::<u64>();
         let total: u64 = sizes.iter().sum();
         let max_block = sizes.iter().copied().max().unwrap_or(0);
 
         // Physical transfer — the step a write fault tears or cuts short.
+        let mut my_crash = false;
         match fate {
             FaultDecision::Proceed | FaultDecision::Transient => {
                 if !block.is_empty() {
@@ -554,11 +589,16 @@ impl FileHandle {
             }
             FaultDecision::Crash { keep } => {
                 // Power cut mid-collective: peers got the plan and wrote
-                // their blocks; this rank persists a prefix and dies
-                // before the closing barrier. Peers waiting there observe
-                // PeerGone when this rank's thread unwinds — a clean
-                // failure, not a hang.
-                return Err(self.crash_write(ctx, op, my_off, block, keep));
+                // their blocks; this rank persists a prefix. Blocking, it
+                // dies before the closing barrier and peers waiting there
+                // observe PeerGone when its thread unwinds — a clean
+                // failure, not a hang. Begin, it stays in the collective
+                // so peers finish coordination.
+                self.crash_prefix(ctx, op, my_off, block, keep);
+                if !begin {
+                    return Err(rank_crashed(ctx));
+                }
+                my_crash = true;
             }
         }
         // Virtual cost of the single parallel operation.
@@ -566,26 +606,28 @@ impl FileHandle {
             .pfs
             .model
             .collective_cost(total, max_block, ctx.nprocs());
-        ctx.advance(cost);
-        ctx.emit_with(|| EventKind::PfsCollective {
-            op: PfsOp::Write,
-            file: self.file.name.clone(),
-            offset: my_off,
-            bytes: block.len() as u64,
-            total_bytes: total,
-            share_bytes: total / ctx.nprocs() as u64,
-            stripes: self.pfs.model.stripes_touched(my_off, block.len() as u64),
-            regime: if self.pfs.model.collective_knee(max_block) {
-                CollectiveRegime::CacheKnee
-            } else {
-                CollectiveRegime::Streaming
-            },
-            cost_ns: cost.as_nanos(),
-        });
-        self.account_collective(ctx, total);
-        // All blocks visible before anyone proceeds.
-        ctx.barrier()?;
-        Ok((my_off, digests))
+        let submitted = charge_collective(ctx, begin, my_crash, cost);
+        self.record_collective(
+            ctx,
+            PfsOp::Write,
+            (my_off, block.len() as u64),
+            total,
+            max_block,
+            cost,
+        );
+        // Closing synchronization, all blocks visible before anyone
+        // proceeds. Begin mode makes it a crash-flag reduction, so every
+        // rank learns whether any peer's transfer was cut (an all-reduce
+        // synchronizes at least as strongly as the bare barrier).
+        let peer_crashed = if begin {
+            ctx.all_reduce(my_crash as u64, |a, b| a | b)? != 0
+        } else {
+            ctx.barrier()?;
+            false
+        };
+        let handle =
+            submitted.map(|op| IoHandle::new(op, deferred_crash(ctx, my_crash), peer_crashed));
+        Ok((my_off, digests, handle))
     }
 
     /// Collective parallel read: every rank reads `len` bytes at `offset`
@@ -597,8 +639,8 @@ impl FileHandle {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, PfsError> {
-        self.read_ordered_impl(ctx, offset, len, false)
-            .map(|(b, _)| b)
+        self.read_ordered_impl(ctx, offset, len, false, false)
+            .map(|(buf, ..)| buf)
     }
 
     /// [`FileHandle::read_ordered`] that additionally returns the
@@ -613,33 +655,28 @@ impl FileHandle {
         offset: u64,
         len: usize,
     ) -> Result<(Vec<u8>, Vec<ChunkSum>), PfsError> {
-        self.read_ordered_impl(ctx, offset, len, true)
+        self.read_ordered_impl(ctx, offset, len, false, true)
+            .map(|(buf, digests, _)| (buf, digests))
     }
 
-    /// The one implementation behind both blocking collective reads;
-    /// `summed` as in [`FileHandle::write_ordered_impl`].
-    fn read_ordered_impl(
+    /// The one implementation behind every collective read; `begin` and
+    /// `summed` as in [`FileHandle::write_ordered_impl`]. A read has no
+    /// closing synchronization; a power-cut fires on entry (see
+    /// [`FileHandle::collective_read_entry`]).
+    pub(crate) fn read_ordered_impl(
         &self,
         ctx: &NodeCtx,
         offset: u64,
         len: usize,
+        begin: bool,
         summed: bool,
-    ) -> Result<(Vec<u8>, Vec<ChunkSum>), PfsError> {
+    ) -> Result<ReadOutcome, PfsError> {
         if let Some(cc) = ctx.config().collective {
-            let (buf, digests, _handle) =
-                self.agg_read_ordered(ctx, cc, offset, len, false, summed)?;
-            return Ok((buf, digests));
+            return self.agg_read_ordered(ctx, cc, offset, len, begin, summed);
         }
         let _scope = ctx.collective_scope();
         let op = ctx.next_pfs_op();
-        if let FaultDecision::Crash { .. } = self.collective_fate(ctx, op, None)? {
-            // Power cut on entry: this rank never joins the collective;
-            // peers block in the opening barrier and observe PeerGone
-            // when the thread unwinds.
-            self.emit_fault(ctx, FaultKind::Crash, op, 0);
-            ctx.fault_mark_dead();
-            return Err(MachineError::RankCrashed { rank: ctx.rank() }.into());
-        }
+        let my_crash = self.collective_read_entry(ctx, op, begin)?;
         ctx.barrier()?;
         // Read first so the size exchange can carry the data digests; on a
         // failed read still participate (empty contribution), then surface
@@ -660,25 +697,8 @@ impl FileHandle {
         };
         // Everyone learns the collective's total and max block for costing,
         // and every rank's data digest for seal verification.
-        let mut contrib = Vec::with_capacity(24);
-        contrib.extend_from_slice(&(len as u64).to_le_bytes());
-        contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
-        contrib.extend_from_slice(&my_sum.rpow().to_le_bytes());
-        let frames = ctx.all_gather(contrib)?;
-        let mut sizes = Vec::with_capacity(ctx.nprocs());
-        let mut digests = Vec::with_capacity(ctx.nprocs());
-        for frame in &frames {
-            if frame.len() != 24 {
-                return Err(PfsError::CollectiveMismatch(
-                    "read_ordered: malformed size/digest frame".into(),
-                ));
-            }
-            sizes.push(decode_u64(&frame[..8], "read_ordered size frame")?);
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[8..16], "read_ordered digest hash")?,
-                decode_u64(&frame[16..24], "read_ordered digest rpow")?,
-            ));
-        }
+        let frames = ctx.all_gather(size_digest_frame(len, my_sum, &[]))?;
+        let (sizes, digests) = decode_size_digests(&frames, 0)?;
         read_res?;
         let total: u64 = sizes.iter().sum();
         let max_block = sizes.iter().copied().max().unwrap_or(0);
@@ -687,27 +707,80 @@ impl FileHandle {
             .pfs
             .model
             .collective_cost(total, max_block, ctx.nprocs());
-        ctx.advance(cost);
+        let submitted = charge_collective(ctx, begin, my_crash, cost);
+        self.record_collective(
+            ctx,
+            PfsOp::Read,
+            (offset, len as u64),
+            total,
+            max_block,
+            cost,
+        );
+        let handle = submitted.map(|op| IoHandle::new(op, deferred_crash(ctx, my_crash), false));
+        Ok((buf, digests, handle))
+    }
+
+    /// The plan exchange of a collective write: gather every rank's
+    /// fixed-size `frame` to root, which prepends the file's append base,
+    /// and broadcast the plan back. Returns the base and every rank's
+    /// frame, in node order.
+    pub(crate) fn exchange_write_plan(
+        &self,
+        ctx: &NodeCtx,
+        frame: Vec<u8>,
+    ) -> Result<(u64, Vec<Vec<u8>>), PfsError> {
+        let frame_len = frame.len();
+        let gathered = ctx.gather(0, frame)?;
+        let plan = if ctx.is_root() {
+            let frames = gathered.expect("root gathers");
+            let mut blocks = Vec::with_capacity(frames.len() + 1);
+            blocks.push(self.file.len().to_le_bytes().to_vec());
+            for frame in frames {
+                if frame.len() != frame_len {
+                    return Err(mismatch("write plan: malformed size/digest frame"));
+                }
+                blocks.push(frame);
+            }
+            frame_blocks(&blocks)
+        } else {
+            Vec::new()
+        };
+        let plan = ctx.broadcast(0, plan)?;
+        let mut parts = unframe_blocks(&plan).ok_or_else(|| mismatch("write plan: malformed"))?;
+        if parts.len() != ctx.nprocs() + 1 {
+            return Err(mismatch("write plan: size mismatch"));
+        }
+        let base = decode_u64(&parts.remove(0), "write plan base")?;
+        Ok((base, parts))
+    }
+
+    /// Trace and account one collective transfer: this rank's
+    /// `(offset, bytes)` span of a `total`-byte operation whose largest
+    /// block (`knee_block`) decides the cache regime.
+    pub(crate) fn record_collective(
+        &self,
+        ctx: &NodeCtx,
+        op: PfsOp,
+        (offset, bytes): (u64, u64),
+        total: u64,
+        knee_block: u64,
+        cost: VTime,
+    ) {
         ctx.emit_with(|| EventKind::PfsCollective {
-            op: PfsOp::Read,
+            op,
             file: self.file.name.clone(),
             offset,
-            bytes: len as u64,
+            bytes,
             total_bytes: total,
             share_bytes: total / ctx.nprocs() as u64,
-            stripes: self.pfs.model.stripes_touched(offset, len as u64),
-            regime: if self.pfs.model.collective_knee(max_block) {
+            stripes: self.pfs.model.stripes_touched(offset, bytes),
+            regime: if self.pfs.model.collective_knee(knee_block) {
                 CollectiveRegime::CacheKnee
             } else {
                 CollectiveRegime::Streaming
             },
             cost_ns: cost.as_nanos(),
         });
-        self.account_collective(ctx, total);
-        Ok((buf, digests))
-    }
-
-    pub(crate) fn account_collective(&self, ctx: &NodeCtx, total: u64) {
         // Traffic is shared by the whole machine; attribute an even share
         // per rank so the cache-occupancy estimate stays rank-local.
         let share = total / ctx.nprocs() as u64;
@@ -721,6 +794,88 @@ impl FileHandle {
             .collective_bytes
             .fetch_add(total / ctx.nprocs().max(1) as u64, Ordering::Relaxed);
     }
+}
+
+/// What a collective write hands back: this rank's block offset, every
+/// rank's block digest, and the deferred-cost handle in begin mode.
+pub(crate) type WriteOutcome = (u64, Vec<ChunkSum>, Option<IoHandle>);
+
+/// What a collective read hands back: this rank's bytes, every rank's
+/// digest of the bytes it read, and the deferred-cost handle in begin mode.
+pub(crate) type ReadOutcome = (Vec<u8>, Vec<ChunkSum>, Option<IoHandle>);
+
+fn mismatch(what: &str) -> PfsError {
+    PfsError::CollectiveMismatch(what.into())
+}
+
+/// One rank's entry in a collective's size/digest exchange: its byte
+/// count and the digest of those bytes, then `extra` trailing bytes.
+pub(crate) fn size_digest_frame(len: usize, sum: ChunkSum, extra: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(24 + extra.len());
+    frame.extend_from_slice(&(len as u64).to_le_bytes());
+    frame.extend_from_slice(&sum.hash().to_le_bytes());
+    frame.extend_from_slice(&sum.rpow().to_le_bytes());
+    frame.extend_from_slice(extra);
+    frame
+}
+
+/// Decode every rank's [`size_digest_frame`] (each with `extra`
+/// trailing bytes): the per-rank sizes and digests, in node order.
+pub(crate) fn decode_size_digests(
+    frames: &[Vec<u8>],
+    extra: usize,
+) -> Result<(Vec<u64>, Vec<ChunkSum>), PfsError> {
+    let mut sizes = Vec::with_capacity(frames.len());
+    let mut digests = Vec::with_capacity(frames.len());
+    for frame in frames {
+        if frame.len() != 24 + extra {
+            return Err(mismatch("malformed size/digest frame"));
+        }
+        sizes.push(decode_u64(&frame[..8], "size frame")?);
+        digests.push(ChunkSum::from_parts(
+            decode_u64(&frame[8..16], "digest hash")?,
+            decode_u64(&frame[16..24], "digest rpow")?,
+        ));
+    }
+    Ok((sizes, digests))
+}
+
+/// A collective write's plan must give this rank the size it sent.
+pub(crate) fn check_my_size(ctx: &NodeCtx, sizes: &[u64], len: usize) -> Result<(), PfsError> {
+    if sizes[ctx.rank()] != len as u64 {
+        return Err(mismatch("write plan: my block size desynchronized"));
+    }
+    Ok(())
+}
+
+/// Charge a collective's service cost: onto the clock now (blocking) or
+/// onto the rank's async queue (`begin`). A power-cut rank's dead disk
+/// serves nothing.
+pub(crate) fn charge_collective(
+    ctx: &NodeCtx,
+    begin: bool,
+    my_crash: bool,
+    cost: VTime,
+) -> Option<AsyncOp> {
+    let cost = if my_crash { VTime::ZERO } else { cost };
+    if begin {
+        Some(ctx.async_submit(cost))
+    } else {
+        ctx.advance(cost);
+        None
+    }
+}
+
+/// Mark this rank dead and return the error a crashed rank surfaces.
+pub(crate) fn rank_crashed(ctx: &NodeCtx) -> PfsError {
+    ctx.fault_mark_dead();
+    MachineError::RankCrashed { rank: ctx.rank() }.into()
+}
+
+/// The deferred outcome of a begin-mode collective: a power-cut rank
+/// dies now and surfaces `RankCrashed` when its handle is waited.
+pub(crate) fn deferred_crash(ctx: &NodeCtx, my_crash: bool) -> Option<PfsError> {
+    my_crash.then(|| rank_crashed(ctx))
 }
 
 /// Decode a little-endian u64 exchanged during a collective plan.

@@ -1,7 +1,8 @@
 //! Nonblocking (split-collective) file operations.
 //!
 //! The begin-variants in this module are the PFS layer of the d/streams
-//! asynchronous pipeline. Each one performs **all coordination and the
+//! asynchronous pipeline. Each one is its blocking twin's implementation
+//! run with `begin` set: it performs **all coordination and the
 //! physical byte transfer at submission** — the file image and the
 //! per-rank logical PFS op indices come out byte-identical to the
 //! blocking variant — and defers only the *disk-service cost* onto the
@@ -31,16 +32,11 @@
 //!   layer knows it must not seal the in-flight record, leaving the torn
 //!   tail detectable by recovery.
 
-use std::sync::atomic::Ordering;
-
-use dstreams_machine::wire::{frame_blocks, unframe_blocks};
-use dstreams_machine::{AsyncOp, FaultDecision, MachineError, NodeCtx, VTime};
-use dstreams_trace::{CollectiveRegime, EventKind, FaultKind, IndependentRegime, PfsOp};
+use dstreams_machine::{AsyncOp, NodeCtx, VTime};
 
 use crate::checksum::ChunkSum;
 use crate::error::PfsError;
-use crate::file::{decode_u64, FileHandle};
-use crate::model::Regime;
+use crate::file::FileHandle;
 
 /// Handle to an in-flight nonblocking PFS operation.
 ///
@@ -63,7 +59,7 @@ pub struct IoHandle {
 }
 
 impl IoHandle {
-    /// Assemble a handle (used by the aggregation layer's begin-variants).
+    /// Assemble a handle for a begin-mode operation.
     pub(crate) fn new(op: AsyncOp, deferred: Option<PfsError>, peer_crashed: bool) -> Self {
         IoHandle {
             op,
@@ -107,145 +103,20 @@ impl IoHandle {
 }
 
 impl FileHandle {
-    /// Deferred-cost accounting mirror of the independent charge path:
-    /// identical event, traffic and stats bookkeeping, but the cost is
-    /// queued instead of advancing the clock.
-    fn submit_independent(
-        &self,
-        ctx: &NodeCtx,
-        op: PfsOp,
-        offset: u64,
-        bytes: usize,
-        extra: VTime,
-    ) -> AsyncOp {
-        let traffic = &self.pfs.rank_traffic[ctx.rank()];
-        let before = traffic.load(Ordering::Relaxed);
-        let regime = self
-            .pfs
-            .model
-            .independent_regime(self.file.len(), ctx.nprocs());
-        let cost = self.pfs.model.independent_cost(bytes, regime, ctx.nprocs());
-        let handle = ctx.async_submit(cost + extra);
-        ctx.emit_with(|| EventKind::PfsIndependent {
-            op,
-            file: self.file.name().to_string(),
-            offset,
-            bytes: bytes as u64,
-            regime: match regime {
-                Regime::Cached => IndependentRegime::Cached,
-                Regime::Disk => IndependentRegime::Disk,
-            },
-            cost_ns: cost.as_nanos(),
-        });
-        traffic.store(before + bytes as u64, Ordering::Relaxed);
-        self.pfs
-            .stats
-            .independent_ops
-            .fetch_add(1, Ordering::Relaxed);
-        self.pfs
-            .stats
-            .independent_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        if regime == Regime::Disk {
-            self.pfs
-                .stats
-                .disk_regime_ops
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        handle
-    }
-
     /// Nonblocking independent positioned write: the bytes land at
     /// submission, the service cost is deferred onto this rank's async
-    /// queue. Injected transient failures are retried with the backoff
-    /// folded into the deferred cost; a power-cut persists the seeded
-    /// prefix, marks the rank dead and defers `RankCrashed` to the
-    /// returned handle.
+    /// queue. Transient failures, injected or from the real-disk
+    /// backend, are retried with the backoff folded into the deferred
+    /// cost; a power-cut persists the seeded prefix, marks the rank dead
+    /// and defers `RankCrashed` to the returned handle.
     pub fn write_at_begin(
         &self,
         ctx: &NodeCtx,
         offset: u64,
         data: &[u8],
     ) -> Result<IoHandle, PfsError> {
-        let op = ctx.next_pfs_op();
-        let mut attempt = 0u32;
-        let mut folded_backoff = VTime::ZERO;
-        loop {
-            self.check_alive(ctx)?;
-            match ctx.fault_decision(op, attempt, Some(data.len())) {
-                FaultDecision::Proceed => {
-                    self.file
-                        .storage
-                        .lock()
-                        .write_at(offset, data, self.file.name())?;
-                    return Ok(IoHandle {
-                        op: self.submit_independent(
-                            ctx,
-                            PfsOp::Write,
-                            offset,
-                            data.len(),
-                            folded_backoff,
-                        ),
-                        deferred: None,
-                        peer_crashed: false,
-                    });
-                }
-                FaultDecision::Transient => {
-                    self.emit_fault(ctx, FaultKind::Transient, op, 0);
-                    let policy = self.pfs.retry;
-                    if attempt >= policy.max_retries {
-                        return Err(Self::injected_transient(op));
-                    }
-                    let pause = policy.backoff(attempt);
-                    folded_backoff += pause;
-                    attempt += 1;
-                    let next = attempt;
-                    ctx.emit_with(|| EventKind::PfsRetry {
-                        op_index: op,
-                        attempt: next,
-                        backoff_ns: pause.as_nanos(),
-                    });
-                }
-                FaultDecision::Torn { keep } => {
-                    let keep = keep.min(data.len());
-                    self.emit_fault(ctx, FaultKind::Torn, op, keep as u64);
-                    self.file
-                        .storage
-                        .lock()
-                        .write_at(offset, &data[..keep], self.file.name())?;
-                    return Ok(IoHandle {
-                        op: self.submit_independent(
-                            ctx,
-                            PfsOp::Write,
-                            offset,
-                            data.len(),
-                            folded_backoff,
-                        ),
-                        deferred: None,
-                        peer_crashed: false,
-                    });
-                }
-                FaultDecision::Crash { keep } => {
-                    let k = keep.unwrap_or(0).min(data.len());
-                    if k > 0 {
-                        let _ =
-                            self.file
-                                .storage
-                                .lock()
-                                .write_at(offset, &data[..k], self.file.name());
-                    }
-                    self.emit_fault(ctx, FaultKind::Crash, op, k as u64);
-                    ctx.fault_mark_dead();
-                    // A dead disk serves nothing: zero deferred cost, the
-                    // crash outcome rides the handle.
-                    return Ok(IoHandle {
-                        op: ctx.async_submit(VTime::ZERO),
-                        deferred: Some(MachineError::RankCrashed { rank: ctx.rank() }.into()),
-                        peer_crashed: true,
-                    });
-                }
-            }
-        }
+        let handle = self.write_at_impl(ctx, offset, data, true)?;
+        Ok(handle.expect("begin mode returns a handle"))
     }
 
     /// Nonblocking [`FileHandle::write_ordered_summed`]: collective
@@ -259,149 +130,8 @@ impl FileHandle {
         ctx: &NodeCtx,
         block: &[u8],
     ) -> Result<(u64, Vec<ChunkSum>, IoHandle), PfsError> {
-        if let Some(cc) = ctx.config().collective {
-            return self.agg_write_ordered_begin_summed(ctx, cc, block);
-        }
-        let _scope = ctx.collective_scope();
-        let op = ctx.next_pfs_op();
-        let fate = self.collective_fate(ctx, op, Some(block.len()))?;
-        ctx.barrier()?;
-        // Size/digest exchange and plan broadcast: identical to the
-        // blocking variant, byte for byte.
-        let my_sum = ChunkSum::of(block);
-        let mut contrib = Vec::with_capacity(24);
-        contrib.extend_from_slice(&(block.len() as u64).to_le_bytes());
-        contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
-        contrib.extend_from_slice(&my_sum.rpow().to_le_bytes());
-        let gathered = ctx.gather(0, contrib)?;
-        let plan = if ctx.is_root() {
-            let frames = gathered.expect("root gathers");
-            let base = self.file.len();
-            let mut blocks = Vec::with_capacity(frames.len() + 1);
-            blocks.push(base.to_le_bytes().to_vec());
-            for frame in &frames {
-                if frame.len() != 24 {
-                    return Err(PfsError::CollectiveMismatch(
-                        "write_ordered_begin: malformed size/digest frame".into(),
-                    ));
-                }
-                blocks.push(frame.clone());
-            }
-            frame_blocks(&blocks)
-        } else {
-            Vec::new()
-        };
-        let plan = ctx.broadcast(0, plan)?;
-        let parts = unframe_blocks(&plan).ok_or_else(|| {
-            PfsError::CollectiveMismatch("write_ordered_begin: malformed plan".into())
-        })?;
-        if parts.len() != ctx.nprocs() + 1 {
-            return Err(PfsError::CollectiveMismatch(
-                "write_ordered_begin: plan size mismatch".into(),
-            ));
-        }
-        let base = decode_u64(&parts[0], "write_ordered_begin plan base")?;
-        let mut sizes = Vec::with_capacity(ctx.nprocs());
-        let mut digests = Vec::with_capacity(ctx.nprocs());
-        for frame in &parts[1..] {
-            if frame.len() != 24 {
-                return Err(PfsError::CollectiveMismatch(
-                    "write_ordered_begin: malformed plan frame".into(),
-                ));
-            }
-            sizes.push(decode_u64(&frame[..8], "write_ordered_begin plan size")?);
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[8..16], "write_ordered_begin plan digest hash")?,
-                decode_u64(&frame[16..24], "write_ordered_begin plan digest rpow")?,
-            ));
-        }
-        if sizes[ctx.rank()] != block.len() as u64 {
-            return Err(PfsError::CollectiveMismatch(
-                "write_ordered_begin: my block size desynchronized".into(),
-            ));
-        }
-        let my_off = base + sizes[..ctx.rank()].iter().sum::<u64>();
-        let total: u64 = sizes.iter().sum();
-        let max_block = sizes.iter().copied().max().unwrap_or(0);
-
-        // Physical transfer, fault-aware. A power-cut persists the prefix
-        // but — unlike the blocking path — the rank stays in the
-        // collective so peers can finish coordination; death is deferred.
-        let mut my_crash = false;
-        match fate {
-            FaultDecision::Proceed | FaultDecision::Transient => {
-                if !block.is_empty() {
-                    self.file
-                        .storage
-                        .lock()
-                        .write_at(my_off, block, self.file.name())?;
-                }
-            }
-            FaultDecision::Torn { keep } => {
-                let keep = keep.min(block.len());
-                self.emit_fault(ctx, FaultKind::Torn, op, keep as u64);
-                self.file
-                    .storage
-                    .lock()
-                    .write_at(my_off, &block[..keep], self.file.name())?;
-            }
-            FaultDecision::Crash { keep } => {
-                let k = keep.unwrap_or(0).min(block.len());
-                if k > 0 {
-                    let _ =
-                        self.file
-                            .storage
-                            .lock()
-                            .write_at(my_off, &block[..k], self.file.name());
-                }
-                self.emit_fault(ctx, FaultKind::Crash, op, k as u64);
-                my_crash = true;
-            }
-        }
-        let cost = self
-            .pfs
-            .model
-            .collective_cost(total, max_block, ctx.nprocs());
-        let async_op = if my_crash {
-            ctx.async_submit(VTime::ZERO)
-        } else {
-            ctx.async_submit(cost)
-        };
-        ctx.emit_with(|| EventKind::PfsCollective {
-            op: PfsOp::Write,
-            file: self.file.name().to_string(),
-            offset: my_off,
-            bytes: block.len() as u64,
-            total_bytes: total,
-            share_bytes: total / ctx.nprocs() as u64,
-            stripes: self.pfs.model.stripes_touched(my_off, block.len() as u64),
-            regime: if self.pfs.model.collective_knee(max_block) {
-                CollectiveRegime::CacheKnee
-            } else {
-                CollectiveRegime::Streaming
-            },
-            cost_ns: cost.as_nanos(),
-        });
-        self.account_collective(ctx, total);
-        // Closing synchronization: every rank learns whether any peer's
-        // transfer was cut. Replaces the blocking variant's bare barrier
-        // (an all-reduce synchronizes at least as strongly).
-        let any_crash = ctx.all_reduce(my_crash as u64, |a, b| a | b)?;
-        let deferred = if my_crash {
-            ctx.fault_mark_dead();
-            Some(MachineError::RankCrashed { rank: ctx.rank() }.into())
-        } else {
-            None
-        };
-        Ok((
-            my_off,
-            digests,
-            IoHandle {
-                op: async_op,
-                deferred,
-                peer_crashed: any_crash != 0,
-            },
-        ))
+        let (off, digests, handle) = self.write_ordered_impl(ctx, block, true, true)?;
+        Ok((off, digests, handle.expect("begin mode returns a handle")))
     }
 
     /// Nonblocking [`FileHandle::read_ordered_summed`]: the bytes and
@@ -416,93 +146,8 @@ impl FileHandle {
         offset: u64,
         len: usize,
     ) -> Result<(Vec<u8>, Vec<ChunkSum>, IoHandle), PfsError> {
-        if let Some(cc) = ctx.config().collective {
-            return self.agg_read_ordered_begin_summed(ctx, cc, offset, len);
-        }
-        let _scope = ctx.collective_scope();
-        let op = ctx.next_pfs_op();
-        let fate = self.collective_fate(ctx, op, None)?;
-        let my_crash = matches!(fate, FaultDecision::Crash { .. });
-        if my_crash {
-            self.emit_fault(ctx, FaultKind::Crash, op, 0);
-        }
-        ctx.barrier()?;
-        let mut buf = vec![0u8; len];
-        let read_res = if len > 0 {
-            self.file
-                .storage
-                .lock()
-                .read_at(offset, &mut buf, self.file.name())
-        } else {
-            Ok(())
-        };
-        let my_sum = if read_res.is_ok() {
-            ChunkSum::of(&buf)
-        } else {
-            ChunkSum::EMPTY
-        };
-        let mut contrib = Vec::with_capacity(24);
-        contrib.extend_from_slice(&(len as u64).to_le_bytes());
-        contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
-        contrib.extend_from_slice(&my_sum.rpow().to_le_bytes());
-        let frames = ctx.all_gather(contrib)?;
-        let mut sizes = Vec::with_capacity(ctx.nprocs());
-        let mut digests = Vec::with_capacity(ctx.nprocs());
-        for frame in &frames {
-            if frame.len() != 24 {
-                return Err(PfsError::CollectiveMismatch(
-                    "read_ordered_begin: malformed size/digest frame".into(),
-                ));
-            }
-            sizes.push(decode_u64(&frame[..8], "read_ordered_begin size frame")?);
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[8..16], "read_ordered_begin digest hash")?,
-                decode_u64(&frame[16..24], "read_ordered_begin digest rpow")?,
-            ));
-        }
-        read_res?;
-        let total: u64 = sizes.iter().sum();
-        let max_block = sizes.iter().copied().max().unwrap_or(0);
-        let cost = self
-            .pfs
-            .model
-            .collective_cost(total, max_block, ctx.nprocs());
-        let async_op = if my_crash {
-            ctx.async_submit(VTime::ZERO)
-        } else {
-            ctx.async_submit(cost)
-        };
-        ctx.emit_with(|| EventKind::PfsCollective {
-            op: PfsOp::Read,
-            file: self.file.name().to_string(),
-            offset,
-            bytes: len as u64,
-            total_bytes: total,
-            share_bytes: total / ctx.nprocs() as u64,
-            stripes: self.pfs.model.stripes_touched(offset, len as u64),
-            regime: if self.pfs.model.collective_knee(max_block) {
-                CollectiveRegime::CacheKnee
-            } else {
-                CollectiveRegime::Streaming
-            },
-            cost_ns: cost.as_nanos(),
-        });
-        self.account_collective(ctx, total);
-        let deferred = if my_crash {
-            ctx.fault_mark_dead();
-            Some(MachineError::RankCrashed { rank: ctx.rank() }.into())
-        } else {
-            None
-        };
-        Ok((
-            buf,
-            digests,
-            IoHandle {
-                op: async_op,
-                deferred,
-                peer_crashed: false,
-            },
-        ))
+        let (buf, digests, handle) = self.read_ordered_impl(ctx, offset, len, true, true)?;
+        Ok((buf, digests, handle.expect("begin mode returns a handle")))
     }
 }
 

@@ -2,7 +2,9 @@
 //! but must otherwise be indistinguishable from the `_summed` variants:
 //! the same file bytes, the same virtual clock on every rank and the same
 //! trace, on the direct and on the aggregated path. The summed digests
-//! must fold to the digest of the whole region.
+//! must fold to the digest of the whole region. The split-collective
+//! twins (`_begin_summed`, waited at once) share that implementation:
+//! the same file bytes, offsets and digests as the blocking summed run.
 
 use dstreams_machine::{CollectiveConfig, Machine, MachineConfig, VTime};
 use dstreams_pfs::{Backend, ChunkSum, DiskModel, OpenMode, Pfs};
@@ -40,15 +42,29 @@ fn read_span(rank: usize, size: u64) -> (u64, u64) {
     (cuts[rank], cuts[rank + 1])
 }
 
+/// Which variant of the collectives a run calls.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    /// `write_ordered` / `read_ordered`.
+    Plain,
+    /// `write_ordered_summed` / `read_ordered_summed`.
+    Summed,
+    /// `write_ordered_begin_summed` / `read_ordered_begin_summed`, each
+    /// handle waited at once.
+    Begin,
+}
+
 struct Run {
     image: Vec<u8>,
     clocks: Vec<VTime>,
     trace: Trace,
+    /// Per rank: the block offset of every write round.
+    offsets: Vec<Vec<u64>>,
     /// Per rank: the write digests of every round, then the read digests.
     digests: Vec<(Vec<Vec<ChunkSum>>, Vec<ChunkSum>)>,
 }
 
-fn run(collective: Option<CollectiveConfig>, summed: bool) -> Run {
+fn run(collective: Option<CollectiveConfig>, mode: Mode) -> Run {
     let pfs = Pfs::new(NPROCS, DiskModel::paragon_pfs(), Backend::Memory);
     let sink = TraceSink::new(NPROCS);
     let mut cfg = MachineConfig::paragon(NPROCS).traced(sink.clone());
@@ -57,24 +73,40 @@ fn run(collective: Option<CollectiveConfig>, summed: bool) -> Run {
     let size = expected_image().len() as u64;
     let out = Machine::run(cfg, move |ctx| {
         let fh = p.open(ctx.is_root(), "parity", OpenMode::Create).unwrap();
+        let mut offsets = Vec::new();
         let mut writes = Vec::new();
         for round in 0..ROUNDS {
             let data = block(ctx.rank(), round);
-            if summed {
-                writes.push(fh.write_ordered_summed(ctx, &data).unwrap().1);
-            } else {
-                fh.write_ordered(ctx, &data).unwrap();
-            }
+            let off = match mode {
+                Mode::Plain => fh.write_ordered(ctx, &data).unwrap(),
+                Mode::Summed => {
+                    let (off, digests) = fh.write_ordered_summed(ctx, &data).unwrap();
+                    writes.push(digests);
+                    off
+                }
+                Mode::Begin => {
+                    let (off, digests, h) = fh.write_ordered_begin_summed(ctx, &data).unwrap();
+                    assert!(!h.peer_crashed());
+                    h.wait(ctx).unwrap();
+                    writes.push(digests);
+                    off
+                }
+            };
+            offsets.push(off);
         }
         let (lo, hi) = read_span(ctx.rank(), size);
         let len = (hi - lo) as usize;
-        let (bytes, reads) = if summed {
-            fh.read_ordered_summed(ctx, lo, len).unwrap()
-        } else {
-            (fh.read_ordered(ctx, lo, len).unwrap(), Vec::new())
+        let (bytes, reads) = match mode {
+            Mode::Plain => (fh.read_ordered(ctx, lo, len).unwrap(), Vec::new()),
+            Mode::Summed => fh.read_ordered_summed(ctx, lo, len).unwrap(),
+            Mode::Begin => {
+                let (bytes, digests, h) = fh.read_ordered_begin_summed(ctx, lo, len).unwrap();
+                h.wait(ctx).unwrap();
+                (bytes, digests)
+            }
         };
         assert_eq!(bytes, expected_image()[lo as usize..hi as usize]);
-        (ctx.now(), (writes, reads))
+        (ctx.now(), (offsets, (writes, reads)))
     })
     .unwrap();
     let image = Machine::run(MachineConfig::functional(1), move |ctx| {
@@ -85,11 +117,13 @@ fn run(collective: Option<CollectiveConfig>, summed: bool) -> Run {
     })
     .unwrap()
     .remove(0);
-    let (clocks, digests) = out.into_iter().unzip();
+    let (clocks, results): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+    let (offsets, digests) = results.into_iter().unzip();
     Run {
         image,
         clocks,
         trace: sink.take(),
+        offsets,
         digests,
     }
 }
@@ -99,30 +133,37 @@ fn fold(digests: &[ChunkSum]) -> ChunkSum {
 }
 
 fn check_parity(collective: Option<CollectiveConfig>) {
-    let plain = run(collective, false);
-    let summed = run(collective, true);
+    let plain = run(collective, Mode::Plain);
+    let summed = run(collective, Mode::Summed);
+    let begin = run(collective, Mode::Begin);
     let image = expected_image();
     assert_eq!(plain.image, image);
     assert_eq!(summed.image, image);
+    assert_eq!(begin.image, image, "begin mode wrote another image");
+    assert_eq!(plain.offsets, summed.offsets, "block offsets diverged");
+    assert_eq!(begin.offsets, summed.offsets, "begin-mode offsets diverged");
+    assert_eq!(begin.digests, summed.digests, "begin-mode digests diverged");
     assert_eq!(plain.clocks, summed.clocks, "virtual clocks diverged");
     assert!(plain.clocks.iter().all(|&t| t > VTime::ZERO));
     assert!(!plain.trace.is_empty());
     assert_eq!(plain.trace, summed.trace, "traces diverged");
 
     // Every rank learns every rank's digests; they fold to the region's.
-    let mut round_start = 0;
-    for round in 0..ROUNDS {
-        let round_len: usize = (0..NPROCS).map(|r| block_len(r, round)).sum();
-        let region = ChunkSum::of(&image[round_start..round_start + round_len]);
-        for (writes, _) in &summed.digests {
-            assert_eq!(writes[round].len(), NPROCS);
-            assert_eq!(fold(&writes[round]), region, "write round {round}");
+    for run in [&summed, &begin] {
+        let mut round_start = 0;
+        for round in 0..ROUNDS {
+            let round_len: usize = (0..NPROCS).map(|r| block_len(r, round)).sum();
+            let region = ChunkSum::of(&image[round_start..round_start + round_len]);
+            for (writes, _) in &run.digests {
+                assert_eq!(writes[round].len(), NPROCS);
+                assert_eq!(fold(&writes[round]), region, "write round {round}");
+            }
+            round_start += round_len;
         }
-        round_start += round_len;
-    }
-    for (_, reads) in &summed.digests {
-        assert_eq!(reads.len(), NPROCS);
-        assert_eq!(fold(reads), ChunkSum::of(&image), "read digests");
+        for (_, reads) in &run.digests {
+            assert_eq!(reads.len(), NPROCS);
+            assert_eq!(fold(reads), ChunkSum::of(&image), "read digests");
+        }
     }
 }
 

@@ -4,11 +4,11 @@
 //! The paper's benchmark times a bare out+in pair; a real SCF run
 //! interleaves solver steps with periodic checkpoints, and that is where
 //! split-collective I/O pays off. [`run_checkpoint`] drives the same
-//! solver + checkpoint loop two ways:
+//! solver + checkpoint loop two ways, chosen by [`OverlapSpec::depth`]:
 //!
-//! * **synchronous** — each iteration computes, then blocks in
+//! * **synchronous** (depth 0) — each iteration computes, then blocks in
 //!   `OStream::write` until the record's collective flush completes;
-//! * **pipelined** — `write_begin` submits the flush and the *next*
+//! * **pipelined** (depth ≥ 1) — `write_begin` submits the flush and the *next*
 //!   iteration's compute (field reductions + the modeled particle
 //!   update) elapses while the flush's deferred cost drains on each
 //!   rank's async queue; `write_end` only charges whatever cost compute
@@ -21,7 +21,7 @@
 use dstreams_collections::{Collection, DistKind, Layout};
 use dstreams_machine::{CollectiveConfig, Machine, VTime};
 use dstreams_pfs::{Backend, Pfs};
-use dstreams_pipeline::PipelineOptions;
+use dstreams_pipeline::WriteWindow;
 use dstreams_trace::{Trace, TraceSink};
 
 use crate::driver::Platform;
@@ -46,9 +46,8 @@ pub struct OverlapSpec {
     /// clock (the solver's host arithmetic is not, so the overlap window
     /// is explicit and calibratable).
     pub compute: VTime,
-    /// Use the write-behind pipeline instead of synchronous writes.
-    pub pipelined: bool,
-    /// Write-behind pool depth (ignored when not pipelined).
+    /// Write-behind pool depth: flushes in flight per rank. 0 writes
+    /// synchronously.
     pub depth: usize,
     /// Route the checkpoint collectives through this many aggregator
     /// ranks (stripe-aligned collective buffering); `None` keeps the
@@ -57,7 +56,7 @@ pub struct OverlapSpec {
 }
 
 impl OverlapSpec {
-    /// A small default: Paragon, double-buffered.
+    /// A small default: Paragon, double-buffered write-behind.
     pub fn paragon(nprocs: usize, n_segments: usize, iterations: usize) -> Self {
         OverlapSpec {
             platform: Platform::Paragon,
@@ -65,7 +64,6 @@ impl OverlapSpec {
             n_segments,
             iterations,
             compute: VTime::ZERO,
-            pipelined: false,
             depth: 2,
             aggregators: None,
         }
@@ -107,32 +105,29 @@ fn run_checkpoint_inner(spec: OverlapSpec, trace: Option<TraceSink>) -> Result<f
 
         ctx.barrier()?;
         let t0 = ctx.now();
-        if spec.pipelined {
-            let mut s = dstreams_pipeline::OStream::create_with(
-                ctx,
-                &pfs,
-                &layout,
-                "ckpt",
-                Default::default(),
-                PipelineOptions { depth: spec.depth },
-            )?;
-            for _ in 0..spec.iterations {
-                solver.step(ctx, &mut grid, dt)?;
-                ctx.advance(spec.compute);
-                s.insert_collection(&grid)?;
-                s.write()?; // flush rides behind the next iteration
+        let mut s = dstreams_core::OStream::create(ctx, &pfs, &layout, "ckpt")?;
+        let mut window = match spec.depth {
+            0 => None,
+            depth => Some(WriteWindow::new(depth)?),
+        };
+        for _ in 0..spec.iterations {
+            solver.step(ctx, &mut grid, dt)?;
+            ctx.advance(spec.compute);
+            s.insert_collection(&grid)?;
+            match window.as_mut() {
+                // The flush rides behind the next iteration.
+                Some(w) => {
+                    w.make_room(|p| s.write_end(p))?;
+                    let pending = s.write_begin()?;
+                    w.push(pending);
+                }
+                None => s.write()?,
             }
-            s.close()?; // drain the pool
-        } else {
-            let mut s = dstreams_core::OStream::create(ctx, &pfs, &layout, "ckpt")?;
-            for _ in 0..spec.iterations {
-                solver.step(ctx, &mut grid, dt)?;
-                ctx.advance(spec.compute);
-                s.insert_collection(&grid)?;
-                s.write()?;
-            }
-            s.close()?;
         }
+        if let Some(w) = window.as_mut() {
+            w.drain(|p| s.write_end(p))?; // drain the pool
+        }
+        s.close()?;
         ctx.barrier()?;
         let elapsed = ctx.now() - t0;
 
@@ -166,20 +161,19 @@ fn run_checkpoint_inner(spec: OverlapSpec, trace: Option<TraceSink>) -> Result<f
 
 /// Calibrate [`OverlapSpec::compute`] so per-iteration compute roughly
 /// matches the flush cost — the sweet spot where write-behind approaches
-/// its 2× bound. Probes two short runs (synchronous and pipelined with
-/// zero modeled compute): the pipelined probe's per-iteration time is
+/// its 2× bound. Probes two short runs (synchronous, and pipelined at
+/// `spec.depth`, with zero modeled compute): the pipelined probe's per-iteration time is
 /// dominated by the flush, and the probes' difference estimates the
 /// solver's collective cost, so `compute ≈ flush − solver`.
 pub fn calibrate_compute(spec: OverlapSpec) -> Result<VTime, ScfError> {
     let probe_iters = spec.iterations.clamp(2, 4);
     let sync = run_checkpoint(OverlapSpec {
-        pipelined: false,
+        depth: 0,
         compute: VTime::ZERO,
         iterations: probe_iters,
         ..spec
     })?;
     let pipe = run_checkpoint(OverlapSpec {
-        pipelined: true,
         compute: VTime::ZERO,
         iterations: probe_iters,
         ..spec
@@ -202,8 +196,7 @@ mod tests {
     fn both_variants_validate_and_pipelining_never_loses() {
         let mut spec = OverlapSpec::paragon(2, 32, 4);
         spec.compute = VTime::from_millis(5);
-        let sync = run_checkpoint(spec).unwrap();
-        spec.pipelined = true;
+        let sync = run_checkpoint(OverlapSpec { depth: 0, ..spec }).unwrap();
         let pipe = run_checkpoint(spec).unwrap();
         assert!(sync > 0.0 && pipe > 0.0);
         assert!(pipe <= sync, "pipelined {pipe} slower than sync {sync}");
@@ -213,8 +206,7 @@ mod tests {
     fn calibrated_overlap_hits_the_speedup_bound() {
         let mut spec = OverlapSpec::paragon(2, 64, 8);
         spec.compute = calibrate_compute(spec).unwrap();
-        let sync = run_checkpoint(spec).unwrap();
-        spec.pipelined = true;
+        let sync = run_checkpoint(OverlapSpec { depth: 0, ..spec }).unwrap();
         let pipe = run_checkpoint(spec).unwrap();
         let speedup = sync / pipe;
         assert!(
@@ -227,6 +219,7 @@ mod tests {
     fn aggregated_checkpoints_validate_with_fewer_pfs_ops() {
         let mut spec = OverlapSpec::paragon(4, 32, 3);
         spec.compute = VTime::from_millis(5);
+        spec.depth = 0;
         let (_, direct) = run_checkpoint_traced(spec).unwrap();
         spec.aggregators = Some(1);
         let (_, agg) = run_checkpoint_traced(spec).unwrap();
@@ -245,7 +238,6 @@ mod tests {
     fn traced_run_reports_overlap_and_same_time() {
         let mut spec = OverlapSpec::paragon(2, 32, 4);
         spec.compute = VTime::from_millis(5);
-        spec.pipelined = true;
         let plain = run_checkpoint(spec).unwrap();
         let (traced, trace) = run_checkpoint_traced(spec).unwrap();
         assert_eq!(plain.to_bits(), traced.to_bits());

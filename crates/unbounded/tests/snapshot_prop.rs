@@ -57,18 +57,27 @@ fn val(seg: u64, rec: u64, gid: usize) -> u64 {
     seg * 10_000 + rec * 100 + gid as u64
 }
 
-/// Read the on-disk manifest directly (every rank reads the same bytes),
-/// so invariants are checked against what is actually durable rather
-/// than any in-memory state.
+/// Read the on-disk manifest directly, so invariants are checked against
+/// what is actually durable rather than any in-memory state. Like the
+/// library's own manifest load, root checks for the file, reads it and
+/// broadcasts the bytes: an independent read on every rank could race
+/// root already rewriting the manifest in the next collective.
 fn read_manifest(ctx: &NodeCtx, pfs: &Pfs) -> StreamManifest {
     let name = manifest_file_name(STREAM);
-    if !pfs.exists(&name) {
-        return StreamManifest::default();
+    let bytes = if ctx.is_root() && pfs.exists(&name) {
+        let fh = pfs.open(false, &name, OpenMode::Read).unwrap();
+        let mut b = vec![0u8; fh.len() as usize];
+        fh.read_at(ctx, 0, &mut b).unwrap();
+        b
+    } else {
+        Vec::new()
+    };
+    let bytes = ctx.broadcast(0, bytes).unwrap();
+    if bytes.is_empty() {
+        StreamManifest::default()
+    } else {
+        StreamManifest::decode(&bytes).unwrap()
     }
-    let fh = pfs.open(false, &name, OpenMode::Read).unwrap();
-    let mut b = vec![0u8; fh.len() as usize];
-    fh.read_at(ctx, 0, &mut b).unwrap();
-    StreamManifest::decode(&b).unwrap()
 }
 
 /// One model reader: the live handle plus where the model says its

@@ -3,11 +3,8 @@
 //! The paper's correctness contract has two halves: the per-stream state
 //! machine of Figure 2 (`open → (insert⁺ → write)* → close` and its
 //! input/async duals) and the SPMD collective discipline ("all nodes
-//! call write/read together"). This crate checks both, three ways:
+//! call write/read together"). This crate checks both:
 //!
-//! * [`typestate`] — zero-cost wrappers that encode Fig. 2 in the type
-//!   system, so illegal call orders are compile errors (each documented
-//!   as a `compile_fail` doctest);
 //! * [`model`] — a reference automaton of Fig. 2 plus an exhaustive
 //!   enumerator that drives every op sequence up to a depth bound
 //!   through both the reference and the real streams, asserting
@@ -28,7 +25,6 @@
 pub mod analyze;
 pub mod hb;
 pub mod model;
-pub mod typestate;
 
 pub use analyze::{analyze, analyze_rules, Hazard, Report, Rule};
 pub use hb::{diff_traces, DiffReport, EventRef, HbIndex, Witness};

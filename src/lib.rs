@@ -17,8 +17,8 @@
 //! * [`unbounded`] — unbounded append streams: continuously sealed
 //!   segments, tailing readers with snapshot isolation, byte-budget
 //!   retention;
-//! * [`verify`] — protocol verification: typestate wrappers, Fig. 2 model
-//!   checking, and the `dsverify` trace analyzer.
+//! * [`verify`] — protocol verification: Fig. 2 model checking and the
+//!   `dsverify` trace analyzer.
 //!
 //! See the repository README for a quickstart and `DESIGN.md` for the
 //! system inventory.
