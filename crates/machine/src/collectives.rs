@@ -1,27 +1,66 @@
 //! Collective operations over all ranks of the machine.
 //!
 //! Every collective must be called by *all* ranks (SPMD discipline), in the
-//! same order. Tag sequencing keeps concurrent point-to-point traffic and
-//! successive collectives from interfering. Broadcast uses a binomial tree
-//! (O(log P) rounds); gather/scatter are flat through the root, which is
-//! faithful to how mid-90s runtimes on ≤ a few dozen nodes behaved and
-//! keeps virtual-time accounting transparent.
+//! same order. Broadcast uses a binomial tree (O(log P) rounds);
+//! gather/scatter are flat through the root, which is faithful to how
+//! mid-90s runtimes on ≤ a few dozen nodes behaved and keeps virtual-time
+//! accounting transparent. Composites are two phases around one root-side
+//! step: `barrier` is a gather then a release scatter, `all_reduce` a
+//! gather, a fold and a broadcast, `all_gather` a gather, a framing and a
+//! broadcast, the scans a gather, a prefix pass and a scatter.
 //!
-//! Each collective message carries a one-byte opcode so that accidentally
-//! mismatched collectives across ranks (e.g. one rank calls `barrier` while
-//! another calls `gather`) are detected instead of silently exchanging
-//! garbage. The opcode trails the payload, so a sender appends it to a
-//! buffer it owns and a receiver strips it with a `pop`: each leg copies
-//! a payload at most once.
+//! **One hop schedule, two executors.** [`Pattern::hop`] lists, per rank,
+//! the legs of each phase in program order: whom to send which slot to,
+//! whom to receive which slot from. Both executors follow it:
+//!
+//! * the *wire* executor sends and receives real envelopes through the
+//!   mailboxes. It runs whenever the machine carries a fault plan (even
+//!   an inert one), so retransmits, tombstones and chaos fates apply to
+//!   collective legs as to any other message;
+//! * the *cell* executor runs on fault-free machines. Every rank deposits
+//!   its entry clock and slots in the machine's `CollectiveCell` (see
+//!   `cell.rs`), and the last to arrive replays the schedule for all
+//!   ranks at once: `send_overhead`, then the arrival `now + latency +
+//!   transfer(len + 1)` per leg, the arrival-max rule, `recv_overhead`.
+//!   Those are the formulas of `NodeCtx::send`/`recv`, applied to the
+//!   same legs with the same tags, so exit clocks and the
+//!   `MsgSend`/`MsgRecv` events each rank records are identical to the
+//!   wire path's by construction; only the host cost of the thread
+//!   hand-offs is gone.
+//!
+//! The root-side step between phases runs on the root on the wire, and on
+//! the combiner in the cell, with the combiner's own closure: SPMD
+//! programs pass every rank the same reduction operator. `Wire` encodings
+//! round-trip exactly, so folding decoded operands on either thread gives
+//! the same value.
+//!
+//! Mismatched collectives are errors, never garbage. On the wire each
+//! message carries a one-byte opcode, trailing the payload so a sender
+//! appends it to a buffer it owns and a receiver strips it with a `pop`.
+//! In the cell every rank deposits its opcode and root, and any
+//! disagreement fails the collective on every rank with
+//! [`MachineError::CollectiveMismatch`].
+//!
+//! `all_to_all` stays on the wire path on every machine. Its callers are
+//! the unplanned sorted read, `Collection::fetch_all` and
+//! `Collection::redistribute`, none of them on a hot path: the perfbench
+//! workloads never call it, while `service_mix` runs tens of thousands
+//! of barriers and clock syncs per round.
+
+use std::sync::Arc;
 
 use dstreams_trace::{CollOp, EventKind};
 
+use crate::cell::{Entry, Outcome};
+use crate::config::NetModel;
 use crate::error::MachineError;
+use crate::message::Tag;
 use crate::node::NodeCtx;
 use crate::time::VTime;
 use crate::wire::{frame_blocks, unframe_blocks, Wire};
 
-/// Opcode prefixed to every collective payload for cross-rank sanity checks.
+/// Opcode trailing every collective wire message, for cross-rank sanity
+/// checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 enum Op {
@@ -53,14 +92,6 @@ fn tagged(op: Op, mut payload: Vec<u8>) -> Vec<u8> {
     payload
 }
 
-/// A tagged copy of a payload the caller keeps.
-fn tagged_copy(op: Op, payload: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(payload.len() + 1);
-    v.extend_from_slice(payload);
-    v.push(op as u8);
-    v
-}
-
 /// Check and strip the trailing opcode in place.
 fn untag(op: Op, mut payload: Vec<u8>) -> Result<Vec<u8>, MachineError> {
     let Some(byte) = payload.pop() else {
@@ -78,7 +109,350 @@ fn untag(op: Op, mut payload: Vec<u8>) -> Result<Vec<u8>, MachineError> {
     Ok(payload)
 }
 
+/// Decode a `Wire` value, naming `what` failed otherwise.
+fn decode<T: Wire>(bytes: &[u8], what: &str) -> Result<T, MachineError> {
+    T::from_wire(bytes).ok_or_else(|| MachineError::CollectiveMismatch(what.into()))
+}
+
+/// One rank's data in a collective: `parts` (indexed by rank) travel along
+/// gather and scatter legs, `whole` along broadcast legs.
+///
+/// The whole is shared so that the cell can hand every rank the root's
+/// broadcast buffer without copying it on the combiner's thread: each
+/// rank copies it (the last one takes it) on its own thread, where a wire
+/// receive would have allocated it too.
+#[derive(Debug, Default)]
+pub(crate) struct Slots {
+    parts: Vec<Vec<u8>>,
+    whole: Arc<Vec<u8>>,
+}
+
+/// What a leg carries: a part moves, the whole is shared.
+enum Carried {
+    Owned(Vec<u8>),
+    Shared(Arc<Vec<u8>>),
+}
+
+impl Carried {
+    fn len(&self) -> usize {
+        match self {
+            Carried::Owned(v) => v.len(),
+            Carried::Shared(a) => a.len(),
+        }
+    }
+
+    fn into_vec(self) -> Vec<u8> {
+        match self {
+            Carried::Owned(v) => v,
+            Carried::Shared(a) => Arc::unwrap_or_clone(a),
+        }
+    }
+
+    /// The wire bytes of the payload: its own buffer, or a copy with one
+    /// spare byte, with the opcode appended.
+    fn into_tagged(self, op: Op) -> Vec<u8> {
+        match self {
+            Carried::Owned(v) => tagged(op, v),
+            Carried::Shared(a) => {
+                let mut copy = Vec::with_capacity(a.len() + 1);
+                copy.extend_from_slice(&a);
+                tagged(op, copy)
+            }
+        }
+    }
+}
+
+impl Slots {
+    /// `n` empty parts but this rank's `data`.
+    fn part(n: usize, rank: usize, data: Vec<u8>) -> Self {
+        let mut parts = vec![Vec::new(); n];
+        parts[rank] = data;
+        Slots {
+            parts,
+            whole: Arc::default(),
+        }
+    }
+
+    /// What a send leg ships: a part moves out, the whole is shared (a
+    /// broadcast forwards it to several children and keeps it).
+    fn ship(&mut self, slot: Slot) -> Carried {
+        match slot {
+            Slot::Part(i) => Carried::Owned(std::mem::take(&mut self.parts[i])),
+            Slot::Whole => Carried::Shared(Arc::clone(&self.whole)),
+        }
+    }
+
+    /// Store what a receive leg delivered.
+    fn store(&mut self, slot: Slot, data: Carried) {
+        match (slot, data) {
+            (Slot::Part(i), data) => self.parts[i] = data.into_vec(),
+            (Slot::Whole, Carried::Shared(a)) => self.whole = a,
+            (Slot::Whole, Carried::Owned(v)) => self.whole = Arc::new(v),
+        }
+    }
+}
+
+/// Which of a rank's [`Slots`] a leg reads or writes.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Part(usize),
+    Whole,
+}
+
+/// One leg of a phase as one rank runs it.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    /// Send to `peer` (else receive from it).
+    send: bool,
+    peer: usize,
+    slot: Slot,
+}
+
+/// The message pattern of one phase, with its root.
+#[derive(Debug, Clone, Copy)]
+enum Pattern {
+    /// Every rank ships its own part to the root, which receives them in
+    /// rank order.
+    Gather(usize),
+    /// The root ships part `r` to each rank `r`, in rank order.
+    Scatter(usize),
+    /// Binomial tree: each rank receives the whole from its parent (the
+    /// lowest set bit of its rank relative to the root), then forwards it
+    /// to its children at decreasing distances.
+    Broadcast(usize),
+}
+
+impl Pattern {
+    /// The `k`-th leg `rank` runs in this phase, or `None` past its last.
+    /// This is the one definition of every collective's message
+    /// schedule; both executors walk it.
+    fn hop(self, rank: usize, n: usize, k: usize) -> Option<Hop> {
+        let send = |peer, slot| Hop {
+            send: true,
+            peer,
+            slot,
+        };
+        let recv = |peer, slot| Hop {
+            send: false,
+            peer,
+            slot,
+        };
+        // The k-th rank other than `root`, in rank order.
+        let kth_other = |root: usize| Some(k + usize::from(k >= root)).filter(|&p| p < n);
+        match self {
+            Pattern::Gather(root) if rank == root => {
+                kth_other(root).map(|from| recv(from, Slot::Part(from)))
+            }
+            Pattern::Gather(root) => (k == 0).then(|| send(root, Slot::Part(rank))),
+            Pattern::Scatter(root) if rank == root => {
+                kth_other(root).map(|to| send(to, Slot::Part(to)))
+            }
+            Pattern::Scatter(root) => (k == 0).then(|| recv(root, Slot::Part(rank))),
+            Pattern::Broadcast(root) => {
+                let rel = (rank + n - root) % n;
+                let parent_bit = rel & rel.wrapping_neg();
+                let k = match (rel, k) {
+                    (0, k) => k,
+                    (_, 0) => return Some(recv((rel - parent_bit + root) % n, Slot::Whole)),
+                    (_, k) => k - 1,
+                };
+                // Children sit at the distances below the parent bit (below
+                // n for the root), minus those past the end of the machine.
+                let top = if rel == 0 {
+                    n.next_power_of_two()
+                } else {
+                    parent_bit
+                };
+                let mut mask = top >> 1;
+                while mask > 0 && rel + mask >= n {
+                    mask >>= 1;
+                }
+                let mask = mask.checked_shr(k as u32).unwrap_or(0);
+                (mask > 0).then(|| send((rel + mask + root) % n, Slot::Whole))
+            }
+        }
+    }
+}
+
+/// One phase of a collective: its pattern and the opcode its wire
+/// messages carry.
+#[derive(Debug, Clone, Copy)]
+struct Phase {
+    pattern: Pattern,
+    op: Op,
+}
+
+impl Phase {
+    fn new(pattern: Pattern, op: Op) -> Self {
+        Phase { pattern, op }
+    }
+}
+
+/// The cell executor: run `phase` for every rank at once, moving the
+/// slots along its legs and advancing each lane's clock exactly as the
+/// wire legs would.
+fn simulate(phase: Phase, tag: Tag, net: &NetModel, tracing: bool, lanes: &mut [Outcome]) {
+    let n = lanes.len();
+    // Each rank's next leg; `usize::MAX` once it ran its last.
+    let mut next = vec![0usize; n];
+    // In-flight message per (from, to) edge; a phase uses each edge once.
+    let mut wire: Vec<Option<(VTime, Carried)>> = (0..n * n).map(|_| None).collect();
+    let mut left = n;
+    while left > 0 {
+        let mut progressed = false;
+        for (r, lane) in lanes.iter_mut().enumerate() {
+            if next[r] == usize::MAX {
+                continue;
+            }
+            loop {
+                let Some(Hop { send, peer, slot }) = phase.pattern.hop(r, n, next[r]) else {
+                    next[r] = usize::MAX;
+                    left -= 1;
+                    progressed = true;
+                    break;
+                };
+                if send {
+                    let payload = lane.slots.ship(slot);
+                    let bytes = payload.len() + 1;
+                    lane.clock += net.send_overhead;
+                    if tracing {
+                        lane.events.push((
+                            lane.clock,
+                            EventKind::MsgSend {
+                                to: peer,
+                                tag,
+                                bytes: bytes as u64,
+                                collective: true,
+                            },
+                        ));
+                    }
+                    let arrival = lane.clock + net.latency + net.transfer(bytes);
+                    wire[r * n + peer] = Some((arrival, payload));
+                } else {
+                    let Some((arrival, payload)) = wire[peer * n + r].take() else {
+                        break;
+                    };
+                    lane.clock = lane.clock.max(arrival) + net.recv_overhead;
+                    if tracing {
+                        lane.events.push((
+                            lane.clock,
+                            EventKind::MsgRecv {
+                                from: peer,
+                                tag,
+                                bytes: payload.len() as u64 + 1,
+                                collective: true,
+                            },
+                        ));
+                    }
+                    lane.slots.store(slot, payload);
+                }
+                next[r] += 1;
+                progressed = true;
+            }
+        }
+        assert!(progressed, "collective schedule cannot make progress");
+    }
+}
+
 impl NodeCtx {
+    /// Run one collective: `phases` (one or two) over `root`, with
+    /// `at_root` applied to the root's slots after the first phase.
+    /// Returns this rank's slots at exit. `op` names the API-level
+    /// collective for the cell's cross-rank agreement check.
+    fn run_collective<F>(
+        &self,
+        op: CollOp,
+        root: usize,
+        phases: &[Phase],
+        mut slots: Slots,
+        mut at_root: F,
+    ) -> Result<Slots, MachineError>
+    where
+        F: FnMut(&mut Slots) -> Result<(), MachineError>,
+    {
+        let mut tags: [Tag; 2] = [0; 2];
+        for tag in &mut tags[..phases.len()] {
+            *tag = self.next_coll_tag();
+        }
+        let Some(cell) = self.cell() else {
+            for (i, (&phase, &tag)) in phases.iter().zip(&tags).enumerate() {
+                self.wire_phase(phase, tag, &mut slots)?;
+                if i == 0 && self.rank() == root {
+                    at_root(&mut slots)?;
+                }
+            }
+            return Ok(slots);
+        };
+        let entry = Entry {
+            op,
+            root,
+            clock: self.now(),
+            slots,
+        };
+        let out = cell.rendezvous(self.rank(), entry, tags[0], |entries| {
+            if let Some((r, e)) = entries
+                .iter()
+                .enumerate()
+                .find(|(_, e)| e.op != entries[0].op || e.root != entries[0].root)
+            {
+                return Err(MachineError::CollectiveMismatch(format!(
+                    "rank {r} called {} (root {}) but rank 0 called {} (root {})",
+                    e.op.name(),
+                    e.root,
+                    entries[0].op.name(),
+                    entries[0].root
+                )));
+            }
+            let mut lanes: Vec<Outcome> = entries
+                .into_iter()
+                .map(|e| Outcome {
+                    clock: e.clock,
+                    slots: e.slots,
+                    events: Vec::new(),
+                })
+                .collect();
+            for (i, (&phase, &tag)) in phases.iter().zip(&tags).enumerate() {
+                simulate(phase, tag, &self.config().net, self.tracing(), &mut lanes);
+                if i == 0 {
+                    at_root(&mut lanes[root].slots)?;
+                }
+            }
+            Ok(lanes)
+        })?;
+        for (vtime, kind) in out.events {
+            self.emit_at(vtime, kind);
+        }
+        self.sync_to(out.clock);
+        Ok(out.slots)
+    }
+
+    /// The wire executor: run this rank's legs of `phase` as real
+    /// messages.
+    fn wire_phase(&self, phase: Phase, tag: Tag, slots: &mut Slots) -> Result<(), MachineError> {
+        let (rank, n) = (self.rank(), self.nprocs());
+        for Hop { send, peer, slot } in (0..).map_while(|k| phase.pattern.hop(rank, n, k)) {
+            if send {
+                self.send_owned(peer, tag, slots.ship(slot).into_tagged(phase.op))?;
+            } else {
+                let data = untag(phase.op, self.recv(peer, tag)?)?;
+                slots.store(slot, Carried::Owned(data));
+            }
+        }
+        Ok(())
+    }
+
+    /// Fail with `InvalidRank` unless `root` names a rank.
+    fn check_root(&self, root: usize) -> Result<(), MachineError> {
+        let n = self.nprocs();
+        if root >= n {
+            return Err(MachineError::InvalidRank {
+                rank: root,
+                nprocs: n,
+            });
+        }
+        Ok(())
+    }
+
     /// Synchronize all ranks; on return every rank's virtual clock is at
     /// least the maximum of the clocks at entry (plus the messaging cost of
     /// the rendezvous itself).
@@ -89,27 +463,14 @@ impl NodeCtx {
             bytes: 0,
         });
         let _scope = self.collective_scope();
-        // Gather tiny messages to rank 0, then broadcast release. Clock
+        // Gather tiny messages to rank 0, then scatter the release. Clock
         // synchronization falls out of the arrival-time max rule.
-        let tag_up = self.next_coll_tag();
-        let tag_down = self.next_coll_tag();
-        let n = self.nprocs();
-        if n == 1 {
-            return Ok(());
-        }
-        if self.is_root() {
-            for from in 1..n {
-                let p = self.recv(from, tag_up)?;
-                untag(Op::Barrier, p)?;
-            }
-            for to in 1..n {
-                self.send_owned(to, tag_down, tagged(Op::Barrier, Vec::new()))?;
-            }
-        } else {
-            self.send_owned(0, tag_up, tagged(Op::Barrier, Vec::new()))?;
-            let p = self.recv(0, tag_down)?;
-            untag(Op::Barrier, p)?;
-        }
+        let phases = [
+            Phase::new(Pattern::Gather(0), Op::Barrier),
+            Phase::new(Pattern::Scatter(0), Op::Barrier),
+        ];
+        let slots = Slots::part(self.nprocs(), self.rank(), Vec::new());
+        self.run_collective(CollOp::Barrier, 0, &phases, slots, |_| Ok(()))?;
         Ok(())
     }
 
@@ -117,83 +478,40 @@ impl NodeCtx {
     /// rank passes its own `data`; only the root's is used. Returns the
     /// root's buffer on every rank.
     pub fn broadcast(&self, root: usize, data: Vec<u8>) -> Result<Vec<u8>, MachineError> {
-        let n = self.nprocs();
-        if root >= n {
-            return Err(MachineError::InvalidRank {
-                rank: root,
-                nprocs: n,
-            });
-        }
+        self.check_root(root)?;
         self.emit_collective_with(|| EventKind::Collective {
             op: CollOp::Broadcast,
             root: Some(root),
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let tag = self.next_coll_tag();
-        if n == 1 {
-            return Ok(data);
-        }
-        let relative = (self.rank() + n - root) % n;
-        let mut buf = data;
-
-        // Receive from parent (lowest set bit of the relative rank).
-        let mut mask = 1usize;
-        while mask < n {
-            if relative & mask != 0 {
-                let src = (relative - mask + root) % n;
-                buf = untag(Op::Broadcast, self.recv(src, tag)?)?;
-                break;
-            }
-            mask <<= 1;
-        }
-        // Forward to children at decreasing distances.
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < n {
-                let dst = (relative + mask + root) % n;
-                self.send_owned(dst, tag, tagged_copy(Op::Broadcast, &buf))?;
-            }
-            mask >>= 1;
-        }
-        Ok(buf)
+        let phases = [Phase::new(Pattern::Broadcast(root), Op::Broadcast)];
+        let slots = Slots {
+            parts: Vec::new(),
+            whole: Arc::new(data),
+        };
+        let out = self.run_collective(CollOp::Broadcast, root, &phases, slots, |_| Ok(()))?;
+        Ok(Arc::unwrap_or_clone(out.whole))
     }
 
     /// Gather one buffer from every rank to `root`. Returns
     /// `Some(buffers_by_rank)` on the root, `None` elsewhere.
     pub fn gather(&self, root: usize, data: Vec<u8>) -> Result<Option<Vec<Vec<u8>>>, MachineError> {
-        let n = self.nprocs();
-        if root >= n {
-            return Err(MachineError::InvalidRank {
-                rank: root,
-                nprocs: n,
-            });
-        }
+        self.check_root(root)?;
         self.emit_collective_with(|| EventKind::Collective {
             op: CollOp::Gather,
             root: Some(root),
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let tag = self.next_coll_tag();
-        if self.rank() == root {
-            let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-            out[root] = data;
-            for (from, slot) in out.iter_mut().enumerate() {
-                if from == root {
-                    continue;
-                }
-                *slot = untag(Op::Gather, self.recv(from, tag)?)?;
-            }
-            Ok(Some(out))
-        } else {
-            self.send_owned(root, tag, tagged(Op::Gather, data))?;
-            Ok(None)
-        }
+        let phases = [Phase::new(Pattern::Gather(root), Op::Gather)];
+        let slots = Slots::part(self.nprocs(), self.rank(), data);
+        let out = self.run_collective(CollOp::Gather, root, &phases, slots, |_| Ok(()))?;
+        Ok((self.rank() == root).then_some(out.parts))
     }
 
-    /// Gather to every rank: equivalent to `gather(0, …)` followed by a
-    /// broadcast of the framed result.
+    /// Gather to every rank: a gather to rank 0 followed by a broadcast of
+    /// the framed result.
     pub fn all_gather(&self, data: Vec<u8>) -> Result<Vec<Vec<u8>>, MachineError> {
         self.emit_collective_with(|| EventKind::Collective {
             op: CollOp::AllGather,
@@ -201,13 +519,20 @@ impl NodeCtx {
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
+        let phases = [
+            Phase::new(Pattern::Gather(0), Op::Gather),
+            Phase::new(Pattern::Broadcast(0), Op::Broadcast),
+        ];
+        let slots = Slots::part(self.nprocs(), self.rank(), data);
+        let out = self.run_collective(CollOp::AllGather, 0, &phases, slots, |s| {
+            s.whole = Arc::new(frame_blocks(&s.parts));
+            Ok(())
+        })?;
         // The root already holds every buffer; only the others unframe.
-        if let Some(gathered) = self.gather(0, data)? {
-            self.broadcast(0, frame_blocks(&gathered))?;
-            return Ok(gathered);
+        if self.is_root() {
+            return Ok(out.parts);
         }
-        let framed = self.broadcast(0, Vec::new())?;
-        unframe_blocks(&framed).ok_or_else(|| {
+        unframe_blocks(&out.whole).ok_or_else(|| {
             MachineError::CollectiveMismatch("all_gather: malformed framed payload".into())
         })
     }
@@ -220,13 +545,8 @@ impl NodeCtx {
         root: usize,
         parts: Option<Vec<Vec<u8>>>,
     ) -> Result<Vec<u8>, MachineError> {
+        self.check_root(root)?;
         let n = self.nprocs();
-        if root >= n {
-            return Err(MachineError::InvalidRank {
-                rank: root,
-                nprocs: n,
-            });
-        }
         self.emit_collective_with(|| EventKind::Collective {
             op: CollOp::Scatter,
             root: Some(root),
@@ -235,42 +555,41 @@ impl NodeCtx {
                 .map_or(0, |ps| ps.iter().map(|p| p.len() as u64).sum()),
         });
         let _scope = self.collective_scope();
-        let tag = self.next_coll_tag();
-        if self.rank() == root {
-            let parts = parts.ok_or_else(|| {
-                MachineError::CollectiveMismatch("scatter: root must supply parts".into())
-            })?;
-            if parts.len() != n {
+        let parts = match parts {
+            Some(parts) if self.rank() == root && parts.len() == n => parts,
+            Some(parts) if self.rank() == root => {
                 return Err(MachineError::CollectiveMismatch(format!(
                     "scatter: {} parts for {} ranks",
                     parts.len(),
                     n
                 )));
             }
-            let mut own = Vec::new();
-            for (to, part) in parts.into_iter().enumerate() {
-                if to == root {
-                    own = part;
-                } else {
-                    self.send_owned(to, tag, tagged(Op::Scatter, part))?;
-                }
+            None if self.rank() == root => {
+                return Err(MachineError::CollectiveMismatch(
+                    "scatter: root must supply parts".into(),
+                ));
             }
-            Ok(own)
-        } else {
-            if parts.is_some() {
+            None => vec![Vec::new(); n],
+            Some(_) => {
                 return Err(MachineError::CollectiveMismatch(
                     "scatter: non-root rank supplied parts".into(),
                 ));
             }
-            untag(Op::Scatter, self.recv(root, tag)?)
-        }
+        };
+        let phases = [Phase::new(Pattern::Scatter(root), Op::Scatter)];
+        let slots = Slots {
+            parts,
+            whole: Arc::default(),
+        };
+        let mut out = self.run_collective(CollOp::Scatter, root, &phases, slots, |_| Ok(()))?;
+        Ok(std::mem::take(&mut out.parts[self.rank()]))
     }
 
     /// Personalized all-to-all: `parts[to]` is sent to rank `to`; the
     /// return value's entry `from` is what rank `from` sent here.
     ///
     /// This is the primitive behind the d/stream `read` redistribution
-    /// (PASSION-style two-phase I/O).
+    /// (PASSION-style two-phase I/O). It always runs on the wire path.
     pub fn all_to_all(&self, parts: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, MachineError> {
         let n = self.nprocs();
         if parts.len() != n {
@@ -305,62 +624,98 @@ impl NodeCtx {
         Ok(out)
     }
 
+    /// Fold the root's gathered operands in the wire order (the root's
+    /// own first, then every other rank's in rank order) into
+    /// `slots.whole`.
+    fn fold_at_root<T, F>(root: usize, op: &F, slots: &mut Slots) -> Result<(), MachineError>
+    where
+        T: Wire,
+        F: Fn(T, T) -> T,
+    {
+        const WHAT: &str = "reduce: undecodable operand";
+        let mut acc: T = decode(&slots.parts[root], WHAT)?;
+        for (from, raw) in slots.parts.iter().enumerate() {
+            if from != root {
+                acc = op(acc, decode(raw, WHAT)?);
+            }
+        }
+        slots.whole = Arc::new(acc.to_wire());
+        Ok(())
+    }
+
     /// Reduce `value` across all ranks with `op`, result on `root` only.
     pub fn reduce<T, F>(&self, root: usize, value: T, op: F) -> Result<Option<T>, MachineError>
     where
         T: Wire,
         F: Fn(T, T) -> T,
     {
-        let n = self.nprocs();
-        if root >= n {
-            return Err(MachineError::InvalidRank {
-                rank: root,
-                nprocs: n,
-            });
-        }
+        self.check_root(root)?;
+        let mine = value.to_wire();
         self.emit_collective_with(|| EventKind::Collective {
             op: CollOp::Reduce,
             root: Some(root),
-            bytes: value.to_wire().len() as u64,
+            bytes: mine.len() as u64,
         });
         let _scope = self.collective_scope();
-        let tag = self.next_coll_tag();
-        if self.rank() == root {
-            let mut acc = value;
-            for from in 0..n {
-                if from == root {
-                    continue;
-                }
-                let raw = untag(Op::Reduce, self.recv(from, tag)?)?;
-                let v = T::from_wire(&raw).ok_or_else(|| {
-                    MachineError::CollectiveMismatch("reduce: undecodable operand".into())
-                })?;
-                acc = op(acc, v);
-            }
-            Ok(Some(acc))
-        } else {
-            self.send_owned(root, tag, tagged(Op::Reduce, value.to_wire()))?;
-            Ok(None)
+        let phases = [Phase::new(Pattern::Gather(root), Op::Reduce)];
+        let slots = Slots::part(self.nprocs(), self.rank(), mine);
+        let out = self.run_collective(CollOp::Reduce, root, &phases, slots, |s| {
+            Self::fold_at_root(root, &op, s)
+        })?;
+        if self.rank() != root {
+            return Ok(None);
         }
+        decode(&out.whole, "reduce: undecodable result").map(Some)
     }
 
-    /// Reduce with the result delivered to every rank.
+    /// Reduce with the result delivered to every rank: a reduce to rank 0
+    /// followed by a broadcast of the result.
     pub fn all_reduce<T, F>(&self, value: T, op: F) -> Result<T, MachineError>
     where
         T: Wire,
         F: Fn(T, T) -> T,
     {
+        let mine = value.to_wire();
         self.emit_collective_with(|| EventKind::Collective {
             op: CollOp::AllReduce,
             root: None,
-            bytes: value.to_wire().len() as u64,
+            bytes: mine.len() as u64,
         });
         let _scope = self.collective_scope();
-        let reduced = self.reduce(0, value, op)?;
-        let bytes = self.broadcast(0, reduced.map(|v| v.to_wire()).unwrap_or_default())?;
-        T::from_wire(&bytes).ok_or_else(|| {
-            MachineError::CollectiveMismatch("all_reduce: undecodable result".into())
-        })
+        let phases = [
+            Phase::new(Pattern::Gather(0), Op::Reduce),
+            Phase::new(Pattern::Broadcast(0), Op::Broadcast),
+        ];
+        let slots = Slots::part(self.nprocs(), self.rank(), mine);
+        let out = self.run_collective(CollOp::AllReduce, 0, &phases, slots, |s| {
+            Self::fold_at_root(0, &op, s)
+        })?;
+        decode(&out.whole, "all_reduce: undecodable result")
+    }
+
+    /// Gather every rank's operand to rank 0, let `prefixes` turn them
+    /// into per-rank results there, and scatter those back.
+    fn prefix_collective<T, P>(
+        &self,
+        op: CollOp,
+        value: T,
+        what: &str,
+        mut prefixes: P,
+    ) -> Result<T, MachineError>
+    where
+        T: Wire,
+        P: FnMut(&[Vec<u8>]) -> Result<Vec<Vec<u8>>, MachineError>,
+    {
+        let phases = [
+            Phase::new(Pattern::Gather(0), Op::Gather),
+            Phase::new(Pattern::Scatter(0), Op::Scatter),
+        ];
+        let slots = Slots::part(self.nprocs(), self.rank(), value.to_wire());
+        let out = self.run_collective(op, 0, &phases, slots, |s| {
+            s.parts = prefixes(&s.parts)?;
+            Ok(())
+        })?;
+        decode(&out.parts[self.rank()], what)
     }
 
     /// Inclusive prefix reduction ("scan"): rank r receives
@@ -377,30 +732,20 @@ impl NodeCtx {
             bytes: value.to_wire().len() as u64,
         });
         let _scope = self.collective_scope();
-        let gathered = self.gather(0, value.to_wire())?;
-        let parts = if let Some(bufs) = gathered {
+        self.prefix_collective(CollOp::Scan, value, "scan: undecodable result", |bufs| {
             let mut acc: Option<T> = None;
             let mut out = Vec::with_capacity(bufs.len());
-            for b in &bufs {
-                let v = T::from_wire(b).ok_or_else(|| {
-                    MachineError::CollectiveMismatch("scan: undecodable operand".into())
-                })?;
+            for b in bufs {
+                let v: T = decode(b, "scan: undecodable operand")?;
                 let next = match &acc {
                     None => v,
                     Some(a) => op(a, &v),
                 };
                 out.push(next.to_wire());
-                acc = Some(T::from_wire(&out[out.len() - 1]).ok_or_else(|| {
-                    MachineError::CollectiveMismatch("scan: roundtrip failure".into())
-                })?);
+                acc = Some(decode(&out[out.len() - 1], "scan: roundtrip failure")?);
             }
-            Some(out)
-        } else {
-            None
-        };
-        let mine = self.scatter(0, parts)?;
-        T::from_wire(&mine)
-            .ok_or_else(|| MachineError::CollectiveMismatch("scan: undecodable result".into()))
+            Ok(out)
+        })
     }
 
     /// Exclusive prefix reduction: rank 0 receives `identity`, rank r > 0
@@ -416,24 +761,17 @@ impl NodeCtx {
             bytes: value.to_wire().len() as u64,
         });
         let _scope = self.collective_scope();
-        let gathered = self.gather(0, value.to_wire())?;
-        let parts = if let Some(bufs) = gathered {
-            let mut acc = identity;
+        let mut identity = Some(identity);
+        let what = "exclusive_scan: undecodable result";
+        self.prefix_collective(CollOp::ExclusiveScan, value, what, |bufs| {
+            let mut acc = identity.take().expect("the root step runs once");
             let mut out = Vec::with_capacity(bufs.len());
-            for b in &bufs {
+            for b in bufs {
                 out.push(acc.to_wire());
-                let v = T::from_wire(b).ok_or_else(|| {
-                    MachineError::CollectiveMismatch("exclusive_scan: undecodable operand".into())
-                })?;
+                let v: T = decode(b, "exclusive_scan: undecodable operand")?;
                 acc = op(&acc, &v);
             }
-            Some(out)
-        } else {
-            None
-        };
-        let mine = self.scatter(0, parts)?;
-        T::from_wire(&mine).ok_or_else(|| {
-            MachineError::CollectiveMismatch("exclusive_scan: undecodable result".into())
+            Ok(out)
         })
     }
 
@@ -658,6 +996,71 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out[0], (7, 0));
+    }
+
+    #[test]
+    fn every_leg_has_exactly_one_partner() {
+        // Each phase pattern pairs every send with one receive on the
+        // same edge, and uses each edge at most once.
+        for n in 1..=17 {
+            for root in 0..n {
+                for pattern in [
+                    Pattern::Gather(root),
+                    Pattern::Scatter(root),
+                    Pattern::Broadcast(root),
+                ] {
+                    let mut sends = Vec::new();
+                    let mut recvs = Vec::new();
+                    for rank in 0..n {
+                        for hop in (0..).map_while(|k| pattern.hop(rank, n, k)) {
+                            assert_ne!(hop.peer, rank, "{pattern:?} n={n}");
+                            if hop.send {
+                                sends.push((rank, hop.peer));
+                            } else {
+                                recvs.push((hop.peer, rank));
+                            }
+                        }
+                    }
+                    sends.sort_unstable();
+                    recvs.sort_unstable();
+                    assert_eq!(sends, recvs, "{pattern:?} n={n}");
+                    assert!(sends.windows(2).all(|w| w[0] != w[1]));
+                    assert_eq!(sends.len(), n - 1, "{pattern:?} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_collectives_fail_on_every_rank() {
+        let out = Machine::run(MachineConfig::functional(4), |ctx| {
+            if ctx.is_root() {
+                ctx.barrier().map(|()| 0)
+            } else {
+                ctx.all_reduce(1u64, |a, b| a + b)
+            }
+        })
+        .unwrap();
+        for res in out {
+            assert!(
+                matches!(res, Err(MachineError::CollectiveMismatch(_))),
+                "{res:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn broadcast_roots_must_agree() {
+        let out = Machine::run(MachineConfig::functional(3), |ctx| {
+            ctx.broadcast(ctx.rank() % 2, vec![ctx.rank() as u8])
+        })
+        .unwrap();
+        for res in out {
+            assert!(
+                matches!(res, Err(MachineError::CollectiveMismatch(_))),
+                "{res:?}"
+            );
+        }
     }
 
     #[test]

@@ -35,10 +35,6 @@ pub enum MachineError {
         /// The crashed rank.
         rank: usize,
     },
-    /// Every peer's channel has closed while an any-source receive was
-    /// pending: there is no rank left that could ever satisfy it.
-    /// Distinct from [`MachineError::PeerGone`], which names one peer.
-    AllPeersGone,
     /// A collective was called with inconsistent arguments across ranks
     /// (e.g. differing root or mismatched vector lengths).
     CollectiveMismatch(String),
@@ -63,12 +59,6 @@ impl fmt::Display for MachineError {
             }
             MachineError::RankCrashed { rank } => {
                 write!(f, "rank {rank} was killed by an injected power-cut fault")
-            }
-            MachineError::AllPeersGone => {
-                write!(
-                    f,
-                    "every peer terminated while an any-source receive was pending"
-                )
             }
             MachineError::CollectiveMismatch(msg) => {
                 write!(f, "inconsistent collective call: {msg}")

@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cell;
 mod collectives;
 pub mod config;
 pub mod error;

@@ -1,8 +1,11 @@
 //! The machine runner: spawns one OS thread per simulated rank and wires
 //! the full message-channel mesh between them.
 
+use std::sync::Arc;
+
 use crossbeam::channel::unbounded;
 
+use crate::cell::CollectiveCell;
 use crate::config::MachineConfig;
 use crate::error::MachineError;
 use crate::message::{Envelope, Mailbox};
@@ -60,9 +63,23 @@ impl Machine {
             }
         }
 
+        // Without a fault plan collectives meet in one shared cell; any
+        // plan, even an inert one, keeps every collective leg on the wire
+        // where its fates apply.
+        let cell = config
+            .faults
+            .is_none()
+            .then(|| Arc::new(CollectiveCell::new(n)));
         let mut contexts: Vec<NodeCtx> = Vec::with_capacity(n);
         for (rank, (tx, rx)) in tx_rows.into_iter().zip(rx_rows).enumerate() {
-            contexts.push(NodeCtx::new(rank, config.clone(), tx, Mailbox::new(rx)));
+            let mailbox = Mailbox::new(rx);
+            contexts.push(NodeCtx::new(
+                rank,
+                config.clone(),
+                tx,
+                mailbox,
+                cell.clone(),
+            ));
         }
 
         let f = &f;
@@ -72,7 +89,8 @@ impl Machine {
                 .map(|ctx| {
                     scope.spawn(move || {
                         let out = f(&ctx);
-                        // Dropping ctx here closes this rank's senders,
+                        // Dropping ctx here closes this rank's senders
+                        // and marks it departed in the collective cell,
                         // letting blocked peers observe PeerGone rather
                         // than hanging, had we panicked above.
                         out
@@ -149,6 +167,35 @@ mod tests {
             })
         });
         assert!(res.is_err(), "panic should propagate to the caller");
+    }
+
+    #[test]
+    fn a_dead_rank_fails_a_peer_blocked_in_a_collective() {
+        use std::sync::Mutex;
+        use std::time::{Duration, Instant};
+        for sync_clocks in [false, true] {
+            let seen = Mutex::new(None);
+            let res = std::panic::catch_unwind(|| {
+                Machine::run(MachineConfig::functional(2), |ctx| {
+                    if ctx.rank() == 1 {
+                        // Let rank 0 block in the collective first.
+                        std::thread::sleep(Duration::from_millis(20));
+                        panic!("rank 1 dies");
+                    }
+                    let start = Instant::now();
+                    let err = if sync_clocks {
+                        ctx.sync_clocks().map(|_| ()).unwrap_err()
+                    } else {
+                        ctx.barrier().unwrap_err()
+                    };
+                    *seen.lock().unwrap() = Some((err, start.elapsed()));
+                })
+            });
+            assert!(res.is_err(), "panic should propagate to the caller");
+            let (err, waited) = seen.lock().unwrap().take().expect("rank 0 returned");
+            assert_eq!(err, MachineError::PeerGone { rank: 1 });
+            assert!(waited < Duration::from_secs(1), "waited {waited:?}");
+        }
     }
 
     #[test]

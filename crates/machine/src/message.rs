@@ -90,10 +90,10 @@ pub struct Envelope {
     pub payload: Vec<u8>,
 }
 
-/// How long a blocking receive waits on the physical channel before
-/// declaring the peer dead. Generous: the simulation does no real I/O
+/// How long a blocking receive (or a wait in the collective cell) lasts
+/// before declaring the peer dead. Generous: the simulation does no real I/O
 /// waits longer than scheduler noise.
-const RECV_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
+pub(crate) const RECV_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
 
 /// Per-rank incoming message store.
 pub struct Mailbox {
@@ -220,52 +220,6 @@ impl Mailbox {
         }
     }
 
-    /// Blocking receive of the next message carrying `tag` from *any*
-    /// source (the `MPI_ANY_SOURCE` analogue, for master/worker
-    /// patterns). Arrival order across sources is inherently
-    /// scheduling-dependent — callers must not rely on it.
-    pub fn recv_any(&mut self, tag: Tag) -> Result<Envelope, MachineError> {
-        let deadline = std::time::Instant::now() + RECV_TIMEOUT;
-        let mut closed = vec![false; self.rx.len()];
-        loop {
-            // Serve parked messages first (lowest source rank wins, for
-            // what little determinism that provides).
-            for q in self.pending.iter_mut() {
-                if let Some(pos) = q.iter().position(|e| e.tag == tag) {
-                    return Ok(q.remove(pos).expect("position valid"));
-                }
-            }
-            let mut sel = crossbeam::channel::Select::new();
-            let mut idx_map = Vec::new();
-            for (i, rx) in self.rx.iter().enumerate() {
-                if !closed[i] && !self.edge_dead_for(i, tag) {
-                    sel.recv(rx);
-                    idx_map.push(i);
-                }
-            }
-            if idx_map.is_empty() {
-                // Every edge is disconnected or tombstoned: no rank is
-                // left that could ever satisfy this receive.
-                return Err(MachineError::AllPeersGone);
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            let oper = match sel.select_timeout(remaining) {
-                Ok(o) => o,
-                Err(_) => {
-                    return Err(MachineError::RecvTimeout {
-                        from: usize::MAX,
-                        tag,
-                    })
-                }
-            };
-            let i = idx_map[oper.index()];
-            match oper.recv(&self.rx[i]) {
-                Ok(env) => self.ingest(i, env),
-                Err(_) => closed[i] = true,
-            }
-        }
-    }
-
     /// Count of parked messages (for tests and diagnostics).
     pub fn pending_count(&self) -> usize {
         self.pending.iter().map(|q| q.len()).sum()
@@ -353,31 +307,6 @@ mod tests {
             mb.recv(0, 0),
             Err(MachineError::PeerGone { rank: 0 })
         ));
-    }
-
-    /// Satellite fix pin: `recv_any` with every channel closed used to
-    /// return the placeholder `PeerGone { rank: 0 }`, blaming rank 0 for
-    /// a machine-wide condition. It now reports `AllPeersGone`.
-    #[test]
-    fn recv_any_with_all_channels_closed_is_all_peers_gone() {
-        let (tx0, rx0) = unbounded::<Envelope>();
-        let (tx1, rx1) = unbounded::<Envelope>();
-        drop(tx0);
-        drop(tx1);
-        let mut mb = Mailbox::new(vec![rx0, rx1]);
-        assert_eq!(mb.recv_any(3), Err(MachineError::AllPeersGone));
-    }
-
-    #[test]
-    fn recv_any_still_drains_parked_messages_after_close() {
-        let (tx0, rx0) = unbounded::<Envelope>();
-        let (tx1, rx1) = unbounded::<Envelope>();
-        tx0.send(env(0, 3, 0, 9)).unwrap();
-        drop(tx0);
-        drop(tx1);
-        let mut mb = Mailbox::new(vec![rx0, rx1]);
-        assert_eq!(mb.recv_any(3).unwrap().payload, vec![9]);
-        assert_eq!(mb.recv_any(3), Err(MachineError::AllPeersGone));
     }
 
     #[test]

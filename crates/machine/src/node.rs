@@ -11,10 +11,12 @@
 //! that each hold a shared reference.
 
 use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 use crossbeam::channel::Sender;
 use dstreams_trace::{Event, EventKind, TraceSink};
 
+use crate::cell::CollectiveCell;
 use crate::config::{MachineConfig, MemoryModel};
 use crate::error::MachineError;
 use crate::fault::{FaultDecision, MsgFate, MsgFaultPlan, RankFaults};
@@ -121,6 +123,9 @@ pub struct NodeCtx {
     msg: Option<RefCell<MsgLayer>>,
     /// This rank's pending asynchronous operations.
     asyncq: RefCell<AsyncQueue>,
+    /// The machine's collective cell, on fault-free runs; `None` sends
+    /// every collective leg over the wire.
+    cell: Option<Arc<CollectiveCell>>,
 }
 
 impl NodeCtx {
@@ -129,6 +134,7 @@ impl NodeCtx {
         config: MachineConfig,
         tx: Vec<Sender<Envelope>>,
         mailbox: Mailbox,
+        cell: Option<Arc<CollectiveCell>>,
     ) -> Self {
         let tracer = config.trace.clone().map(|sink| Tracer {
             sink,
@@ -169,6 +175,7 @@ impl NodeCtx {
                 tail: VTime::ZERO,
                 pending: Vec::new(),
             }),
+            cell,
         }
     }
 
@@ -244,14 +251,22 @@ impl NodeCtx {
     /// tracing on or off.
     #[inline]
     pub fn emit_with<F: FnOnce() -> EventKind>(&self, kind: F) {
+        if self.tracer.is_some() {
+            self.emit_at(self.now(), kind());
+        }
+    }
+
+    /// Record one event stamped with `vtime` instead of the clock: the
+    /// legs a collective cell ran on this rank's behalf.
+    pub(crate) fn emit_at(&self, vtime: VTime, kind: EventKind) {
         if let Some(t) = &self.tracer {
             let seq = t.seq.get();
             t.seq.set(seq + 1);
             t.sink.record(Event {
                 rank: self.rank,
-                vtime_ns: self.now().as_nanos(),
+                vtime_ns: vtime.as_nanos(),
                 seq,
-                kind: kind(),
+                kind,
             });
         }
     }
@@ -655,33 +670,16 @@ impl NodeCtx {
         })
     }
 
-    /// Blocking receive of the next `tag` message from *any* rank — the
-    /// `MPI_ANY_SOURCE` analogue for master/worker patterns. Returns
-    /// `(source, payload)`. Unlike the rest of the machine, the *order*
-    /// in which different sources are served depends on thread scheduling;
-    /// use it only where any order is acceptable.
-    pub fn recv_any(&self, tag: Tag) -> Result<(usize, Vec<u8>), MachineError> {
-        self.check_alive()?;
-        self.flush_held(None);
-        let res = self.mailbox.borrow_mut().recv_any(tag);
-        self.drain_dup_log();
-        let env = res?;
-        self.sync_to(env.arrival);
-        self.advance(self.config.net.recv_overhead);
-        self.emit_with(|| EventKind::MsgRecv {
-            from: env.from,
-            tag,
-            bytes: env.payload.len() as u64,
-            collective: tag & COLLECTIVE_TAG_BASE != 0,
-        });
-        Ok((env.from, env.payload))
-    }
-
     /// Next collective sequence number (wraps in the reserved tag space).
     pub(crate) fn next_coll_tag(&self) -> Tag {
         let seq = self.coll_seq.get();
         self.coll_seq.set(seq.wrapping_add(1));
         crate::message::COLLECTIVE_TAG_BASE | (seq & 0x7fff_ffff)
+    }
+
+    /// The machine's collective cell, when collectives bypass the wire.
+    pub(crate) fn cell(&self) -> Option<&CollectiveCell> {
+        self.cell.as_deref()
     }
 }
 
@@ -692,6 +690,10 @@ impl Drop for NodeCtx {
         // over so a receiver can't wedge on a message the sender merely
         // postponed past its last wire operation.
         self.flush_held(None);
+        // A peer blocked in the collective cell learns this rank is gone.
+        if let Some(cell) = &self.cell {
+            cell.depart(self.rank);
+        }
     }
 }
 
@@ -766,43 +768,6 @@ mod tests {
         Machine::run(MachineConfig::functional(2), |ctx| {
             let err = ctx.send(7, 0, b"x").unwrap_err();
             assert!(matches!(err, MachineError::InvalidRank { rank: 7, .. }));
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn recv_any_collects_from_all_workers() {
-        let out = Machine::run(MachineConfig::functional(5), |ctx| {
-            if ctx.is_root() {
-                // Master: collect one result from each worker, any order.
-                let mut seen = std::collections::HashSet::new();
-                for _ in 1..ctx.nprocs() {
-                    let (from, payload) = ctx.recv_any(9).unwrap();
-                    assert_eq!(payload, vec![from as u8 * 3]);
-                    assert!(seen.insert(from), "duplicate result from {from}");
-                }
-                seen.len()
-            } else {
-                ctx.send(0, 9, &[ctx.rank() as u8 * 3]).unwrap();
-                0
-            }
-        })
-        .unwrap();
-        assert_eq!(out[0], 4);
-    }
-
-    #[test]
-    fn recv_any_leaves_other_tags_pending() {
-        Machine::run(MachineConfig::functional(2), |ctx| {
-            if ctx.is_root() {
-                let (from, p) = ctx.recv_any(2).unwrap();
-                assert_eq!((from, p), (1, vec![20]));
-                // The tag-1 message sent first is still retrievable.
-                assert_eq!(ctx.recv(1, 1).unwrap(), vec![10]);
-            } else {
-                ctx.send(0, 1, &[10]).unwrap();
-                ctx.send(0, 2, &[20]).unwrap();
-            }
         })
         .unwrap();
     }

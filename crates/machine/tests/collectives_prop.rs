@@ -1,8 +1,10 @@
 //! Property tests on the machine's collective operations: they must agree
 //! with their sequential definitions for arbitrary machine sizes, payload
-//! sizes, and roots.
+//! sizes, and roots, and the collective cell must be indistinguishable
+//! from the wire path it replaces on fault-free machines.
 
-use dstreams_machine::{Machine, MachineConfig, VTime};
+use dstreams_machine::{FaultPlan, Machine, MachineConfig, MsgFaultPlan, VTime, Wire};
+use dstreams_trace::{OpCounts, TraceSink};
 use proptest::prelude::*;
 
 proptest! {
@@ -131,5 +133,127 @@ proptest! {
             acc = acc.wrapping_add(v);
             prop_assert_eq!(*inc, acc, "inclusive prefix at rank {}", r);
         }
+    }
+}
+
+/// One generated SPMD program: a sequence of call codes (each picks a
+/// collective or a point-to-point ring and derives its root, payload
+/// length and operand from the code) and one clock skew per rank.
+struct Program {
+    nprocs: usize,
+    paragon: bool,
+    calls: Vec<u64>,
+    skews: Vec<u64>,
+}
+
+/// A rank's results, one entry per call, and its final clock.
+type RankOut = (Vec<Vec<Vec<u8>>>, VTime);
+
+/// Run `prog` traced, on the collective cell (no fault plan) or on the
+/// wire (an inert message plan seeded with `wire_seed`). Returns every
+/// rank's results and clock, the merged trace and its operation counts.
+fn run_program(prog: &Program, wire_seed: Option<u64>) -> (Vec<RankOut>, String, OpCounts) {
+    let n = prog.nprocs;
+    let sink = TraceSink::new(n);
+    let mut config = if prog.paragon {
+        MachineConfig::paragon(n)
+    } else {
+        MachineConfig::functional(n)
+    }
+    .traced(sink.clone());
+    if let Some(seed) = wire_seed {
+        config = config.with_faults(FaultPlan::default().with_msg(MsgFaultPlan::seeded(seed)));
+    }
+    let outs = Machine::run(config, |ctx| {
+        let me = ctx.rank();
+        let mut results = Vec::new();
+        for (i, &code) in prog.calls.iter().enumerate() {
+            ctx.advance(VTime::from_nanos(prog.skews[me] * ((i + me) % 3) as u64));
+            let root = (code >> 8) as usize % n;
+            let len = (code >> 16) as usize % 40;
+            let payload = |salt: usize| -> Vec<u8> {
+                (0..len + salt % 5)
+                    .map(|k| (code as usize ^ salt ^ k) as u8)
+                    .collect()
+            };
+            let operand_of = |r: usize| code.rotate_left(r as u32 * 7);
+            let operand = operand_of(me);
+            // Order-sensitive operators, so a fold in the wrong order shows.
+            let fold = |a: u64, b: u64| a.wrapping_mul(31).wrapping_add(b);
+            let prefix = |a: &u64, b: &u64| a.wrapping_mul(7) ^ *b;
+            let res: Vec<Vec<u8>> = match code % 13 {
+                0 => {
+                    ctx.barrier().unwrap();
+                    Vec::new()
+                }
+                1 => vec![ctx.broadcast(root, payload(me)).unwrap()],
+                2 => ctx.gather(root, payload(me)).unwrap().unwrap_or_default(),
+                3 => ctx.all_gather(payload(me)).unwrap(),
+                4 => {
+                    let parts = (me == root).then(|| (0..n).map(payload).collect());
+                    vec![ctx.scatter(root, parts).unwrap()]
+                }
+                5 => ctx
+                    .all_to_all((0..n).map(|to| payload(me * n + to)).collect())
+                    .unwrap(),
+                6 => ctx
+                    .reduce(root, operand, fold)
+                    .unwrap()
+                    .iter()
+                    .map(Wire::to_wire)
+                    .collect(),
+                7 => {
+                    let got = ctx.all_reduce(operand, fold).unwrap();
+                    // Rank 0's operand first, then the others in rank order.
+                    assert_eq!(
+                        got,
+                        (1..n).fold(operand_of(0), |a, r| fold(a, operand_of(r)))
+                    );
+                    vec![got.to_wire()]
+                }
+                8 => vec![ctx.scan(operand, prefix).unwrap().to_wire()],
+                9 => vec![ctx.exclusive_scan(operand, 5, prefix).unwrap().to_wire()],
+                10 => vec![ctx.max_time().unwrap().to_wire()],
+                11 => vec![ctx.sync_clocks().unwrap().to_wire()],
+                _ => {
+                    // Point-to-point ring traffic between collectives.
+                    if n == 1 {
+                        Vec::new()
+                    } else {
+                        ctx.send((me + 1) % n, 3, &payload(me)).unwrap();
+                        vec![ctx.recv((me + n - 1) % n, 3).unwrap()]
+                    }
+                }
+            };
+            results.push(res);
+        }
+        (results, ctx.now())
+    })
+    .unwrap();
+    let trace = sink.take();
+    let counts = trace.op_counts();
+    (outs, trace.to_events_json(), counts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+
+    /// The collective cell and the wire run one hop schedule: any program
+    /// gives identical results, clocks, traces and operation counts on
+    /// both paths.
+    #[test]
+    fn cell_and_wire_paths_are_indistinguishable(
+        nprocs in 1usize..10,
+        paragon in any::<bool>(),
+        calls in proptest::collection::vec(any::<u64>(), 1..24),
+        skews in proptest::collection::vec(0u64..50_000, 9),
+        wire_seed in any::<u64>(),
+    ) {
+        let prog = Program { nprocs, paragon, calls, skews };
+        let (cell_out, cell_trace, cell_counts) = run_program(&prog, None);
+        let (wire_out, wire_trace, wire_counts) = run_program(&prog, Some(wire_seed));
+        prop_assert_eq!(&cell_out, &wire_out, "results or clocks differ");
+        prop_assert_eq!(&cell_trace, &wire_trace, "traces differ");
+        prop_assert_eq!(&cell_counts, &wire_counts);
     }
 }

@@ -1,12 +1,9 @@
 //! Offline shim for `crossbeam`, providing the `channel` subset this
-//! workspace uses: unbounded MPSC-style channels with timeout receives and
-//! a poll-based `Select` over multiple receivers.
+//! workspace uses: unbounded MPSC-style channels with timeout receives.
 //!
 //! Built on `std::sync::{Mutex, Condvar}`. Disconnection semantics follow
 //! crossbeam: a receive on a channel whose senders are all dropped fails
-//! with `Disconnected` once the queue drains, and `Select` treats a
-//! disconnected channel as ready (its receive completes immediately with
-//! an error).
+//! with `Disconnected` once the queue drains.
 
 #![forbid(unsafe_code)]
 
@@ -42,10 +39,6 @@ pub mod channel {
         /// All senders dropped and the queue is empty.
         Disconnected,
     }
-
-    /// Error returned by [`Select::select_timeout`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SelectTimeoutError;
 
     /// Sending half of an unbounded channel.
     pub struct Sender<T> {
@@ -150,101 +143,6 @@ pub mod channel {
                 st = guard;
             }
         }
-
-        /// Non-blocking readiness probe: a receive right now would not
-        /// block (either a message is queued or the channel is
-        /// disconnected and would error immediately).
-        fn ready_now(&self) -> bool {
-            let st = self.shared.queue.lock().unwrap();
-            !st.queue.is_empty() || st.senders == 0
-        }
-    }
-
-    trait Pollable {
-        fn poll_ready(&self) -> bool;
-    }
-
-    impl<T> Pollable for Receiver<T> {
-        fn poll_ready(&self) -> bool {
-            self.ready_now()
-        }
-    }
-
-    /// Poll-based select over a set of receive operations.
-    ///
-    /// Unlike crossbeam's parker-based implementation this shim polls the
-    /// registered receivers with a short sleep between rounds; it is only
-    /// intended for the cold `recv_any` path of the simulator's mailbox,
-    /// which has a single consumer per receiver (so readiness observed by
-    /// the poll cannot be stolen before the completing `recv`).
-    pub struct Select<'a> {
-        handles: Vec<&'a dyn Pollable>,
-    }
-
-    impl<'a> Select<'a> {
-        /// Create an empty selector.
-        #[allow(clippy::new_without_default)]
-        pub fn new() -> Self {
-            Select {
-                handles: Vec::new(),
-            }
-        }
-
-        /// Register a receive operation; returns its operation index.
-        pub fn recv<T>(&mut self, rx: &'a Receiver<T>) -> usize {
-            self.handles.push(rx);
-            self.handles.len() - 1
-        }
-
-        /// Wait until a registered operation is ready or the timeout
-        /// elapses.
-        pub fn select_timeout(
-            &mut self,
-            timeout: Duration,
-        ) -> Result<SelectedOperation, SelectTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut spins: u32 = 0;
-            loop {
-                for (i, h) in self.handles.iter().enumerate() {
-                    if h.poll_ready() {
-                        return Ok(SelectedOperation { index: i });
-                    }
-                }
-                if Instant::now() >= deadline {
-                    return Err(SelectTimeoutError);
-                }
-                if spins < 64 {
-                    spins += 1;
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
-        }
-    }
-
-    /// A ready operation returned by [`Select::select_timeout`].
-    pub struct SelectedOperation {
-        index: usize,
-    }
-
-    impl SelectedOperation {
-        /// Index of the ready operation in registration order.
-        pub fn index(&self) -> usize {
-            self.index
-        }
-
-        /// Complete the selected receive on the corresponding receiver.
-        pub fn recv<T>(self, rx: &Receiver<T>) -> Result<T, RecvError> {
-            // Readiness was observed and this mailbox is the only
-            // consumer, so either a message is queued or the channel is
-            // disconnected; a bounded wait covers the benign race with a
-            // sender mid-enqueue.
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(v) => Ok(v),
-                Err(_) => Err(RecvError),
-            }
-        }
     }
 
     #[cfg(test)]
@@ -277,19 +175,6 @@ pub mod channel {
                 rx.recv_timeout(Duration::from_millis(5)),
                 Err(RecvTimeoutError::Timeout)
             );
-        }
-
-        #[test]
-        fn select_picks_the_ready_channel() {
-            let (tx_a, rx_a) = unbounded::<u8>();
-            let (_tx_b, rx_b) = unbounded::<u8>();
-            tx_a.send(7).unwrap();
-            let mut sel = Select::new();
-            sel.recv(&rx_a);
-            sel.recv(&rx_b);
-            let oper = sel.select_timeout(Duration::from_millis(100)).unwrap();
-            assert_eq!(oper.index(), 0);
-            assert_eq!(oper.recv(&rx_a), Ok(7));
         }
 
         #[test]
