@@ -31,6 +31,8 @@ pub trait Prim: Copy {
     const TAG: u8;
     /// Append the little-endian image to `out`.
     fn put(self, out: &mut Vec<u8>);
+    /// Write the little-endian image into exactly `WIDTH` bytes.
+    fn store(self, slot: &mut [u8]);
     /// Decode from exactly `WIDTH` bytes.
     fn get(b: &[u8]) -> Self;
 }
@@ -43,6 +45,9 @@ macro_rules! impl_prim {
             const TAG: u8 = $tag;
             fn put(self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn store(self, slot: &mut [u8]) {
+                slot.copy_from_slice(&self.to_le_bytes());
             }
             fn get(b: &[u8]) -> Self {
                 <$t>::from_le_bytes(b.try_into().expect("exact width"))
@@ -108,9 +113,10 @@ impl<'a> Inserter<'a> {
     /// `s << array(p.mass, p.numberOfParticles)`.
     pub fn slice<T: Prim>(&mut self, s: &[T]) {
         self.mark::<T>(s.len());
-        self.buf.reserve(s.len() * T::WIDTH);
-        for &v in s {
-            v.put(self.buf);
+        let start = self.buf.len();
+        self.buf.resize(start + s.len() * T::WIDTH, 0);
+        for (slot, &v) in self.buf[start..].chunks_exact_mut(T::WIDTH).zip(s) {
+            v.store(slot);
         }
     }
 
@@ -208,12 +214,9 @@ impl<'a> Extractor<'a> {
         count: usize,
     ) -> Result<(), StreamError> {
         self.check_mark::<T>(count)?;
-        let raw = self.take(count * T::WIDTH)?;
+        let raw = self.take(count.saturating_mul(T::WIDTH))?;
         out.clear();
-        out.reserve(count);
-        for chunk in raw.chunks_exact(T::WIDTH) {
-            out.push(T::get(chunk));
-        }
+        out.extend(raw.chunks_exact(T::WIDTH).map(T::get));
         Ok(())
     }
 
@@ -505,6 +508,74 @@ mod tests {
                 available: 1
             }
         ));
+    }
+
+    /// `slice` as it was before it moved whole slices: tag and count in
+    /// checked mode, then one `put` per value.
+    fn slice_per_value<T: Prim>(s: &[T], checked: bool) -> Vec<u8> {
+        let mut out = Vec::new();
+        if checked {
+            out.push(T::TAG);
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        }
+        for &v in s {
+            v.put(&mut out);
+        }
+        out
+    }
+
+    fn check_slice_kernels<T: Prim + PartialEq + std::fmt::Debug>(values: &[T]) {
+        for checked in [false, true] {
+            for n in [0, 1, 2, 7, values.len()] {
+                let s = &values[..n];
+                let ctx = format!("{} x{n} checked={checked}", T::NAME);
+                // A byte already in the buffer must stay untouched.
+                let mut buf = vec![0xEE];
+                Inserter::new(&mut buf, checked).slice(s);
+                let mut want = vec![0xEE];
+                want.extend(slice_per_value(s, checked));
+                assert_eq!(buf, want, "{ctx}: bulk slice != per-value put");
+
+                let mut out = vec![values[1]];
+                let mut ext = Extractor::new(&buf, 1, 0, checked);
+                ext.slice_into(&mut out, n).unwrap();
+                assert_eq!(out, s, "{ctx}: slice_into round trip");
+                assert_eq!(ext.remaining(), 0, "{ctx}");
+
+                // Cut inside the data, and inside the checked header.
+                let cuts = [buf.len() - 1, 3];
+                for cut in cuts.into_iter().filter(|&c| c > 1 && c < buf.len()) {
+                    let err = Extractor::new(&buf[..cut], 1, 5, checked)
+                        .slice_into(&mut out, n)
+                        .unwrap_err();
+                    assert!(
+                        matches!(err, StreamError::ExtractOverrun { element: 5, .. }),
+                        "{ctx} cut at {cut}: {err:?}"
+                    );
+                }
+            }
+            // An absurd count overruns instead of overflowing the length.
+            let mut out = Vec::new();
+            let err = Extractor::new(&[0u8; 8], 0, 0, false)
+                .slice_into::<T>(&mut out, usize::MAX)
+                .unwrap_err();
+            assert!(matches!(err, StreamError::ExtractOverrun { .. }));
+        }
+    }
+
+    #[test]
+    fn bulk_slice_kernels_match_per_value_encoding_for_every_prim() {
+        let ints = || (0..20i64).map(|i| i * 0x0123_4567 - 0x89);
+        check_slice_kernels(&ints().map(|i| i as u8).collect::<Vec<_>>());
+        check_slice_kernels(&ints().map(|i| i as i8).collect::<Vec<_>>());
+        check_slice_kernels(&ints().map(|i| i as u16).collect::<Vec<_>>());
+        check_slice_kernels(&ints().map(|i| i as i16).collect::<Vec<_>>());
+        check_slice_kernels(&ints().map(|i| i as u32).collect::<Vec<_>>());
+        check_slice_kernels(&ints().map(|i| i as i32).collect::<Vec<_>>());
+        check_slice_kernels(&ints().map(|i| (i as u64) << 20).collect::<Vec<_>>());
+        check_slice_kernels(&ints().map(|i| -i << 30).collect::<Vec<_>>());
+        check_slice_kernels(&ints().map(|i| i as f32 / 3.0).collect::<Vec<_>>());
+        check_slice_kernels(&ints().map(|i| i as f64 / -7.0).collect::<Vec<_>>());
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! `open → (insert⁺ → write)* → close`, with the interleaving constraint
 //! that all inserts between two writes cover collections of the same shape.
 
+use std::borrow::Cow;
+
 use dstreams_collections::Collection;
 use dstreams_collections::Layout;
 use dstreams_machine::{MemoryModel, NodeCtx, SharedBuffer};
@@ -96,17 +98,32 @@ impl PendingWrite {
     }
 }
 
+/// One insert of the current interleave group: every local element's
+/// bytes, packed as one contiguous run in slot order.
+struct Run {
+    bytes: Vec<u8>,
+    /// End offset in `bytes` of each slot's chunk.
+    ends: Vec<usize>,
+}
+
+impl Run {
+    /// Slot `slot`'s chunk of this insert.
+    fn chunk(&self, slot: usize) -> &[u8] {
+        let start = slot.checked_sub(1).map_or(0, |s| self.ends[s]);
+        &self.bytes[start..self.ends[slot]]
+    }
+}
+
 /// An output d/stream bound to one file and one collection layout.
 pub struct OStream<'a> {
     ctx: &'a NodeCtx,
     layout: Layout,
     fh: FileHandle,
     opts: StreamOptions,
-    /// Per-local-slot accumulated bytes for the current interleave group.
-    group: Vec<Vec<u8>>,
+    /// The current interleave group, one run per insert.
+    runs: Vec<Run>,
     /// Shared staging buffer (single-buffer SMP variant only).
     scratch: Option<SharedBuffer>,
-    n_inserts: u32,
     records_written: usize,
     /// Whether the on-file format version has been validated for appending.
     version_checked: bool,
@@ -164,15 +181,13 @@ impl<'a> OStream<'a> {
         // parallel I/O (matching the paper's oStream constructor, which
         // only sets up state).
         ctx.barrier()?;
-        let local_count = layout.local_count(ctx.rank());
         Ok(OStream {
             ctx,
             layout: layout.clone(),
             fh,
             opts,
-            group: (0..local_count).map(|_| Vec::new()).collect(),
+            runs: Vec::new(),
             scratch,
-            n_inserts: 0,
             records_written: 0,
             version_checked: false,
             in_flight: 0,
@@ -232,10 +247,10 @@ impl<'a> OStream<'a> {
                 "the stream was not created in append mode",
             ));
         }
-        if self.n_inserts > 0 {
+        if !self.runs.is_empty() {
             return Err(StreamError::violation(
                 "seal_segment",
-                format!("{} inserts pending without a write()", self.n_inserts),
+                format!("{} inserts pending without a write()", self.runs.len()),
             ));
         }
         if self.in_flight > 0 {
@@ -283,7 +298,7 @@ impl<'a> OStream<'a> {
 
     /// Inserts pending in the current interleave group.
     pub fn pending_inserts(&self) -> u32 {
-        self.n_inserts
+        self.runs.len() as u32
     }
 
     /// Records written so far through this stream.
@@ -320,54 +335,41 @@ impl<'a> OStream<'a> {
                 "inserted collection is not aligned with the stream".into(),
             ));
         }
-        let mut added = 0usize;
-        for (slot, (_gid, elem)) in c.iter().enumerate() {
-            let buf = &mut self.group[slot];
-            let before = buf.len();
-            let mut ins = Inserter::new(buf, self.opts.checked);
-            f(elem, &mut ins);
-            added += buf.len() - before;
+        let mut bytes = Vec::new();
+        let mut ends = Vec::with_capacity(self.layout.local_count(self.ctx.rank()));
+        for (_gid, elem) in c.iter() {
+            f(elem, &mut Inserter::new(&mut bytes, self.opts.checked));
+            ends.push(bytes.len());
         }
         // This serialization pass is the single data copy of the paper's
         // pointer-list design (there the copy happens at write()).
-        self.ctx.charge_memcpy(added);
-        self.n_inserts += 1;
+        self.ctx.charge_memcpy(bytes.len());
+        self.runs.push(Run { bytes, ends });
         Ok(())
     }
 
-    /// Stage the current interleave group for emission: everything a
-    /// write record needs short of the file operations themselves —
-    /// the metadata exchange, the packing pass, and the lazily-written
-    /// file header.
-    #[allow(clippy::type_complexity)]
-    fn stage_record(
-        &mut self,
-    ) -> Result<(MetaMode, RecordHeader, Vec<u8>, Vec<u64>, Vec<u8>), StreamError> {
-        if self.n_inserts == 0 {
-            return Err(StreamError::EmptyWrite);
+    /// This rank's data block for the current interleave group: local
+    /// elements in slot order, each element's insert chunks adjacent.
+    /// A single insert's run already is that block, so only a group of
+    /// several inserts is interleaved into a new buffer (`Some`).
+    fn pack(&self) -> Option<Vec<u8>> {
+        if let [_] = self.runs.as_slice() {
+            return None;
         }
-        let local_sizes: Vec<u64> = self.group.iter().map(|b| b.len() as u64).collect();
-        let local_bytes: u64 = local_sizes.iter().sum();
-        let data_len = self.ctx.all_reduce(local_bytes, |a, b| a + b)?;
-
-        // Pack this rank's data block: local elements in slot order, insert
-        // chunks already interleaved per element.
-        let pack = crate::phase::span(self.ctx, StreamPhase::Pack);
-        let mut data = Vec::with_capacity(local_bytes as usize);
-        for chunk in &self.group {
-            data.extend_from_slice(chunk);
+        let total = self.runs.iter().map(|r| r.bytes.len()).sum();
+        let mut data = Vec::with_capacity(total);
+        for slot in 0..self.runs.first().map_or(0, |r| r.ends.len()) {
+            for run in &self.runs {
+                data.extend_from_slice(run.chunk(slot));
+            }
         }
-        self.ctx.charge_memcpy(data.len());
-        drop(pack);
-
-        let (mode, header, file_prefix) = self.stage_header(self.n_inserts, data_len)?;
-        Ok((mode, header, file_prefix, local_sizes, data))
+        Some(data)
     }
 
     /// The layout- and file-level half of staging a record: pick the
     /// metadata mode, build the record header, and (for a still-empty
     /// file) the root's d/stream file-header prefix. Shared by the
-    /// insert-buffer path ([`OStream::stage_record`]) and the zero-copy
+    /// insert-run path ([`OStream::write_record`]) and the zero-copy
     /// view path ([`OStream::write_view`]).
     fn stage_header(
         &mut self,
@@ -427,17 +429,6 @@ impl<'a> OStream<'a> {
         Ok((mode, header, file_prefix))
     }
 
-    /// Reset the interleave group after a record has been emitted (or
-    /// submitted — `write_begin` copies the data out, so the buffers are
-    /// immediately reusable).
-    fn finish_record(&mut self) {
-        for chunk in &mut self.group {
-            chunk.clear();
-        }
-        self.n_inserts = 0;
-        self.records_written += 1;
-    }
-
     /// Flush the current interleave group to the file as one write record
     /// (the d/stream `write` primitive). Collective.
     pub fn write(&mut self) -> Result<(), StreamError> {
@@ -446,11 +437,31 @@ impl<'a> OStream<'a> {
 
     /// The one implementation behind [`OStream::write`] and
     /// [`OStream::write_begin`]: stage the interleave group, emit it as
-    /// one record, reset the group.
+    /// one record, reset the group (`write_begin` lands the bytes before
+    /// it returns, so the runs are free to go).
     fn write_record(&mut self, begin: bool) -> Result<Option<PendingWrite>, StreamError> {
-        let (mode, header, file_prefix, local_sizes, data) = self.stage_record()?;
-        let pending = self.emit_record(mode, &header, file_prefix, &local_sizes, &data, begin)?;
-        self.finish_record();
+        if self.runs.is_empty() {
+            return Err(StreamError::EmptyWrite);
+        }
+        let n_inserts = self.runs.len() as u32;
+        let local_sizes: Vec<u64> = (0..self.runs[0].ends.len())
+            .map(|slot| self.runs.iter().map(|r| r.chunk(slot).len() as u64).sum())
+            .collect();
+        let local_bytes: u64 = local_sizes.iter().sum();
+        let data_len = self.ctx.all_reduce(local_bytes, |a, b| a + b)?;
+
+        // The model charges the 1995 library's packing copy whether or
+        // not the host needs one.
+        let pack = crate::phase::span(self.ctx, StreamPhase::Pack);
+        let packed = self.pack();
+        self.ctx.charge_memcpy(local_bytes as usize);
+        drop(pack);
+
+        let (mode, header, file_prefix) = self.stage_header(n_inserts, data_len)?;
+        let data = packed.as_deref().unwrap_or(&self.runs[0].bytes);
+        let pending = self.emit_record(mode, &header, file_prefix, &local_sizes, data, begin)?;
+        self.runs.clear();
+        self.records_written += 1;
         Ok(pending)
     }
 
@@ -464,7 +475,7 @@ impl<'a> OStream<'a> {
     /// be the insert count the viewed bytes were built with (readers
     /// enforce extract/insert parity per record). Collective.
     pub fn write_view(&mut self, view: &DistView<'_>, n_inserts: u32) -> Result<(), StreamError> {
-        if self.n_inserts != 0 {
+        if !self.runs.is_empty() {
             return Err(StreamError::violation(
                 "write_view",
                 "the interleave group already holds inserted data — write it first",
@@ -662,7 +673,7 @@ impl<'a> OStream<'a> {
     /// collectives are split: the bytes land now and the returned
     /// [`PendingWrite`] carries their deferred cost.
     fn emit_record(
-        &mut self,
+        &self,
         mode: MetaMode,
         header: &RecordHeader,
         file_prefix: Vec<u8>,
@@ -670,8 +681,8 @@ impl<'a> OStream<'a> {
         data: &[u8],
         begin: bool,
     ) -> Result<Option<PendingWrite>, StreamError> {
-        if let Some(scratch) = self.scratch.clone() {
-            self.write_smp(&scratch, header, file_prefix, local_sizes, data)?;
+        if let Some(scratch) = &self.scratch {
+            self.write_smp(scratch, header, file_prefix, local_sizes, data)?;
             return Ok(None);
         }
         if begin {
@@ -698,9 +709,9 @@ impl<'a> OStream<'a> {
                     // size tables, excluding any file prefix).
                     let meta_sum = ChunkSum::of(&b[prefix_len..]);
                     b.extend_from_slice(data);
-                    (b, meta_sum)
+                    (Cow::Owned(b), meta_sum)
                 } else {
-                    (data.to_vec(), ChunkSum::EMPTY)
+                    (Cow::Borrowed(data), ChunkSum::EMPTY)
                 };
                 drop(meta);
                 let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
@@ -769,7 +780,7 @@ impl<'a> OStream<'a> {
     /// issues a single plain write of the whole record. Produces exactly
     /// the same file bytes as the per-node emission.
     fn write_smp(
-        &mut self,
+        &self,
         scratch: &SharedBuffer,
         header: &RecordHeader,
         file_prefix: Vec<u8>,
@@ -849,10 +860,10 @@ impl<'a> OStream<'a> {
     /// without a `write` (in pC++ the destructor closes implicitly; Rust
     /// surfaces the missing-write bug instead of dropping data).
     pub fn close(self) -> Result<(), StreamError> {
-        if self.n_inserts > 0 {
+        if !self.runs.is_empty() {
             return Err(StreamError::violation(
                 "close",
-                format!("{} inserts pending without a write()", self.n_inserts),
+                format!("{} inserts pending without a write()", self.runs.len()),
             ));
         }
         if self.in_flight > 0 {
@@ -1052,5 +1063,90 @@ mod tests {
         let end = bytes[0].len() - RecordSeal::LEN;
         let data = &bytes[0][end - 4..end];
         assert_eq!(data, &[0, 10, 1, 11]);
+    }
+
+    /// Element `g`'s chunks for three interleaved inserts, of uneven
+    /// sizes (the second is empty for element 0).
+    fn chunks(g: usize) -> [Vec<u8>; 3] {
+        [
+            vec![g as u8; g % 3 + 1],
+            vec![0xA0 | g as u8; 2 * g],
+            (g as u32 * 7).to_le_bytes().to_vec(),
+        ]
+    }
+
+    /// Write one record of `chunks` over 4 ranks, as three inserts
+    /// (`split`) or as one insert per element, and return the file.
+    fn write_chunked_record(mode: MetaMode, split: bool, begin: bool) -> Vec<u8> {
+        let pfs = Pfs::in_memory(4);
+        let p = pfs.clone();
+        Machine::run(MachineConfig::functional(4), move |ctx| {
+            let layout = Layout::dense(6, 4, DistKind::Block).unwrap();
+            let c = Collection::new(ctx, layout.clone(), |g| g).unwrap();
+            let opts = StreamOptions {
+                meta_policy: MetaPolicy::Force(mode),
+                ..Default::default()
+            };
+            let mut s = OStream::create_with(ctx, &p, &layout, "f", opts).unwrap();
+            if split {
+                for k in 0..3 {
+                    s.insert_with(&c, |&g, ins| ins.bytes(&chunks(g)[k]))
+                        .unwrap();
+                }
+            } else {
+                s.insert_with(&c, |&g, ins| chunks(g).iter().for_each(|ch| ins.bytes(ch)))
+                    .unwrap();
+            }
+            if begin {
+                let pending = s.write_begin().unwrap();
+                s.write_end(pending).unwrap();
+            } else {
+                s.write().unwrap();
+            }
+            s.close().unwrap();
+        })
+        .unwrap();
+        let bytes = Machine::run(MachineConfig::functional(1), move |ctx| {
+            let fh = pfs.open(false, "f", OpenMode::Read).unwrap();
+            let mut buf = vec![0u8; fh.len() as usize];
+            fh.read_at(ctx, 0, &mut buf).unwrap();
+            buf
+        })
+        .unwrap();
+        bytes[0].clone()
+    }
+
+    #[test]
+    fn interleaved_inserts_lay_out_per_element_on_every_rank() {
+        let layout = Layout::dense(6, 4, DistKind::Block).unwrap();
+        assert_eq!(
+            (0..4).map(|r| layout.local_count(r)).collect::<Vec<_>>(),
+            [2, 2, 2, 0],
+            "the last rank must hold no element"
+        );
+        // The per-element layout: every element's size, then every
+        // element's chunks back to back, in file order.
+        let sizes: Vec<u64> = (0..6)
+            .map(|g| chunks(g).iter().map(|c| c.len() as u64).sum())
+            .collect();
+        let mut want = encode_sizes(&sizes);
+        want.extend((0..6).flat_map(chunks).flatten());
+        let body = |file: &[u8]| {
+            file[FileHeader::LEN + RecordHeader::LEN..file.len() - RecordSeal::LEN].to_vec()
+        };
+        for mode in [MetaMode::Gathered, MetaMode::Parallel] {
+            let written = write_chunked_record(mode, true, false);
+            assert_eq!(body(&written), want, "{mode:?}: size table and data");
+            assert_eq!(
+                write_chunked_record(mode, true, true),
+                written,
+                "{mode:?}: write_begin/write_end must land the bytes write does"
+            );
+            assert_eq!(
+                body(&write_chunked_record(mode, false, false)),
+                want,
+                "{mode:?}: one insert per element"
+            );
+        }
     }
 }

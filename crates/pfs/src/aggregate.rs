@@ -416,17 +416,11 @@ impl FileHandle {
                     // mid-stripe; read the stripe head back and rewrite
                     // the whole span as one aligned operation.
                     let mut head = vec![0u8; (d0 - p0) as usize];
-                    self.file
-                        .storage
-                        .lock()
-                        .read_at(p0, &mut head, self.file.name())?;
+                    self.file.storage.read_at(p0, &mut head, self.file.name())?;
                     head.extend_from_slice(&dom);
                     dom = head;
                 }
-                self.file
-                    .storage
-                    .lock()
-                    .write_at(p0, &dom, self.file.name())?;
+                self.file.storage.write_at(p0, &dom, self.file.name())?;
             }
         }
 
@@ -556,11 +550,10 @@ impl FileHandle {
             dom = vec![0u8; (d1 - d0) as usize];
             let (p0, plen) = spans[k];
             if plen > 0 {
-                let mut phys = vec![0u8; plen as usize];
-                self.file
+                let phys = self
+                    .file
                     .storage
-                    .lock()
-                    .read_at(p0, &mut phys, self.file.name())?;
+                    .read_vec(p0, plen as usize, self.file.name())?;
                 if let Some((s, e)) = isect(p0, p0 + plen, d0, d1) {
                     dom[(s - d0) as usize..(e - d0) as usize]
                         .copy_from_slice(&phys[(s - p0) as usize..(e - p0) as usize]);

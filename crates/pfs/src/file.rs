@@ -20,7 +20,6 @@ use std::sync::Arc;
 use dstreams_machine::wire::{frame_blocks, unframe_blocks};
 use dstreams_machine::{AsyncOp, FaultDecision, MachineError, NodeCtx, VTime};
 use dstreams_trace::{CollectiveRegime, EventKind, FaultKind, IndependentRegime, PfsOp};
-use parking_lot::Mutex;
 
 use crate::checksum::ChunkSum;
 use crate::error::PfsError;
@@ -33,7 +32,7 @@ use crate::storage::Storage;
 #[derive(Debug)]
 pub struct FileObj {
     pub(crate) name: String,
-    pub(crate) storage: Mutex<Storage>,
+    pub(crate) storage: Storage,
     /// Shared append cursor for M_LOG-style access.
     pub(crate) log_cursor: AtomicU64,
 }
@@ -46,7 +45,7 @@ impl FileObj {
 
     /// Current logical size in bytes.
     pub fn len(&self) -> u64 {
-        self.storage.lock().len()
+        self.storage.len()
     }
 
     /// Whether the file is empty.
@@ -235,7 +234,6 @@ impl FileHandle {
             let _ = self
                 .file
                 .storage
-                .lock()
                 .write_at(offset, &data[..k], &self.file.name);
         }
         self.emit_fault(ctx, FaultKind::Crash, op, k as u64);
@@ -364,7 +362,6 @@ impl FileHandle {
             let res = self
                 .file
                 .storage
-                .lock()
                 .write_at(offset, &data[..keep], &self.file.name);
             match res {
                 Ok(()) => {
@@ -416,11 +413,7 @@ impl FileHandle {
                 }
                 // Torn applies to writes only; a read proceeds.
                 FaultDecision::Proceed | FaultDecision::Torn { .. } => {
-                    let res = self
-                        .file
-                        .storage
-                        .lock()
-                        .read_at(offset, buf, &self.file.name);
+                    let res = self.file.storage.read_at(offset, buf, &self.file.name);
                     match res {
                         Ok(()) => {
                             self.charge_independent(ctx, PfsOp::Read, offset, buf.len(), None);
@@ -573,10 +566,7 @@ impl FileHandle {
         match fate {
             FaultDecision::Proceed | FaultDecision::Transient => {
                 if !block.is_empty() {
-                    self.file
-                        .storage
-                        .lock()
-                        .write_at(my_off, block, &self.file.name)?;
+                    self.file.storage.write_at(my_off, block, &self.file.name)?;
                 }
             }
             FaultDecision::Torn { keep } => {
@@ -584,7 +574,6 @@ impl FileHandle {
                 self.emit_fault(ctx, FaultKind::Torn, op, keep as u64);
                 self.file
                     .storage
-                    .lock()
                     .write_at(my_off, &block[..keep], &self.file.name)?;
             }
             FaultDecision::Crash { keep } => {
@@ -681,25 +670,20 @@ impl FileHandle {
         // Read first so the size exchange can carry the data digests; on a
         // failed read still participate (empty contribution), then surface
         // the error — abandoning the collective would strand the peers.
-        let mut buf = vec![0u8; len];
         let read_res = if len > 0 {
-            self.file
-                .storage
-                .lock()
-                .read_at(offset, &mut buf, &self.file.name)
+            self.file.storage.read_vec(offset, len, &self.file.name)
         } else {
-            Ok(())
+            Ok(Vec::new())
         };
-        let my_sum = if summed && read_res.is_ok() {
-            ChunkSum::of(&buf)
-        } else {
-            ChunkSum::EMPTY
+        let my_sum = match &read_res {
+            Ok(buf) if summed => ChunkSum::of(buf),
+            _ => ChunkSum::EMPTY,
         };
         // Everyone learns the collective's total and max block for costing,
         // and every rank's data digest for seal verification.
         let frames = ctx.all_gather(size_digest_frame(len, my_sum, &[]))?;
         let (sizes, digests) = decode_size_digests(&frames, 0)?;
-        read_res?;
+        let buf = read_res?;
         let total: u64 = sizes.iter().sum();
         let max_block = sizes.iter().copied().max().unwrap_or(0);
 

@@ -14,8 +14,8 @@
 //!   order" (paper §4.1);
 //! * a calibrated **disk cost model** ([`DiskModel`]) with the buffer-cache
 //!   knees responsible for the paper's headline anomalies;
-//! * two backends: in-memory (virtual-time benchmarks) and real-disk
-//!   (wall-clock Criterion benchmarks).
+//! * two backends: paged in-memory images (virtual-time benchmarks) and
+//!   real-disk files (wall-clock Criterion benchmarks).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

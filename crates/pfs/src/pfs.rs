@@ -13,7 +13,7 @@ use crate::error::PfsError;
 use crate::file::{FileHandle, FileObj, Stats, StatsSnapshot};
 use crate::model::DiskModel;
 use crate::retry::RetryPolicy;
-use crate::storage::{Backend, Storage};
+use crate::storage::{Backend, PagePool, Storage};
 
 /// How [`Pfs::open`] treats existing / missing files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +32,9 @@ pub(crate) struct PfsShared {
     /// Transient-failure retry policy for the client path.
     pub(crate) retry: RetryPolicy,
     pub(crate) files: Mutex<HashMap<String, Arc<FileObj>>>,
+    /// Pages freed by removed and truncated in-memory files, reused by
+    /// the files created after them.
+    pub(crate) pages: Arc<PagePool>,
     pub(crate) stats: Stats,
     /// Per-rank cumulative traffic, used by the cache-regime estimate.
     pub(crate) rank_traffic: Vec<AtomicU64>,
@@ -75,6 +78,7 @@ impl Pfs {
                 backend,
                 retry: RetryPolicy::default(),
                 files: Mutex::new(HashMap::new()),
+                pages: Arc::default(),
                 stats: Stats::default(),
                 rank_traffic: (0..nprocs.max(1)).map(|_| AtomicU64::new(0)).collect(),
                 scratch: Mutex::new(HashMap::new()),
@@ -125,7 +129,7 @@ impl Pfs {
                     name.clone(),
                     Arc::new(FileObj {
                         name,
-                        storage: Mutex::new(storage),
+                        storage,
                         log_cursor: std::sync::atomic::AtomicU64::new(0),
                     }),
                 );
@@ -154,7 +158,7 @@ impl Pfs {
                 OpenMode::Read => return Err(PfsError::NotFound(name.to_string())),
                 OpenMode::Create => {
                     let storage = match &self.shared.backend {
-                        Backend::Memory => Storage::new_mem(),
+                        Backend::Memory => Storage::new_mem_in(&self.shared.pages),
                         Backend::Disk(dir) => {
                             // First opener allocates; concurrent openers of
                             // the same name are serialized by the registry
@@ -166,7 +170,7 @@ impl Pfs {
                     };
                     let obj = Arc::new(FileObj {
                         name: name.to_string(),
-                        storage: Mutex::new(storage),
+                        storage,
                         log_cursor: std::sync::atomic::AtomicU64::new(0),
                     });
                     files.insert(name.to_string(), Arc::clone(&obj));
@@ -184,7 +188,11 @@ impl Pfs {
         })
     }
 
-    /// Remove a file from the namespace (destroys disk backing).
+    /// Remove a file from the namespace and unlink its disk backing.
+    /// Handles still open keep reading and writing the old bytes (POSIX
+    /// unlink semantics), and a later `open(Create)` of the same name
+    /// starts a new, empty file. In-memory pages return to the pool when
+    /// the last handle drops.
     pub fn remove(&self, name: &str) -> Result<(), PfsError> {
         let obj = self
             .shared
@@ -192,12 +200,7 @@ impl Pfs {
             .lock()
             .remove(name)
             .ok_or_else(|| PfsError::NotFound(name.to_string()))?;
-        match Arc::try_unwrap(obj) {
-            Ok(obj) => obj.storage.into_inner().destroy(),
-            // Still open somewhere: drop from the namespace, keep bytes
-            // alive for existing handles (POSIX unlink semantics).
-            Err(_) => Ok(()),
-        }
+        obj.storage.unlink()
     }
 
     /// Truncate a file to `len` bytes, dropping everything past that
@@ -219,8 +222,7 @@ impl Pfs {
             .get(name)
             .cloned()
             .ok_or_else(|| PfsError::NotFound(name.to_string()))?;
-        let result = obj.storage.lock().truncate_to(len);
-        result
+        obj.storage.truncate_to(len)
     }
 
     /// Whether a file exists.

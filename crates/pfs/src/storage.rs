@@ -1,10 +1,30 @@
-//! Storage backends: in-memory (default, used with virtual-time
-//! measurement) and real-disk (used by the wall-clock Criterion benches).
+//! Storage backends: one PFS file's bytes.
+//!
+//! * **Memory** (the default, used with virtual-time measurement): the
+//!   image is a table of fixed [`PAGE`]-byte pages, each behind its own
+//!   lock. Only growth and truncation take the table's write lock, and
+//!   no byte copy ever runs under it: `write_at`/`read_at` clone the
+//!   handles of the pages they touch and copy under the page locks, so
+//!   the disjoint blocks of a collective copy in parallel. Pages freed
+//!   by removal or truncation go back to the owning PFS's [`PagePool`]
+//!   and are reused warm.
+//! * **Disk** (real files under a directory): positioned I/O on a shared
+//!   handle, with no lock at all.
+//!
+//! Every method takes `&self`; ranks share one `Storage` per file.
 
 use std::fs::{File, OpenOptions};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use parking_lot::{Mutex, RwLock};
 
 use crate::error::PfsError;
+
+/// Bytes per page of an in-memory image.
+pub const PAGE: usize = 1 << 20;
 
 /// Backend selection for a [`crate::Pfs`] instance.
 #[derive(Debug, Clone)]
@@ -16,26 +36,220 @@ pub enum Backend {
     Disk(PathBuf),
 }
 
+/// Full-size pages that no file owns any more, kept warm for reuse. One
+/// pool serves every in-memory file of a PFS instance.
+#[derive(Debug, Default)]
+pub struct PagePool(Mutex<Vec<Vec<u8>>>);
+
+impl PagePool {
+    /// An empty full-capacity page: a pooled one if any, else fresh.
+    fn take(&self) -> Vec<u8> {
+        match self.0.lock().pop() {
+            Some(mut page) => {
+                page.clear();
+                page
+            }
+            None => Vec::with_capacity(PAGE),
+        }
+    }
+
+    /// Keep `page` for reuse if it is full-size; smaller tail buffers
+    /// of small files are simply freed.
+    fn give(&self, page: Vec<u8>) {
+        if page.capacity() >= PAGE {
+            self.0.lock().push(page);
+        }
+    }
+}
+
+/// One page of an in-memory image. Its `Vec` holds the page's bytes up
+/// to the highest one ever written; anything past that, up to the file
+/// size, is a hole that reads as zeros.
+type Page = Arc<Mutex<Vec<u8>>>;
+
+/// The page table of an in-memory image.
+#[derive(Debug, Default)]
+struct Table {
+    /// Logical size in bytes.
+    len: u64,
+    /// `ceil(len / PAGE)` pages, in file order.
+    pages: Vec<Page>,
+}
+
+impl Table {
+    /// Handles of the pages covering `[offset, end)`.
+    fn span(&self, offset: u64, end: u64) -> Vec<Page> {
+        if end <= offset {
+            return Vec::new();
+        }
+        let first = (offset / PAGE as u64) as usize;
+        let last = ((end - 1) / PAGE as u64) as usize;
+        self.pages[first..=last].to_vec()
+    }
+}
+
+/// A paged in-memory file image (the [`Storage::Mem`] backend).
+#[derive(Debug)]
+pub struct Paged {
+    table: RwLock<Table>,
+    pool: Arc<PagePool>,
+}
+
+impl Paged {
+    fn new(pool: Arc<PagePool>) -> Paged {
+        Paged {
+            table: RwLock::default(),
+            pool,
+        }
+    }
+
+    fn len(&self) -> u64 {
+        self.table.read().len
+    }
+
+    /// The pages covering `[offset, end)`, growing the file to `end`
+    /// first when it is shorter.
+    fn span_for_write(&self, offset: u64, end: u64) -> Vec<Page> {
+        {
+            let table = self.table.read();
+            if end <= table.len {
+                return table.span(offset, end);
+            }
+        }
+        let mut table = self.table.write();
+        if end > table.len {
+            let pages = end.div_ceil(PAGE as u64) as usize;
+            if pages > table.pages.len() {
+                table.pages.resize_with(pages, Page::default);
+            }
+            table.len = end;
+        }
+        table.span(offset, end)
+    }
+
+    fn write_at(&self, offset: u64, data: &[u8]) {
+        let end = offset + data.len() as u64;
+        let mut at = (offset % PAGE as u64) as usize;
+        let mut rest = data;
+        for page in self.span_for_write(offset, end) {
+            let n = rest.len().min(PAGE - at);
+            put(&mut page.lock(), at, &rest[..n], &self.pool);
+            rest = &rest[n..];
+            at = 0;
+        }
+    }
+
+    /// Visit `[offset, offset + len)` in order as runs of stored bytes,
+    /// each followed by the length of the hole (zeros) after it within
+    /// its page. `None` if the range runs past the end of the file.
+    fn visit(&self, offset: u64, len: usize, mut f: impl FnMut(&[u8], usize)) -> Option<()> {
+        let end = offset.checked_add(len as u64)?;
+        let pages = {
+            let table = self.table.read();
+            if end > table.len {
+                return None;
+            }
+            table.span(offset, end)
+        };
+        let mut at = (offset % PAGE as u64) as usize;
+        let mut left = len;
+        for page in pages {
+            let n = left.min(PAGE - at);
+            let page = page.lock();
+            let stored: &[u8] = page.get(at..).unwrap_or_default();
+            let stored = &stored[..stored.len().min(n)];
+            f(stored, n - stored.len());
+            left -= n;
+            at = 0;
+        }
+        Some(())
+    }
+
+    fn truncate_to(&self, len: u64) {
+        let freed = {
+            let mut table = self.table.write();
+            if len >= table.len {
+                return;
+            }
+            table.len = len;
+            let keep = len.div_ceil(PAGE as u64) as usize;
+            let freed = table.pages.split_off(keep);
+            if let Some(last) = table.pages.last() {
+                let tail = len - (keep as u64 - 1) * PAGE as u64;
+                last.lock().truncate(tail as usize);
+            }
+            freed
+        };
+        self.recycle(freed);
+    }
+
+    /// Return pages no operation still holds to the pool.
+    fn recycle(&self, pages: Vec<Page>) {
+        for page in pages {
+            if let Ok(page) = Arc::try_unwrap(page) {
+                self.pool.give(page.into_inner());
+            }
+        }
+    }
+}
+
+impl Drop for Paged {
+    fn drop(&mut self) {
+        let pages = std::mem::take(&mut self.table.write().pages);
+        self.recycle(pages);
+    }
+}
+
+/// Copy `bytes` into `page` at `at`, zero-filling only a real gap before
+/// it. A page that grows to full size moves into a pooled buffer; a
+/// small file's only page grows geometrically and never pins a full one.
+fn put(page: &mut Vec<u8>, at: usize, bytes: &[u8], pool: &PagePool) {
+    let end = at + bytes.len();
+    if end > page.capacity() {
+        let cap = end.max(2 * page.capacity()).min(PAGE);
+        if cap == PAGE {
+            let mut full = pool.take();
+            full.extend_from_slice(page);
+            *page = full;
+        } else {
+            page.reserve_exact(cap - page.len());
+        }
+    }
+    if page.len() < at {
+        page.resize(at, 0);
+    }
+    let overlap = page.len().min(end) - at;
+    page[at..at + overlap].copy_from_slice(&bytes[..overlap]);
+    page.extend_from_slice(&bytes[overlap..]);
+}
+
 /// A single file's bytes.
 #[derive(Debug)]
 pub enum Storage {
-    /// Growable in-memory image.
-    Mem(Vec<u8>),
+    /// Paged in-memory image.
+    Mem(Paged),
     /// Real file, accessed with positioned I/O.
     Disk {
         /// Open handle (read+write).
         file: File,
         /// Path, for error messages and cleanup.
         path: PathBuf,
-        /// Cached logical size (kept in sync with writes).
-        size: u64,
+        /// Cached logical size (kept in sync with writes). Each update
+        /// releases it after the bytes are written, and `len` acquires
+        /// it, so a size a reader sees covers bytes already written.
+        size: AtomicU64,
     },
 }
 
 impl Storage {
-    /// Create an empty in-memory file.
+    /// Create an empty in-memory file with a page pool of its own.
     pub fn new_mem() -> Storage {
-        Storage::Mem(Vec::new())
+        Storage::new_mem_in(&Arc::default())
+    }
+
+    /// Create an empty in-memory file drawing pages from `pool`.
+    pub fn new_mem_in(pool: &Arc<PagePool>) -> Storage {
+        Storage::Mem(Paged::new(Arc::clone(pool)))
     }
 
     /// Create (truncating) a real file under `dir` with the given
@@ -52,7 +266,7 @@ impl Storage {
         Ok(Storage::Disk {
             file,
             path,
-            size: 0,
+            size: AtomicU64::new(0),
         })
     }
 
@@ -61,7 +275,7 @@ impl Storage {
     pub fn attach_disk(dir: &Path, name: &str) -> Result<Storage, PfsError> {
         let path = dir.join(Self::flatten(name));
         let file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let size = file.metadata()?.len();
+        let size = AtomicU64::new(file.metadata()?.len());
         Ok(Storage::Disk { file, path, size })
     }
 
@@ -82,8 +296,8 @@ impl Storage {
     /// Logical size in bytes.
     pub fn len(&self) -> u64 {
         match self {
-            Storage::Mem(v) => v.len() as u64,
-            Storage::Disk { size, .. } => *size,
+            Storage::Mem(m) => m.len(),
+            Storage::Disk { size, .. } => size.load(Ordering::Acquire),
         }
     }
 
@@ -92,43 +306,34 @@ impl Storage {
         self.len() == 0
     }
 
+    fn out_of_bounds(&self, name: &str, offset: u64, len: usize) -> PfsError {
+        PfsError::OutOfBounds {
+            file: name.to_string(),
+            offset,
+            len,
+            size: self.len(),
+        }
+    }
+
     /// Write `data` at `offset`, growing the file as needed (zero-filling
     /// any gap). Offsets whose end position overflows `u64` (or `usize`
     /// for the in-memory backend) are rejected as out of bounds rather
     /// than wrapping.
-    pub fn write_at(&mut self, offset: u64, data: &[u8], name: &str) -> Result<(), PfsError> {
-        let oob = || PfsError::OutOfBounds {
-            file: name.to_string(),
-            offset,
-            len: data.len(),
-            size: self.len(),
-        };
+    pub fn write_at(&self, offset: u64, data: &[u8], name: &str) -> Result<(), PfsError> {
         // A hostile offset can make `offset + len` wrap; compute the end
         // position checked in u64 first, then ensure it is addressable.
-        let end64 = offset.checked_add(data.len() as u64).ok_or_else(oob)?;
+        let end = offset
+            .checked_add(data.len() as u64)
+            .ok_or_else(|| self.out_of_bounds(name, offset, data.len()))?;
         match self {
-            Storage::Mem(v) => {
-                let end = usize::try_from(end64).map_err(|_| PfsError::OutOfBounds {
-                    file: name.to_string(),
-                    offset,
-                    len: data.len(),
-                    size: v.len() as u64,
-                })?;
-                // Zero only a real gap; overwrite the overlap with the
-                // current image and append the rest.
-                let start = end - data.len();
-                if v.len() < start {
-                    v.resize(start, 0);
-                }
-                let overlap = v.len().min(end) - start;
-                v[start..start + overlap].copy_from_slice(&data[..overlap]);
-                v.extend_from_slice(&data[overlap..]);
+            Storage::Mem(m) => {
+                usize::try_from(end).map_err(|_| self.out_of_bounds(name, offset, data.len()))?;
+                m.write_at(offset, data);
                 Ok(())
             }
             Storage::Disk { file, size, .. } => {
-                use std::os::unix::fs::FileExt;
                 file.write_all_at(data, offset)?;
-                *size = (*size).max(end64);
+                size.fetch_max(end, Ordering::AcqRel);
                 Ok(())
             }
         }
@@ -137,62 +342,93 @@ impl Storage {
     /// Read exactly `buf.len()` bytes starting at `offset`. Overflowing
     /// end positions are rejected as out of bounds, never wrapped.
     pub fn read_at(&self, offset: u64, buf: &mut [u8], name: &str) -> Result<(), PfsError> {
-        let end = offset.checked_add(buf.len() as u64);
-        if end.is_none() || end.unwrap() > self.len() {
-            return Err(PfsError::OutOfBounds {
-                file: name.to_string(),
-                offset,
-                len: buf.len(),
-                size: self.len(),
-            });
-        }
         match self {
-            Storage::Mem(v) => {
-                buf.copy_from_slice(&v[offset as usize..offset as usize + buf.len()]);
-                Ok(())
+            Storage::Mem(m) => {
+                let mut pos = 0;
+                m.visit(offset, buf.len(), |stored, hole| {
+                    buf[pos..pos + stored.len()].copy_from_slice(stored);
+                    pos += stored.len();
+                    buf[pos..pos + hole].fill(0);
+                    pos += hole;
+                })
+                .ok_or_else(|| self.out_of_bounds(name, offset, buf.len()))
             }
             Storage::Disk { file, .. } => {
-                use std::os::unix::fs::FileExt;
+                self.check_range(name, offset, buf.len())?;
                 file.read_exact_at(buf, offset)?;
                 Ok(())
             }
         }
     }
 
+    /// Read `len` bytes starting at `offset` into a new buffer, which the
+    /// in-memory backend fills by appending: no zero-fill pass first.
+    /// Bounds as in [`Storage::read_at`].
+    pub fn read_vec(&self, offset: u64, len: usize, name: &str) -> Result<Vec<u8>, PfsError> {
+        match self {
+            Storage::Mem(m) => {
+                let mut out = Vec::with_capacity(len);
+                m.visit(offset, len, |stored, hole| {
+                    out.extend_from_slice(stored);
+                    out.resize(out.len() + hole, 0);
+                })
+                .ok_or_else(|| self.out_of_bounds(name, offset, len))?;
+                Ok(out)
+            }
+            Storage::Disk { .. } => {
+                let mut out = vec![0u8; len];
+                self.read_at(offset, &mut out, name)?;
+                Ok(out)
+            }
+        }
+    }
+
+    fn check_range(&self, name: &str, offset: u64, len: usize) -> Result<(), PfsError> {
+        match offset.checked_add(len as u64) {
+            Some(end) if end <= self.len() => Ok(()),
+            _ => Err(self.out_of_bounds(name, offset, len)),
+        }
+    }
+
     /// Truncate to zero length.
-    pub fn truncate(&mut self) -> Result<(), PfsError> {
+    pub fn truncate(&self) -> Result<(), PfsError> {
         self.truncate_to(0)
     }
 
     /// Truncate to `len` bytes, dropping everything past that point (the
     /// sealed-prefix recovery primitive). Lengths at or beyond the
     /// current size are a no-op — truncation never grows a file.
-    pub fn truncate_to(&mut self, len: u64) -> Result<(), PfsError> {
-        if len >= self.len() {
-            return Ok(());
-        }
+    pub fn truncate_to(&self, len: u64) -> Result<(), PfsError> {
         match self {
-            Storage::Mem(v) => {
-                v.truncate(len as usize);
+            Storage::Mem(m) => {
+                m.truncate_to(len);
                 Ok(())
             }
             Storage::Disk { file, size, .. } => {
-                file.set_len(len)?;
-                *size = len;
+                if len < size.load(Ordering::Acquire) {
+                    file.set_len(len)?;
+                    size.store(len, Ordering::Release);
+                }
                 Ok(())
             }
         }
     }
 
-    /// Remove backing resources (deletes the real file for Disk storage).
-    pub fn destroy(self) -> Result<(), PfsError> {
-        match self {
-            Storage::Mem(_) => Ok(()),
-            Storage::Disk { path, .. } => {
-                std::fs::remove_file(path)?;
-                Ok(())
-            }
+    /// Drop the file's name from the backing store: the real file is
+    /// unlinked, while this handle keeps its bytes until it drops (POSIX
+    /// unlink semantics). A no-op in memory, where the bytes live exactly
+    /// as long as the `Storage`.
+    pub fn unlink(&self) -> Result<(), PfsError> {
+        if let Storage::Disk { path, .. } = self {
+            std::fs::remove_file(path)?;
         }
+        Ok(())
+    }
+
+    /// Remove backing resources (deletes the real file for Disk storage;
+    /// in-memory pages return to their pool).
+    pub fn destroy(self) -> Result<(), PfsError> {
+        self.unlink()
     }
 }
 
@@ -200,7 +436,7 @@ impl Storage {
 mod tests {
     use super::*;
 
-    fn roundtrip(mut s: Storage) {
+    fn roundtrip(s: Storage) {
         s.write_at(0, b"hello", "t").unwrap();
         s.write_at(10, b"world", "t").unwrap();
         assert_eq!(s.len(), 15);
@@ -230,7 +466,7 @@ mod tests {
 
     #[test]
     fn mem_write_straddling_the_end_overwrites_then_appends() {
-        let mut s = Storage::new_mem();
+        let s = Storage::new_mem();
         s.write_at(0, b"abcdef", "t").unwrap();
         s.write_at(4, b"XYZW", "t").unwrap();
         assert_eq!(s.len(), 8);
@@ -246,7 +482,7 @@ mod tests {
 
     #[test]
     fn mem_write_past_a_gap_zero_fills_only_the_gap() {
-        let mut s = Storage::new_mem();
+        let s = Storage::new_mem();
         s.write_at(0, b"ab", "t").unwrap();
         s.write_at(5, b"cd", "t").unwrap();
         assert_eq!(s.len(), 7);
@@ -260,7 +496,7 @@ mod tests {
 
     #[test]
     fn truncate_to_keeps_the_prefix_and_never_grows() {
-        let mut s = Storage::new_mem();
+        let s = Storage::new_mem();
         s.write_at(0, b"sealed-data-torn-tail", "t").unwrap();
         s.truncate_to(11).unwrap();
         assert_eq!(s.len(), 11);
@@ -274,7 +510,7 @@ mod tests {
 
     #[test]
     fn hostile_offsets_are_rejected_not_wrapped() {
-        let mut s = Storage::new_mem();
+        let s = Storage::new_mem();
         s.write_at(0, b"data", "t").unwrap();
         // End position wraps u64 — must be OutOfBounds, not a wrap to a
         // tiny offset that corrupts the front of the file.
@@ -314,5 +550,49 @@ mod tests {
         }
         s.destroy().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn pooled(pool: &PagePool) -> usize {
+        pool.0.lock().len()
+    }
+
+    #[test]
+    fn freed_full_pages_are_pooled_and_reused() {
+        let pool = Arc::default();
+        let s = Storage::new_mem_in(&pool);
+        s.write_at(0, &vec![7; 2 * PAGE + PAGE / 2], "t").unwrap();
+        assert_eq!(pooled(&pool), 0);
+        // Truncating into the first page frees the second (full, pooled)
+        // and the third (a half-page tail, freed outright).
+        s.truncate_to(10).unwrap();
+        assert_eq!(pooled(&pool), 1);
+        // Dropping the file returns its first page too.
+        drop(s);
+        assert_eq!(pooled(&pool), 2);
+        // A new file filling a page takes a pooled one, and a stale
+        // byte never shows through a hole.
+        let s = Storage::new_mem_in(&pool);
+        s.write_at(PAGE as u64 - 1, b"x", "t").unwrap();
+        assert_eq!(pooled(&pool), 1);
+        let mut page = vec![1u8; PAGE];
+        s.read_at(0, &mut page, "t").unwrap();
+        assert!(page[..PAGE - 1].iter().all(|&b| b == 0));
+        assert_eq!(page[PAGE - 1], b'x');
+    }
+
+    #[test]
+    fn a_small_file_does_not_pin_a_page() {
+        let pool: Arc<PagePool> = Arc::default();
+        pool.give(Vec::with_capacity(PAGE));
+        let s = Storage::new_mem_in(&pool);
+        for i in 0..100u64 {
+            s.write_at(i * 10, &[i as u8; 10], "t").unwrap();
+        }
+        assert_eq!(pooled(&pool), 1, "a small file must not take a pooled page");
+        let Storage::Mem(m) = &s else {
+            panic!("expected memory storage")
+        };
+        let capacity = m.table.read().pages[0].lock().capacity();
+        assert!(capacity < 4096, "1000 bytes hold {capacity} bytes of page");
     }
 }

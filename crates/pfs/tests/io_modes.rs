@@ -1,4 +1,5 @@
-//! Tests of the Paragon NX-style shared-file modes (M_LOG / M_RECORD).
+//! Tests of the Paragon NX-style shared-file modes (M_LOG / M_RECORD),
+//! and of removing files that are still open.
 
 use std::collections::HashSet;
 
@@ -129,5 +130,41 @@ fn disk_backed_pfs_persists_across_instances() {
         assert_eq!(buf, vec![1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2]);
     })
     .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Removing a file a handle still has open drops only the name: the
+/// handle keeps reading its bytes, and creating the name again starts a
+/// new, empty file. Both backends.
+#[test]
+fn removed_open_file_keeps_its_bytes_when_the_name_is_recreated() {
+    use dstreams_pfs::{Backend, DiskModel};
+    let dir = std::env::temp_dir().join(format!("dstreams-unlink-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for backend in [Backend::Memory, Backend::Disk(dir.clone())] {
+        let label = format!("{backend:?}");
+        let pfs = Pfs::new(1, DiskModel::instant(), backend);
+        let p = pfs.clone();
+        Machine::run(MachineConfig::functional(1), move |ctx| {
+            let old = p.open(true, "f", OpenMode::Create).unwrap();
+            old.write_at(ctx, 0, b"old bytes").unwrap();
+            p.remove("f").unwrap();
+            assert!(!p.exists("f"), "{label}");
+            let new = p.open(true, "f", OpenMode::Create).unwrap();
+            assert_eq!(new.len(), 0, "{label}: the recreated name starts empty");
+            new.write_at(ctx, 0, b"new").unwrap();
+            let mut buf = [0u8; 9];
+            old.read_at(ctx, 0, &mut buf).unwrap();
+            assert_eq!(
+                &buf, b"old bytes",
+                "{label}: the open handle lost its bytes"
+            );
+            let mut buf = [0u8; 3];
+            new.read_at(ctx, 0, &mut buf).unwrap();
+            assert_eq!(&buf, b"new", "{label}");
+        })
+        .unwrap();
+        assert_eq!(pfs.file_size("f").unwrap(), 3);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
