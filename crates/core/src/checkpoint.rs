@@ -81,16 +81,10 @@ impl RecoveryOutcome {
 /// code: a fast rank's subsequent `open(Create)` can register the file
 /// while a slow rank is still asking, sending the ranks down different
 /// branches (and desynchronizing their collectives). Rank 0 samples after
-/// a barrier and broadcasts the verdict, so every rank sees one answer.
+/// a barrier and broadcasts the verdict, so every rank sees one answer;
+/// the three steps are one machine rendezvous.
 fn exists_consistent(ctx: &NodeCtx, pfs: &Pfs, name: &str) -> Result<bool, StreamError> {
-    ctx.barrier()?;
-    let flag = if ctx.is_root() {
-        vec![u8::from(pfs.exists(name))]
-    } else {
-        Vec::new()
-    };
-    let flag = ctx.broadcast(0, flag)?;
-    Ok(flag.first() == Some(&1))
+    Ok(ctx.barrier_probe_broadcast(0, || pfs.exists(name))?)
 }
 
 impl CheckpointManager {
@@ -410,6 +404,26 @@ mod tests {
         assert!(!pfs.exists("ck.1"));
         assert!(!pfs.exists("ck.3"));
         assert!(pfs.exists("ck.4") && pfs.exists("ck.5"));
+    }
+
+    #[test]
+    fn the_existence_probe_is_one_rendezvous() {
+        let pfs = Pfs::in_memory(4);
+        let p = pfs.clone();
+        let out = Machine::run(MachineConfig::functional(4), move |ctx| {
+            let before = ctx.rendezvous_count();
+            let missing = exists_consistent(ctx, &p, "probe").unwrap();
+            let probes = ctx.rendezvous_count() - before;
+            p.open(ctx.is_root(), "probe", OpenMode::Create).unwrap();
+            ctx.barrier().unwrap();
+            (
+                missing,
+                exists_consistent(ctx, &p, "probe").unwrap(),
+                probes,
+            )
+        })
+        .unwrap();
+        assert_eq!(out, vec![(false, true, 1); 4]);
     }
 
     #[test]

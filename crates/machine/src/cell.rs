@@ -2,13 +2,16 @@
 //! here instead of relaying collective messages through rank 0.
 //!
 //! All ranks are threads of one process, so a collective needs no
-//! message hops on the host at all. Each rank deposits an [`Entry`]
-//! (opcode, root, entry clock, payload slots) and waits. The last rank to
-//! arrive is the *combiner* (flat combining, after node-replication): it
-//! runs the whole collective for every rank at once, publishes one
-//! [`Outcome`] per rank and wakes them all. What the combiner computes is
-//! the business of the collectives module; this module only provides the
-//! rendezvous, its liveness rules and its wake-up protocol.
+//! message hops on the host at all. Each rank deposits its side of the
+//! round in its [`Lane`] (program key, entry clock, payload slots) and
+//! waits. The last rank to arrive is the *combiner* (flat combining,
+//! after node-replication): it runs the whole program for every rank at
+//! once, in place on the lanes, publishes the round's verdict and wakes
+//! them all; each rank then takes its results out of its own lane. Lanes
+//! and the replay scratch belong to the cell and keep their buffers from
+//! round to round, so a round allocates nothing. What the combiner
+//! computes is the business of the collectives module; this module only
+//! provides the rendezvous, its liveness rules and its wake-up protocol.
 //!
 //! Waiting ranks spin briefly on an atomic generation counter with
 //! `yield_now`, then sleep on a condition variable. A rank whose context
@@ -23,7 +26,7 @@ use std::time::Instant;
 
 use dstreams_trace::{CollOp, EventKind};
 
-use crate::collectives::Slots;
+use crate::collectives::{Replay, Slots};
 use crate::error::MachineError;
 use crate::message::{Tag, RECV_TIMEOUT};
 use crate::time::VTime;
@@ -33,49 +36,46 @@ use crate::time::VTime;
 /// microseconds, so most waits end inside the spin.
 const SPIN_ROUNDS: u32 = 64;
 
-/// What one rank brings to a collective.
-pub(crate) struct Entry {
-    /// The API-level collective the rank called.
-    pub op: CollOp,
-    /// The collective's root (0 for rootless collectives).
-    pub root: usize,
-    /// The rank's clock at entry.
-    pub clock: VTime,
-    /// The rank's payload.
-    pub slots: Slots,
-}
+/// What identifies a program across ranks: the API-level collectives it
+/// stands for and its root.
+pub(crate) type Key = (&'static [CollOp], usize);
 
-/// What one rank takes away from a collective.
-pub(crate) struct Outcome {
-    /// The rank's clock at exit.
+/// One rank's side of a round: what it brings, then, once combined, what
+/// it takes away.
+pub(crate) struct Lane {
+    /// The program the rank called.
+    pub key: Key,
+    /// The rank's clock: at entry, then at exit.
     pub clock: VTime,
-    /// The rank's payload at exit.
+    /// Whether the rank records the program's `Collective` events.
+    pub announce: bool,
+    /// The rank's payload: at entry, then at exit.
     pub slots: Slots,
-    /// The `MsgSend`/`MsgRecv` events of the rank's legs with their
-    /// virtual times (empty when the run is untraced).
+    /// The events of the rank's legs with their virtual times (empty
+    /// when the run is untraced).
     pub events: Vec<(VTime, EventKind)>,
 }
 
 struct State {
     /// Ranks deposited in the current round.
     arrived: usize,
-    entries: Vec<Option<Entry>>,
+    lanes: Vec<Lane>,
+    /// Which lanes hold a deposit of the current round.
+    present: Vec<bool>,
+    /// Each rank's verdict of the last round, until the rank collects it.
+    done: Vec<Option<Result<(), MachineError>>>,
     departed: Vec<bool>,
     /// Ranks asleep on the condition variable; while there are none, a
     /// publish skips the wake-up system call.
     sleepers: usize,
+    replay: Replay,
 }
-
-/// Each rank's result of the last round, filled by the combiner. One lock
-/// per rank, so the woken ranks do not queue on the cell's state lock.
-type OutcomeSlot = Mutex<Option<Result<Outcome, MachineError>>>;
 
 /// The rendezvous shared by all ranks of one fault-free machine run.
 pub(crate) struct CollectiveCell {
     state: Mutex<State>,
-    outcomes: Vec<OutcomeSlot>,
     wake: Condvar,
-    /// Bumped (under the state lock) whenever outcomes are published or a
+    /// Bumped (under the state lock) whenever a round is published or a
     /// rank departs; waiters poll it without taking the lock.
     generation: AtomicU64,
 }
@@ -87,14 +87,23 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl CollectiveCell {
     /// A cell for a machine of `nprocs` ranks.
     pub fn new(nprocs: usize) -> Self {
+        let lane = || Lane {
+            key: (&[], 0),
+            clock: VTime::ZERO,
+            announce: false,
+            slots: Slots::new(nprocs),
+            events: Vec::new(),
+        };
         CollectiveCell {
             state: Mutex::new(State {
                 arrived: 0,
-                entries: (0..nprocs).map(|_| None).collect(),
+                lanes: (0..nprocs).map(|_| lane()).collect(),
+                present: vec![false; nprocs],
+                done: vec![None; nprocs],
                 departed: vec![false; nprocs],
                 sleepers: 0,
+                replay: Replay::new(nprocs),
             }),
-            outcomes: (0..nprocs).map(|_| Mutex::new(None)).collect(),
             wake: Condvar::new(),
             generation: AtomicU64::new(0),
         }
@@ -109,74 +118,66 @@ impl CollectiveCell {
         }
     }
 
-    /// Deposit `entry` for `rank` and wait for the round's outcome. The
-    /// last rank to arrive runs `combine` over every rank's entry (in rank
-    /// order); it must return one outcome per rank, or an error every
-    /// rank receives. `tag` is the collective's first tag, reported if
-    /// the wait times out.
-    pub fn rendezvous<F>(
+    /// Run one round for `rank`: `deposit` fills its lane (whose slots
+    /// arrive cleared), the last rank to arrive runs `combine` over every
+    /// lane (in rank order), and `extract` takes this rank's results out
+    /// of its lane. An error from `combine` is every rank's result. `tag`
+    /// is the program's first tag, reported if the wait times out.
+    pub fn rendezvous<R>(
         &self,
         rank: usize,
-        entry: Entry,
         tag: Tag,
-        combine: F,
-    ) -> Result<Outcome, MachineError>
-    where
-        F: FnOnce(Vec<Entry>) -> Result<Vec<Outcome>, MachineError>,
-    {
-        // A round this rank abandoned (timeout, departed peer) may still
-        // have published into its slot; that outcome is nobody's now.
-        lock(&self.outcomes[rank]).take();
+        deposit: impl FnOnce(&mut Lane),
+        combine: impl FnOnce(&mut [Lane], &mut Replay) -> Result<(), MachineError>,
+        extract: impl FnOnce(&mut Lane) -> R,
+    ) -> Result<R, MachineError> {
         let mut st = lock(&self.state);
-        st.entries[rank] = Some(entry);
+        // A round this rank abandoned (timeout, departed peer) may still
+        // have published into its lane; that verdict is nobody's now.
+        st.done[rank] = None;
+        let lane = &mut st.lanes[rank];
+        lane.slots.clear();
+        lane.events.clear();
+        deposit(lane);
+        st.present[rank] = true;
         st.arrived += 1;
-        if st.arrived == st.entries.len() {
+        if st.arrived == st.lanes.len() {
             st.arrived = 0;
-            let entries = st
-                .entries
-                .iter_mut()
-                .map(|e| e.take().expect("arrived"))
-                .collect();
-            drop(st);
-            let outs: Vec<_> = match combine(entries) {
-                Ok(outs) => outs.into_iter().map(Ok).collect(),
-                Err(e) => (0..self.outcomes.len()).map(|_| Err(e.clone())).collect(),
-            };
-            let mut mine = None;
-            for (r, out) in outs.into_iter().enumerate() {
-                if r == rank {
-                    mine = Some(out);
-                } else {
-                    *lock(&self.outcomes[r]) = Some(out);
+            let State { lanes, replay, .. } = &mut *st;
+            let verdict = combine(lanes, replay);
+            st.present.fill(false);
+            for (r, done) in st.done.iter_mut().enumerate() {
+                if r != rank {
+                    *done = Some(verdict.clone());
                 }
             }
-            self.publish(&lock(&self.state));
-            return mine.expect("the combiner's own outcome");
+            self.publish(&st);
+            return verdict.map(|()| extract(&mut st.lanes[rank]));
         }
         let mut seen = self.generation.load(Ordering::Acquire);
         drop(st);
 
         let start = Instant::now();
-        loop {
+        let mut st = loop {
             let mut spins = 0;
             while spins < SPIN_ROUNDS && self.generation.load(Ordering::Acquire) == seen {
                 std::thread::yield_now();
                 spins += 1;
             }
-            if let Some(out) = lock(&self.outcomes[rank]).take() {
-                return out;
-            }
             let mut st = lock(&self.state);
-            if let Some(out) = lock(&self.outcomes[rank]).take() {
-                return out;
+            if st.done[rank].is_some() {
+                break st;
             }
-            let missing = (0..st.entries.len()).filter(|&r| st.entries[r].is_none());
-            if let Some(gone) = missing.clone().find(|&r| st.departed[r]) {
+            // A departed peer never arrives again. (One that deposited
+            // can only have departed by dying as this round's combiner.)
+            if let Some(gone) = (0..st.lanes.len()).find(|&r| st.departed[r]) {
                 Self::withdraw(&mut st, rank);
                 return Err(MachineError::PeerGone { rank: gone });
             }
             let Some(remaining) = RECV_TIMEOUT.checked_sub(start.elapsed()) else {
-                let from = missing.min().expect("an unarrived rank");
+                let from = (0..st.lanes.len())
+                    .find(|&r| !st.present[r])
+                    .expect("an unarrived rank");
                 Self::withdraw(&mut st, rank);
                 return Err(MachineError::RecvTimeout { from, tag });
             };
@@ -192,13 +193,16 @@ impl CollectiveCell {
                 st.sleepers -= 1;
             }
             seen = self.generation.load(Ordering::Acquire);
-        }
+            drop(st);
+        };
+        let verdict = st.done[rank].take().expect("a published verdict");
+        verdict.map(|()| extract(&mut st.lanes[rank]))
     }
 
     /// Take back `rank`'s deposit after a failed wait, so the rank can
     /// call the cell again without corrupting a later round.
     fn withdraw(st: &mut State, rank: usize) {
-        if st.entries[rank].take().is_some() {
+        if std::mem::take(&mut st.present[rank]) {
             st.arrived -= 1;
         }
     }

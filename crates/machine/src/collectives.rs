@@ -4,10 +4,21 @@
 //! same order. Broadcast uses a binomial tree (O(log P) rounds);
 //! gather/scatter are flat through the root, which is faithful to how
 //! mid-90s runtimes on ≤ a few dozen nodes behaved and keeps virtual-time
-//! accounting transparent. Composites are two phases around one root-side
-//! step: `barrier` is a gather then a release scatter, `all_reduce` a
-//! gather, a fold and a broadcast, `all_gather` a gather, a framing and a
-//! broadcast, the scans a gather, a prefix pass and a scatter.
+//! accounting transparent.
+//!
+//! **Step programs.** Every collective runs as a short program of
+//! [`Step`]s: phases (one message pattern each), at most one root-side
+//! step, and, in a fused program, the `Collective` trace events of the
+//! API-level calls it stands for. `barrier` is a gather then a release
+//! scatter, `all_reduce` a gather, a fold and a broadcast, `all_gather` a
+//! gather, a framing and a broadcast, the scans a gather, a prefix pass
+//! and a scatter. A fused program runs API-level collectives back to back
+//! where no caller work sits between them:
+//! [`NodeCtx::barrier_gather_plan_broadcast`] and
+//! [`NodeCtx::gather_plan_broadcast`] (the plan exchange of a PFS
+//! collective write), [`NodeCtx::barrier_probe_broadcast`] (a
+//! rank-consistent existence check). Its legs, tags, clocks and trace
+//! events are those of the separate calls.
 //!
 //! **One hop schedule, two executors.** [`Pattern::hop`] lists, per rank,
 //! the legs of each phase in program order: whom to send which slot to,
@@ -18,28 +29,37 @@
 //!   an inert one), so retransmits, tombstones and chaos fates apply to
 //!   collective legs as to any other message;
 //! * the *cell* executor runs on fault-free machines. Every rank deposits
-//!   its entry clock and slots in the machine's `CollectiveCell` (see
-//!   `cell.rs`), and the last to arrive replays the schedule for all
-//!   ranks at once: `send_overhead`, then the arrival `now + latency +
-//!   transfer(len + 1)` per leg, the arrival-max rule, `recv_overhead`.
-//!   Those are the formulas of `NodeCtx::send`/`recv`, applied to the
-//!   same legs with the same tags, so exit clocks and the
+//!   its entry clock and slots in its lane of the machine's
+//!   `CollectiveCell` (see `cell.rs`), and the last to arrive replays the
+//!   whole program for all ranks in one rendezvous. Each phase walks a
+//!   *leg order*, derived once per cell and (pattern, root) from
+//!   `Pattern::hop`: every rank's legs in program order, each receive
+//!   after its send. Per leg it applies `send_overhead`, then the arrival
+//!   `now + latency + transfer(len + 1)`, the arrival-max rule,
+//!   `recv_overhead`. Those are the formulas of `NodeCtx::send`/`recv`,
+//!   applied to the same legs with the same tags, so exit clocks and the
 //!   `MsgSend`/`MsgRecv` events each rank records are identical to the
 //!   wire path's by construction; only the host cost of the thread
-//!   hand-offs is gone.
+//!   hand-offs is gone. Lanes and replay scratch are reused from round
+//!   to round, and scalars travel inline, so a round allocates nothing.
 //!
-//! The root-side step between phases runs on the root on the wire, and on
-//! the combiner in the cell, with the combiner's own closure: SPMD
-//! programs pass every rank the same reduction operator. `Wire` encodings
+//! The root-side step runs on the root on the wire, and on the combiner in
+//! the cell, with the combiner's own closure: SPMD programs pass every
+//! rank the same step, which must therefore be a pure function of the
+//! root's slots and of state every rank shares. `Wire` encodings
 //! round-trip exactly, so folding decoded operands on either thread gives
-//! the same value.
+//! the same value. If the step fails, its error is every rank's result:
+//! the cell hands it to all ranks at once; on the wire the root sends an
+//! abort marker carrying it down its remaining legs, and each rank that
+//! receives one forwards it on its own remaining send legs. (A `reduce`
+//! has no phase after its fold, so on the wire only its root fails.)
 //!
 //! Mismatched collectives are errors, never garbage. On the wire each
 //! message carries a one-byte opcode, trailing the payload so a sender
 //! appends it to a buffer it owns and a receiver strips it with a `pop`.
-//! In the cell every rank deposits its opcode and root, and any
-//! disagreement fails the collective on every rank with
-//! [`MachineError::CollectiveMismatch`].
+//! In the cell every rank deposits its program's key (its API-level
+//! collectives and root), and any disagreement fails the collective on
+//! every rank with [`MachineError::CollectiveMismatch`].
 //!
 //! `all_to_all` stays on the wire path on every machine. Its callers are
 //! the unplanned sorted read, `Collection::fetch_all` and
@@ -51,7 +71,7 @@ use std::sync::Arc;
 
 use dstreams_trace::{CollOp, EventKind};
 
-use crate::cell::{Entry, Outcome};
+use crate::cell::{Key, Lane};
 use crate::config::NetModel;
 use crate::error::MachineError;
 use crate::message::Tag;
@@ -70,6 +90,9 @@ enum Op {
     Scatter = 4,
     AllToAll = 5,
     Reduce = 6,
+    /// Stands in for a leg's payload once the program failed at the root;
+    /// the message carries the error's text.
+    Abort = 7,
 }
 
 impl Op {
@@ -81,6 +104,7 @@ impl Op {
             4 => Op::Scatter,
             5 => Op::AllToAll,
             6 => Op::Reduce,
+            7 => Op::Abort,
             _ => return None,
         })
     }
@@ -109,86 +133,168 @@ fn untag(op: Op, mut payload: Vec<u8>) -> Result<Vec<u8>, MachineError> {
     Ok(payload)
 }
 
+/// The text an abort marker carries: a mismatch's own message, else the
+/// error's display. Receivers turn it into a `CollectiveMismatch`.
+fn abort_text(e: &MachineError) -> String {
+    match e {
+        MachineError::CollectiveMismatch(msg) => msg.clone(),
+        e => e.to_string(),
+    }
+}
+
 /// Decode a `Wire` value, naming `what` failed otherwise.
 fn decode<T: Wire>(bytes: &[u8], what: &str) -> Result<T, MachineError> {
     T::from_wire(bytes).ok_or_else(|| MachineError::CollectiveMismatch(what.into()))
 }
 
-/// One rank's data in a collective: `parts` (indexed by rank) travel along
-/// gather and scatter legs, `whole` along broadcast legs.
-///
-/// The whole is shared so that the cell can hand every rank the root's
-/// broadcast buffer without copying it on the combiner's thread: each
-/// rank copies it (the last one takes it) on its own thread, where a wire
-/// receive would have allocated it too.
-#[derive(Debug, Default)]
-pub(crate) struct Slots {
-    parts: Vec<Vec<u8>>,
-    whole: Arc<Vec<u8>>,
-}
+/// Payloads up to this many bytes (reduction operands, flags) travel
+/// inline.
+const INLINE: usize = 16;
 
-/// What a leg carries: a part moves, the whole is shared.
-enum Carried {
+/// The bytes in one slot. A scalar sits inline; a part is owned and
+/// moves along its leg; a broadcast whole is shared, so the cell hands
+/// every rank the root's buffer without copying it on the combiner's
+/// thread: each rank copies it (the last one takes it) on its own
+/// thread, where a wire receive would have allocated it too.
+#[derive(Debug, Clone)]
+enum Payload {
+    Inline(u8, [u8; INLINE]),
     Owned(Vec<u8>),
     Shared(Arc<Vec<u8>>),
 }
 
-impl Carried {
-    fn len(&self) -> usize {
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::Inline(0, [0; INLINE])
+    }
+}
+
+impl AsRef<[u8]> for Payload {
+    fn as_ref(&self) -> &[u8] {
         match self {
-            Carried::Owned(v) => v.len(),
-            Carried::Shared(a) => a.len(),
+            Payload::Inline(len, buf) => &buf[..usize::from(*len)],
+            Payload::Owned(v) => v,
+            Payload::Shared(a) => a,
         }
+    }
+}
+
+impl Payload {
+    /// A copy of `bytes`, inline when it fits.
+    fn copy_of(bytes: &[u8]) -> Self {
+        if bytes.len() > INLINE {
+            return Payload::Owned(bytes.to_vec());
+        }
+        let mut buf = [0; INLINE];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        Payload::Inline(bytes.len() as u8, buf)
+    }
+
+    fn len(&self) -> usize {
+        self.as_ref().len()
+    }
+
+    /// A copy that shares the buffer (an owned one becomes shared first):
+    /// what a broadcast leg forwards while the sender keeps the whole.
+    fn share(&mut self) -> Payload {
+        if let Payload::Owned(v) = self {
+            *self = Payload::Shared(Arc::new(std::mem::take(v)));
+        }
+        self.clone()
     }
 
     fn into_vec(self) -> Vec<u8> {
         match self {
-            Carried::Owned(v) => v,
-            Carried::Shared(a) => Arc::unwrap_or_clone(a),
+            Payload::Owned(v) => v,
+            Payload::Shared(a) => Arc::unwrap_or_clone(a),
+            inline => inline.as_ref().to_vec(),
         }
     }
 
     /// The wire bytes of the payload: its own buffer, or a copy with one
     /// spare byte, with the opcode appended.
     fn into_tagged(self, op: Op) -> Vec<u8> {
-        match self {
-            Carried::Owned(v) => tagged(op, v),
-            Carried::Shared(a) => {
-                let mut copy = Vec::with_capacity(a.len() + 1);
-                copy.extend_from_slice(&a);
-                tagged(op, copy)
-            }
+        if let Payload::Owned(v) = self {
+            return tagged(op, v);
         }
+        let mut copy = Vec::with_capacity(self.len() + 1);
+        copy.extend_from_slice(self.as_ref());
+        tagged(op, copy)
     }
 }
 
+/// One rank's data in a collective: `parts` (indexed by rank) travel along
+/// gather and scatter legs, `whole` along broadcast legs.
+#[derive(Debug)]
+pub(crate) struct Slots {
+    parts: Vec<Payload>,
+    whole: Payload,
+}
+
 impl Slots {
-    /// `n` empty parts but this rank's `data`.
-    fn part(n: usize, rank: usize, data: Vec<u8>) -> Self {
-        let mut parts = vec![Vec::new(); n];
-        parts[rank] = data;
+    /// Empty slots for a machine of `n` ranks.
+    pub(crate) fn new(n: usize) -> Self {
         Slots {
-            parts,
-            whole: Arc::default(),
+            parts: vec![Payload::default(); n],
+            whole: Payload::default(),
         }
+    }
+
+    /// Empty every slot, keeping the part table.
+    pub(crate) fn clear(&mut self) {
+        self.parts.fill(Payload::default());
+        self.whole = Payload::default();
     }
 
     /// What a send leg ships: a part moves out, the whole is shared (a
     /// broadcast forwards it to several children and keeps it).
-    fn ship(&mut self, slot: Slot) -> Carried {
+    fn ship(&mut self, slot: Slot) -> Payload {
         match slot {
-            Slot::Part(i) => Carried::Owned(std::mem::take(&mut self.parts[i])),
-            Slot::Whole => Carried::Shared(Arc::clone(&self.whole)),
+            Slot::Part(i) => std::mem::take(&mut self.parts[i]),
+            Slot::Whole => self.whole.share(),
         }
     }
 
     /// Store what a receive leg delivered.
-    fn store(&mut self, slot: Slot, data: Carried) {
-        match (slot, data) {
-            (Slot::Part(i), data) => self.parts[i] = data.into_vec(),
-            (Slot::Whole, Carried::Shared(a)) => self.whole = a,
-            (Slot::Whole, Carried::Owned(v)) => self.whole = Arc::new(v),
+    fn store(&mut self, slot: Slot, data: Payload) {
+        match slot {
+            Slot::Part(i) => self.parts[i] = data,
+            Slot::Whole => self.whole = data,
         }
+    }
+
+    /// Every part, in rank order, as the caller's buffers.
+    fn take_parts(&mut self) -> Vec<Vec<u8>> {
+        self.parts
+            .iter_mut()
+            .map(|p| std::mem::take(p).into_vec())
+            .collect()
+    }
+
+    fn take_whole(&mut self) -> Payload {
+        std::mem::take(&mut self.whole)
+    }
+}
+
+/// The buffers a gather delivered to its root, in rank order: what the
+/// `plan` of [`NodeCtx::gather_plan_broadcast`] reads.
+#[derive(Debug, Clone, Copy)]
+pub struct Gathered<'a>(&'a [Payload]);
+
+impl<'a> Gathered<'a> {
+    /// Number of buffers (one per rank).
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there are no buffers.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The buffers, in rank order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+        self.0.iter().map(AsRef::as_ref)
     }
 }
 
@@ -272,6 +378,15 @@ impl Pattern {
             }
         }
     }
+
+    /// This pattern's index among the cell's leg orders.
+    fn index(self) -> usize {
+        match self {
+            Pattern::Gather(root) => 3 * root,
+            Pattern::Scatter(root) => 3 * root + 1,
+            Pattern::Broadcast(root) => 3 * root + 2,
+        }
+    }
 }
 
 /// One phase of a collective: its pattern and the opcode its wire
@@ -283,159 +398,332 @@ struct Phase {
 }
 
 impl Phase {
-    fn new(pattern: Pattern, op: Op) -> Self {
+    const fn new(pattern: Pattern, op: Op) -> Self {
         Phase { pattern, op }
+    }
+
+    /// What a send leg of this phase ships from `slots`. A barrier's legs
+    /// carry nothing and leave the slots as they are, so a fused program
+    /// can hold its later phases' payloads across its barrier.
+    fn ship(self, slots: &mut Slots, slot: Slot) -> Payload {
+        match self.op {
+            Op::Barrier => Payload::default(),
+            _ => slots.ship(slot),
+        }
+    }
+
+    /// Store what a receive leg of this phase delivered.
+    fn store(self, slots: &mut Slots, slot: Slot, data: Payload) {
+        if self.op != Op::Barrier {
+            slots.store(slot, data);
+        }
     }
 }
 
-/// The cell executor: run `phase` for every rank at once, moving the
-/// slots along its legs and advancing each lane's clock exactly as the
-/// wire legs would.
-fn simulate(phase: Phase, tag: Tag, net: &NetModel, tracing: bool, lanes: &mut [Outcome]) {
-    let n = lanes.len();
-    // Each rank's next leg; `usize::MAX` once it ran its last.
+/// One step of a collective program.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Record the `Collective` event of API-level collective `op` (with
+    /// its root) where a separate call would have recorded it.
+    Announce(CollOp, Option<usize>),
+    /// Run the legs of a phase.
+    Phase(Phase),
+    /// Run the program's root-side step on the root's slots.
+    AtRoot,
+}
+
+/// A barrier's two phases: gather tiny messages to rank 0, then scatter
+/// the release. Clock synchronization falls out of the arrival-time max
+/// rule.
+const BARRIER: [Step; 2] = [
+    Step::Phase(Phase::new(Pattern::Gather(0), Op::Barrier)),
+    Step::Phase(Phase::new(Pattern::Scatter(0), Op::Barrier)),
+];
+
+/// The most phases one program runs (a barrier's two, a gather and a
+/// broadcast).
+const MAX_PHASES: usize = 4;
+
+/// A collective program as each rank calls it.
+struct Program<'a> {
+    /// The API-level collectives it stands for, which the cell checks
+    /// every rank agrees on.
+    ops: &'static [CollOp],
+    root: usize,
+    steps: &'a [Step],
+}
+
+/// The root-side step of a program that has none.
+fn no_root_step(_: &mut Slots) -> Result<(), MachineError> {
+    Ok(())
+}
+
+/// The `Collective` event `rank` records for `op`, with the bytes a
+/// separate call would have been passed.
+fn announced(op: CollOp, root: Option<usize>, rank: usize, slots: &Slots) -> EventKind {
+    let bytes = match op {
+        CollOp::Barrier => 0,
+        CollOp::Broadcast => slots.whole.len(),
+        _ => slots.parts[rank].len(),
+    };
+    EventKind::Collective {
+        op,
+        root,
+        bytes: bytes as u64,
+    }
+}
+
+/// The error of ranks that called different programs.
+fn disagreement(rank: usize, got: Key, want: Key) -> MachineError {
+    let names = |ops: &[CollOp]| ops.iter().map(|op| op.name()).collect::<Vec<_>>().join("+");
+    MachineError::CollectiveMismatch(format!(
+        "rank {rank} called {} (root {}) but rank 0 called {} (root {})",
+        names(got.0),
+        got.1,
+        names(want.0),
+        want.1
+    ))
+}
+
+/// One leg in a phase's replay order; `msg` numbers its message within
+/// the phase.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    rank: usize,
+    hop: Hop,
+    msg: usize,
+}
+
+/// The cell's replay state: the leg order of each (pattern, root) the
+/// run has used, and the messages in flight during a phase.
+pub(crate) struct Replay {
+    orders: Vec<Option<Box<[Leg]>>>,
+    flight: Vec<(VTime, Payload)>,
+}
+
+impl Replay {
+    /// Replay state for a machine of `n` ranks.
+    pub(crate) fn new(n: usize) -> Self {
+        Replay {
+            orders: vec![None; 3 * n],
+            // A phase sends exactly one message to each non-root rank or
+            // from each, so n - 1 are ever in flight.
+            flight: vec![(VTime::ZERO, Payload::default()); n.saturating_sub(1)],
+        }
+    }
+}
+
+/// Derive `pattern`'s leg order over `n` ranks: sweep the ranks, running
+/// each rank's legs in program order until it reaches a receive whose
+/// message has not been sent yet.
+fn leg_order(pattern: Pattern, n: usize) -> Box<[Leg]> {
     let mut next = vec![0usize; n];
-    // In-flight message per (from, to) edge; a phase uses each edge once.
-    let mut wire: Vec<Option<(VTime, Carried)>> = (0..n * n).map(|_| None).collect();
-    let mut left = n;
-    while left > 0 {
-        let mut progressed = false;
-        for (r, lane) in lanes.iter_mut().enumerate() {
-            if next[r] == usize::MAX {
-                continue;
-            }
-            loop {
-                let Some(Hop { send, peer, slot }) = phase.pattern.hop(r, n, next[r]) else {
-                    next[r] = usize::MAX;
-                    left -= 1;
-                    progressed = true;
-                    break;
-                };
-                if send {
-                    let payload = lane.slots.ship(slot);
-                    let bytes = payload.len() + 1;
-                    lane.clock += net.send_overhead;
-                    if tracing {
-                        lane.events.push((
-                            lane.clock,
-                            EventKind::MsgSend {
-                                to: peer,
-                                tag,
-                                bytes: bytes as u64,
-                                collective: true,
-                            },
-                        ));
-                    }
-                    let arrival = lane.clock + net.latency + net.transfer(bytes);
-                    wire[r * n + peer] = Some((arrival, payload));
+    // The message number of the send on each (from, to) edge; a phase
+    // uses each edge once.
+    let mut sent: Vec<Option<usize>> = vec![None; n * n];
+    let mut order = Vec::new();
+    let mut msgs = 0;
+    let mut progressed = true;
+    while progressed {
+        progressed = false;
+        for (rank, k) in next.iter_mut().enumerate() {
+            while let Some(hop) = pattern.hop(rank, n, *k) {
+                let msg = if hop.send {
+                    sent[rank * n + hop.peer] = Some(msgs);
+                    msgs += 1;
+                    msgs - 1
                 } else {
-                    let Some((arrival, payload)) = wire[peer * n + r].take() else {
-                        break;
-                    };
-                    lane.clock = lane.clock.max(arrival) + net.recv_overhead;
-                    if tracing {
-                        lane.events.push((
-                            lane.clock,
-                            EventKind::MsgRecv {
-                                from: peer,
-                                tag,
-                                bytes: payload.len() as u64 + 1,
-                                collective: true,
-                            },
-                        ));
+                    match sent[hop.peer * n + rank].take() {
+                        Some(msg) => msg,
+                        None => break,
                     }
-                    lane.slots.store(slot, payload);
-                }
-                next[r] += 1;
+                };
+                order.push(Leg { rank, hop, msg });
+                *k += 1;
                 progressed = true;
             }
         }
-        assert!(progressed, "collective schedule cannot make progress");
+    }
+    assert!(
+        (0..n).all(|r| pattern.hop(r, n, next[r]).is_none()),
+        "collective schedule cannot make progress"
+    );
+    order.into_boxed_slice()
+}
+
+/// The cell executor: run `phase` for every lane at once, moving the
+/// payloads along its legs in leg order and advancing each lane's clock
+/// exactly as the wire legs would.
+fn replay_phase(
+    phase: Phase,
+    tag: Tag,
+    net: &NetModel,
+    tracing: bool,
+    lanes: &mut [Lane],
+    replay: &mut Replay,
+) {
+    let n = lanes.len();
+    let Replay { orders, flight } = replay;
+    let order = orders[phase.pattern.index()].get_or_insert_with(|| leg_order(phase.pattern, n));
+    for &Leg { rank, hop, msg } in order.iter() {
+        let Hop { send, peer, slot } = hop;
+        let lane = &mut lanes[rank];
+        if send {
+            let payload = phase.ship(&mut lane.slots, slot);
+            let bytes = payload.len() + 1;
+            lane.clock += net.send_overhead;
+            if tracing {
+                lane.events.push((
+                    lane.clock,
+                    EventKind::MsgSend {
+                        to: peer,
+                        tag,
+                        bytes: bytes as u64,
+                        collective: true,
+                    },
+                ));
+            }
+            flight[msg] = (lane.clock + net.latency + net.transfer(bytes), payload);
+        } else {
+            let arrival = flight[msg].0;
+            let payload = std::mem::take(&mut flight[msg].1);
+            lane.clock = lane.clock.max(arrival) + net.recv_overhead;
+            if tracing {
+                lane.events.push((
+                    lane.clock,
+                    EventKind::MsgRecv {
+                        from: peer,
+                        tag,
+                        bytes: payload.len() as u64 + 1,
+                        collective: true,
+                    },
+                ));
+            }
+            phase.store(&mut lane.slots, slot, payload);
+        }
     }
 }
 
 impl NodeCtx {
-    /// Run one collective: `phases` (one or two) over `root`, with
-    /// `at_root` applied to the root's slots after the first phase.
-    /// Returns this rank's slots at exit. `op` names the API-level
-    /// collective for the cell's cross-rank agreement check.
-    fn run_collective<F>(
+    /// Run one collective program. `deposit` fills this rank's (empty)
+    /// slots, `at_root` is the root-side step, and `extract` takes this
+    /// rank's results out of its slots at exit.
+    fn run_program<F, R>(
         &self,
-        op: CollOp,
-        root: usize,
-        phases: &[Phase],
-        mut slots: Slots,
+        program: Program<'_>,
         mut at_root: F,
-    ) -> Result<Slots, MachineError>
+        deposit: impl FnOnce(&mut Slots),
+        extract: impl FnOnce(&mut Slots) -> R,
+    ) -> Result<R, MachineError>
     where
         F: FnMut(&mut Slots) -> Result<(), MachineError>,
     {
-        let mut tags: [Tag; 2] = [0; 2];
-        for tag in &mut tags[..phases.len()] {
+        let Program { ops, root, steps } = program;
+        let mut tags: [Tag; MAX_PHASES] = [0; MAX_PHASES];
+        let phases = steps.iter().filter(|s| matches!(s, Step::Phase(_)));
+        for (tag, _) in tags.iter_mut().zip(phases) {
             *tag = self.next_coll_tag();
         }
+        let (rank, announce) = (self.rank(), self.announces_collectives());
         let Some(cell) = self.cell() else {
-            for (i, (&phase, &tag)) in phases.iter().zip(&tags).enumerate() {
-                self.wire_phase(phase, tag, &mut slots)?;
-                if i == 0 && self.rank() == root {
-                    at_root(&mut slots)?;
+            let mut slots = Slots::new(self.nprocs());
+            deposit(&mut slots);
+            let mut tags = tags.iter();
+            let mut failed = None;
+            for &step in steps {
+                match step {
+                    Step::Announce(op, r) if announce => {
+                        self.emit_at(self.now(), announced(op, r, rank, &slots));
+                    }
+                    Step::Phase(phase) => {
+                        let tag = *tags.next().expect("a tag per phase");
+                        self.wire_phase(phase, tag, &mut slots, &mut failed)?;
+                    }
+                    Step::AtRoot if rank == root && failed.is_none() => {
+                        failed = at_root(&mut slots).err();
+                    }
+                    Step::Announce(..) | Step::AtRoot => {}
                 }
             }
-            return Ok(slots);
+            return match failed {
+                Some(e) => Err(e),
+                None => Ok(extract(&mut slots)),
+            };
         };
-        let entry = Entry {
-            op,
-            root,
-            clock: self.now(),
-            slots,
-        };
-        let out = cell.rendezvous(self.rank(), entry, tags[0], |entries| {
-            if let Some((r, e)) = entries
-                .iter()
-                .enumerate()
-                .find(|(_, e)| e.op != entries[0].op || e.root != entries[0].root)
-            {
-                return Err(MachineError::CollectiveMismatch(format!(
-                    "rank {r} called {} (root {}) but rank 0 called {} (root {})",
-                    e.op.name(),
-                    e.root,
-                    entries[0].op.name(),
-                    entries[0].root
-                )));
-            }
-            let mut lanes: Vec<Outcome> = entries
-                .into_iter()
-                .map(|e| Outcome {
-                    clock: e.clock,
-                    slots: e.slots,
-                    events: Vec::new(),
-                })
-                .collect();
-            for (i, (&phase, &tag)) in phases.iter().zip(&tags).enumerate() {
-                simulate(phase, tag, &self.config().net, self.tracing(), &mut lanes);
-                if i == 0 {
-                    at_root(&mut lanes[root].slots)?;
+        self.count_rendezvous();
+        let (net, tracing) = (&self.config().net, self.tracing());
+        let (clock, out) = cell.rendezvous(
+            rank,
+            tags[0],
+            |lane| {
+                lane.key = (ops, root);
+                lane.clock = self.now();
+                lane.announce = announce;
+                deposit(&mut lane.slots);
+            },
+            |lanes, replay| {
+                let key = lanes[0].key;
+                if let Some((r, lane)) = lanes.iter().enumerate().find(|(_, l)| l.key != key) {
+                    return Err(disagreement(r, lane.key, key));
                 }
-            }
-            Ok(lanes)
-        })?;
-        for (vtime, kind) in out.events {
-            self.emit_at(vtime, kind);
-        }
-        self.sync_to(out.clock);
-        Ok(out.slots)
+                let mut tags = tags.iter();
+                for &step in steps {
+                    match step {
+                        Step::Announce(op, r) => {
+                            for (me, lane) in lanes.iter_mut().enumerate() {
+                                if lane.announce {
+                                    let event = announced(op, r, me, &lane.slots);
+                                    lane.events.push((lane.clock, event));
+                                }
+                            }
+                        }
+                        Step::Phase(phase) => {
+                            let tag = *tags.next().expect("a tag per phase");
+                            replay_phase(phase, tag, net, tracing, lanes, replay);
+                        }
+                        Step::AtRoot => at_root(&mut lanes[root].slots)?,
+                    }
+                }
+                Ok(())
+            },
+            |lane| {
+                self.stash_legs(&mut lane.events);
+                (lane.clock, extract(&mut lane.slots))
+            },
+        )?;
+        self.emit_legs();
+        self.sync_to(clock);
+        Ok(out)
     }
 
     /// The wire executor: run this rank's legs of `phase` as real
-    /// messages.
-    fn wire_phase(&self, phase: Phase, tag: Tag, slots: &mut Slots) -> Result<(), MachineError> {
+    /// messages. Once `failed` holds the root step's error, each send leg
+    /// carries an abort marker instead of its payload and receive legs
+    /// are skipped; receiving a marker sets `failed`.
+    fn wire_phase(
+        &self,
+        phase: Phase,
+        tag: Tag,
+        slots: &mut Slots,
+        failed: &mut Option<MachineError>,
+    ) -> Result<(), MachineError> {
         let (rank, n) = (self.rank(), self.nprocs());
         for Hop { send, peer, slot } in (0..).map_while(|k| phase.pattern.hop(rank, n, k)) {
             if send {
-                self.send_owned(peer, tag, slots.ship(slot).into_tagged(phase.op))?;
-            } else {
-                let data = untag(phase.op, self.recv(peer, tag)?)?;
-                slots.store(slot, Carried::Owned(data));
+                let msg = match failed {
+                    Some(e) => tagged(Op::Abort, abort_text(e).into_bytes()),
+                    None => phase.ship(slots, slot).into_tagged(phase.op),
+                };
+                self.send_owned(peer, tag, msg)?;
+            } else if failed.is_none() {
+                let mut data = self.recv(peer, tag)?;
+                if data.last() == Some(&(Op::Abort as u8)) {
+                    data.pop();
+                    let msg = String::from_utf8_lossy(&data).into_owned();
+                    *failed = Some(MachineError::CollectiveMismatch(msg));
+                } else {
+                    phase.store(slots, slot, Payload::Owned(untag(phase.op, data)?));
+                }
             }
         }
         Ok(())
@@ -463,15 +751,12 @@ impl NodeCtx {
             bytes: 0,
         });
         let _scope = self.collective_scope();
-        // Gather tiny messages to rank 0, then scatter the release. Clock
-        // synchronization falls out of the arrival-time max rule.
-        let phases = [
-            Phase::new(Pattern::Gather(0), Op::Barrier),
-            Phase::new(Pattern::Scatter(0), Op::Barrier),
-        ];
-        let slots = Slots::part(self.nprocs(), self.rank(), Vec::new());
-        self.run_collective(CollOp::Barrier, 0, &phases, slots, |_| Ok(()))?;
-        Ok(())
+        let program = Program {
+            ops: &[CollOp::Barrier],
+            root: 0,
+            steps: &BARRIER,
+        };
+        self.run_program(program, no_root_step, |_| {}, |_| ())
     }
 
     /// Broadcast `data` from `root` to all ranks (binomial tree). Every
@@ -485,13 +770,17 @@ impl NodeCtx {
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let phases = [Phase::new(Pattern::Broadcast(root), Op::Broadcast)];
-        let slots = Slots {
-            parts: Vec::new(),
-            whole: Arc::new(data),
+        let program = Program {
+            ops: &[CollOp::Broadcast],
+            root,
+            steps: &[Step::Phase(Phase::new(
+                Pattern::Broadcast(root),
+                Op::Broadcast,
+            ))],
         };
-        let out = self.run_collective(CollOp::Broadcast, root, &phases, slots, |_| Ok(()))?;
-        Ok(Arc::unwrap_or_clone(out.whole))
+        let deposit = |s: &mut Slots| s.whole = Payload::Owned(data);
+        let out = self.run_program(program, no_root_step, deposit, Slots::take_whole)?;
+        Ok(out.into_vec())
     }
 
     /// Gather one buffer from every rank to `root`. Returns
@@ -504,10 +793,18 @@ impl NodeCtx {
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let phases = [Phase::new(Pattern::Gather(root), Op::Gather)];
-        let slots = Slots::part(self.nprocs(), self.rank(), data);
-        let out = self.run_collective(CollOp::Gather, root, &phases, slots, |_| Ok(()))?;
-        Ok((self.rank() == root).then_some(out.parts))
+        let program = Program {
+            ops: &[CollOp::Gather],
+            root,
+            steps: &[Step::Phase(Phase::new(Pattern::Gather(root), Op::Gather))],
+        };
+        let me = self.rank();
+        self.run_program(
+            program,
+            no_root_step,
+            |s| s.parts[me] = Payload::Owned(data),
+            |s| (me == root).then(|| s.take_parts()),
+        )
     }
 
     /// Gather to every rank: a gather to rank 0 followed by a broadcast of
@@ -519,20 +816,34 @@ impl NodeCtx {
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let phases = [
-            Phase::new(Pattern::Gather(0), Op::Gather),
-            Phase::new(Pattern::Broadcast(0), Op::Broadcast),
-        ];
-        let slots = Slots::part(self.nprocs(), self.rank(), data);
-        let out = self.run_collective(CollOp::AllGather, 0, &phases, slots, |s| {
-            s.whole = Arc::new(frame_blocks(&s.parts));
+        let program = Program {
+            ops: &[CollOp::AllGather],
+            root: 0,
+            steps: &[
+                Step::Phase(Phase::new(Pattern::Gather(0), Op::Gather)),
+                Step::AtRoot,
+                Step::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
+            ],
+        };
+        let me = self.rank();
+        let frame = |s: &mut Slots| {
+            s.whole = Payload::Owned(frame_blocks(&s.parts));
             Ok(())
-        })?;
+        };
         // The root already holds every buffer; only the others unframe.
-        if self.is_root() {
-            return Ok(out.parts);
+        let (parts, framed) = self.run_program(
+            program,
+            frame,
+            |s| s.parts[me] = Payload::Owned(data),
+            |s| match me {
+                0 => (s.take_parts(), Payload::default()),
+                _ => (Vec::new(), s.take_whole()),
+            },
+        )?;
+        if me == 0 {
+            return Ok(parts);
         }
-        unframe_blocks(&out.whole).ok_or_else(|| {
+        unframe_blocks(framed.as_ref()).ok_or_else(|| {
             MachineError::CollectiveMismatch("all_gather: malformed framed payload".into())
         })
     }
@@ -569,20 +880,30 @@ impl NodeCtx {
                     "scatter: root must supply parts".into(),
                 ));
             }
-            None => vec![Vec::new(); n],
+            None => Vec::new(),
             Some(_) => {
                 return Err(MachineError::CollectiveMismatch(
                     "scatter: non-root rank supplied parts".into(),
                 ));
             }
         };
-        let phases = [Phase::new(Pattern::Scatter(root), Op::Scatter)];
-        let slots = Slots {
-            parts,
-            whole: Arc::default(),
+        let program = Program {
+            ops: &[CollOp::Scatter],
+            root,
+            steps: &[Step::Phase(Phase::new(Pattern::Scatter(root), Op::Scatter))],
         };
-        let mut out = self.run_collective(CollOp::Scatter, root, &phases, slots, |_| Ok(()))?;
-        Ok(std::mem::take(&mut out.parts[self.rank()]))
+        let me = self.rank();
+        let out = self.run_program(
+            program,
+            no_root_step,
+            |s| {
+                for (slot, part) in s.parts.iter_mut().zip(parts) {
+                    *slot = Payload::Owned(part);
+                }
+            },
+            |s| std::mem::take(&mut s.parts[me]),
+        )?;
+        Ok(out.into_vec())
     }
 
     /// Personalized all-to-all: `parts[to]` is sent to rank `to`; the
@@ -633,13 +954,13 @@ impl NodeCtx {
         F: Fn(T, T) -> T,
     {
         const WHAT: &str = "reduce: undecodable operand";
-        let mut acc: T = decode(&slots.parts[root], WHAT)?;
+        let mut acc: T = decode(slots.parts[root].as_ref(), WHAT)?;
         for (from, raw) in slots.parts.iter().enumerate() {
             if from != root {
-                acc = op(acc, decode(raw, WHAT)?);
+                acc = op(acc, decode(raw.as_ref(), WHAT)?);
             }
         }
-        slots.whole = Arc::new(acc.to_wire());
+        slots.whole = acc.with_wire(Payload::copy_of);
         Ok(())
     }
 
@@ -650,22 +971,32 @@ impl NodeCtx {
         F: Fn(T, T) -> T,
     {
         self.check_root(root)?;
-        let mine = value.to_wire();
+        let mine = value.with_wire(Payload::copy_of);
         self.emit_collective_with(|| EventKind::Collective {
             op: CollOp::Reduce,
             root: Some(root),
             bytes: mine.len() as u64,
         });
         let _scope = self.collective_scope();
-        let phases = [Phase::new(Pattern::Gather(root), Op::Reduce)];
-        let slots = Slots::part(self.nprocs(), self.rank(), mine);
-        let out = self.run_collective(CollOp::Reduce, root, &phases, slots, |s| {
-            Self::fold_at_root(root, &op, s)
-        })?;
-        if self.rank() != root {
+        let program = Program {
+            ops: &[CollOp::Reduce],
+            root,
+            steps: &[
+                Step::Phase(Phase::new(Pattern::Gather(root), Op::Reduce)),
+                Step::AtRoot,
+            ],
+        };
+        let me = self.rank();
+        let out = self.run_program(
+            program,
+            |s| Self::fold_at_root(root, &op, s),
+            |s| s.parts[me] = mine,
+            Slots::take_whole,
+        )?;
+        if me != root {
             return Ok(None);
         }
-        decode(&out.whole, "reduce: undecodable result").map(Some)
+        decode(out.as_ref(), "reduce: undecodable result").map(Some)
     }
 
     /// Reduce with the result delivered to every rank: a reduce to rank 0
@@ -675,47 +1006,62 @@ impl NodeCtx {
         T: Wire,
         F: Fn(T, T) -> T,
     {
-        let mine = value.to_wire();
+        let mine = value.with_wire(Payload::copy_of);
         self.emit_collective_with(|| EventKind::Collective {
             op: CollOp::AllReduce,
             root: None,
             bytes: mine.len() as u64,
         });
         let _scope = self.collective_scope();
-        let phases = [
-            Phase::new(Pattern::Gather(0), Op::Reduce),
-            Phase::new(Pattern::Broadcast(0), Op::Broadcast),
-        ];
-        let slots = Slots::part(self.nprocs(), self.rank(), mine);
-        let out = self.run_collective(CollOp::AllReduce, 0, &phases, slots, |s| {
-            Self::fold_at_root(0, &op, s)
-        })?;
-        decode(&out.whole, "all_reduce: undecodable result")
+        let program = Program {
+            ops: &[CollOp::AllReduce],
+            root: 0,
+            steps: &[
+                Step::Phase(Phase::new(Pattern::Gather(0), Op::Reduce)),
+                Step::AtRoot,
+                Step::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
+            ],
+        };
+        let me = self.rank();
+        let out = self.run_program(
+            program,
+            |s| Self::fold_at_root(0, &op, s),
+            |s| s.parts[me] = mine,
+            Slots::take_whole,
+        )?;
+        decode(out.as_ref(), "all_reduce: undecodable result")
     }
 
     /// Gather every rank's operand to rank 0, let `prefixes` turn them
-    /// into per-rank results there, and scatter those back.
+    /// in place into per-rank results there, and scatter those back.
     fn prefix_collective<T, P>(
         &self,
-        op: CollOp,
+        ops: &'static [CollOp],
         value: T,
         what: &str,
         mut prefixes: P,
     ) -> Result<T, MachineError>
     where
         T: Wire,
-        P: FnMut(&[Vec<u8>]) -> Result<Vec<Vec<u8>>, MachineError>,
+        P: FnMut(&mut [Payload]) -> Result<(), MachineError>,
     {
-        let phases = [
-            Phase::new(Pattern::Gather(0), Op::Gather),
-            Phase::new(Pattern::Scatter(0), Op::Scatter),
-        ];
-        let slots = Slots::part(self.nprocs(), self.rank(), value.to_wire());
-        let out = self.run_collective(op, 0, &phases, slots, |s| {
-            s.parts = prefixes(&s.parts)?;
-            Ok(())
-        })?;
-        decode(&out.parts[self.rank()], what)
+        let program = Program {
+            ops,
+            root: 0,
+            steps: &[
+                Step::Phase(Phase::new(Pattern::Gather(0), Op::Gather)),
+                Step::AtRoot,
+                Step::Phase(Phase::new(Pattern::Scatter(0), Op::Scatter)),
+            ],
+        };
+        let me = self.rank();
+        let out = self.run_program(
+            program,
+            |s| prefixes(&mut s.parts),
+            |s| s.parts[me] = value.with_wire(Payload::copy_of),
+            |s| std::mem::take(&mut s.parts[me]),
+        )?;
+        decode(out.as_ref(), what)
     }
 
     /// Inclusive prefix reduction ("scan"): rank r receives
@@ -729,23 +1075,27 @@ impl NodeCtx {
         self.emit_collective_with(|| EventKind::Collective {
             op: CollOp::Scan,
             root: None,
-            bytes: value.to_wire().len() as u64,
+            bytes: value.with_wire(<[u8]>::len) as u64,
         });
         let _scope = self.collective_scope();
-        self.prefix_collective(CollOp::Scan, value, "scan: undecodable result", |bufs| {
-            let mut acc: Option<T> = None;
-            let mut out = Vec::with_capacity(bufs.len());
-            for b in bufs {
-                let v: T = decode(b, "scan: undecodable operand")?;
-                let next = match &acc {
-                    None => v,
-                    Some(a) => op(a, &v),
-                };
-                out.push(next.to_wire());
-                acc = Some(decode(&out[out.len() - 1], "scan: roundtrip failure")?);
-            }
-            Ok(out)
-        })
+        self.prefix_collective(
+            &[CollOp::Scan],
+            value,
+            "scan: undecodable result",
+            |parts| {
+                let mut acc: Option<T> = None;
+                for part in parts {
+                    let v: T = decode(part.as_ref(), "scan: undecodable operand")?;
+                    let next = match &acc {
+                        None => v,
+                        Some(a) => op(a, &v),
+                    };
+                    *part = next.with_wire(Payload::copy_of);
+                    acc = Some(decode(part.as_ref(), "scan: roundtrip failure")?);
+                }
+                Ok(())
+            },
+        )
     }
 
     /// Exclusive prefix reduction: rank 0 receives `identity`, rank r > 0
@@ -758,21 +1108,140 @@ impl NodeCtx {
         self.emit_collective_with(|| EventKind::Collective {
             op: CollOp::ExclusiveScan,
             root: None,
-            bytes: value.to_wire().len() as u64,
+            bytes: value.with_wire(<[u8]>::len) as u64,
         });
         let _scope = self.collective_scope();
         let mut identity = Some(identity);
         let what = "exclusive_scan: undecodable result";
-        self.prefix_collective(CollOp::ExclusiveScan, value, what, |bufs| {
+        self.prefix_collective(&[CollOp::ExclusiveScan], value, what, |parts| {
             let mut acc = identity.take().expect("the root step runs once");
-            let mut out = Vec::with_capacity(bufs.len());
-            for b in bufs {
-                out.push(acc.to_wire());
-                let v: T = decode(b, "exclusive_scan: undecodable operand")?;
+            for part in parts {
+                let v: T = decode(part.as_ref(), "exclusive_scan: undecodable operand")?;
+                *part = acc.with_wire(Payload::copy_of);
                 acc = op(&acc, &v);
             }
-            Ok(out)
+            Ok(())
         })
+    }
+
+    /// A barrier, then a gather of every rank's `data` to `root`, `plan`
+    /// over the gathered buffers there, and a broadcast of its result
+    /// from `root`: four collectives in one rendezvous. Returns the
+    /// plan on every rank. Legs, tags, clocks and trace events are those
+    /// of the separate calls ([`NodeCtx::barrier`], [`NodeCtx::gather`],
+    /// the root's own step, [`NodeCtx::broadcast`]).
+    ///
+    /// `plan` runs once, on the root or on the thread that combines the
+    /// round, so it must be a pure function of the buffers and of state
+    /// every rank shares (all ranks pass the same `plan`). If it fails,
+    /// every rank returns its error.
+    pub fn barrier_gather_plan_broadcast<F>(
+        &self,
+        root: usize,
+        data: Vec<u8>,
+        plan: F,
+    ) -> Result<Vec<u8>, MachineError>
+    where
+        F: FnMut(Gathered<'_>) -> Result<Vec<u8>, MachineError>,
+    {
+        self.plan_exchange(true, root, data, plan)
+    }
+
+    /// [`NodeCtx::barrier_gather_plan_broadcast`] without the barrier:
+    /// gather, `plan` on the root, broadcast, in one rendezvous.
+    pub fn gather_plan_broadcast<F>(
+        &self,
+        root: usize,
+        data: Vec<u8>,
+        plan: F,
+    ) -> Result<Vec<u8>, MachineError>
+    where
+        F: FnMut(Gathered<'_>) -> Result<Vec<u8>, MachineError>,
+    {
+        self.plan_exchange(false, root, data, plan)
+    }
+
+    fn plan_exchange<F>(
+        &self,
+        barrier: bool,
+        root: usize,
+        data: Vec<u8>,
+        mut plan: F,
+    ) -> Result<Vec<u8>, MachineError>
+    where
+        F: FnMut(Gathered<'_>) -> Result<Vec<u8>, MachineError>,
+    {
+        self.check_root(root)?;
+        let steps = [
+            Step::Announce(CollOp::Barrier, None),
+            BARRIER[0],
+            BARRIER[1],
+            Step::Announce(CollOp::Gather, Some(root)),
+            Step::Phase(Phase::new(Pattern::Gather(root), Op::Gather)),
+            Step::AtRoot,
+            Step::Announce(CollOp::Broadcast, Some(root)),
+            Step::Phase(Phase::new(Pattern::Broadcast(root), Op::Broadcast)),
+        ];
+        let program = if barrier {
+            Program {
+                ops: &[CollOp::Barrier, CollOp::Gather, CollOp::Broadcast],
+                root,
+                steps: &steps,
+            }
+        } else {
+            Program {
+                ops: &[CollOp::Gather, CollOp::Broadcast],
+                root,
+                steps: &steps[3..],
+            }
+        };
+        let me = self.rank();
+        let out = self.run_program(
+            program,
+            |s| {
+                s.whole = Payload::Owned(plan(Gathered(&s.parts))?);
+                Ok(())
+            },
+            |s| s.parts[me] = Payload::Owned(data),
+            Slots::take_whole,
+        )?;
+        Ok(out.into_vec())
+    }
+
+    /// A barrier, then `probe` on `root`, and a broadcast of its verdict
+    /// from `root` (one byte): a rank-consistent answer to a question
+    /// about shared state, in one rendezvous. Legs, tags, clocks and
+    /// trace events are those of [`NodeCtx::barrier`] followed by
+    /// [`NodeCtx::broadcast`] of the root's one-byte verdict. `probe`
+    /// runs once, on the root or on the thread that combines the round,
+    /// so it must only read state every rank shares.
+    pub fn barrier_probe_broadcast<F>(
+        &self,
+        root: usize,
+        mut probe: F,
+    ) -> Result<bool, MachineError>
+    where
+        F: FnMut() -> bool,
+    {
+        self.check_root(root)?;
+        let program = Program {
+            ops: &[CollOp::Barrier, CollOp::Broadcast],
+            root,
+            steps: &[
+                Step::Announce(CollOp::Barrier, None),
+                BARRIER[0],
+                BARRIER[1],
+                Step::AtRoot,
+                Step::Announce(CollOp::Broadcast, Some(root)),
+                Step::Phase(Phase::new(Pattern::Broadcast(root), Op::Broadcast)),
+            ],
+        };
+        let verdict = |s: &mut Slots| {
+            s.whole = Payload::copy_of(&[u8::from(probe())]);
+            Ok(())
+        };
+        let out = self.run_program(program, verdict, |_| {}, Slots::take_whole)?;
+        Ok(out.as_ref() == [1])
     }
 
     /// Maximum of all ranks' virtual clocks, visible on every rank — the

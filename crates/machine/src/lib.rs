@@ -48,6 +48,7 @@ pub mod shared;
 pub mod time;
 pub mod wire;
 
+pub use collectives::Gathered;
 pub use config::{CollectiveConfig, CpuModel, MachineConfig, MemoryModel, NetModel};
 pub use error::MachineError;
 pub use fault::{EdgeCut, FaultDecision, FaultPlan, FaultSpec, MsgFate, MsgFaultPlan};

@@ -33,6 +33,10 @@ struct Tracer {
     /// PFS collective built on machine collectives shows up as *one*
     /// logical operation, not its plumbing.
     coll_depth: Cell<u32>,
+    /// The events of the legs a collective cell ran on this rank's
+    /// behalf, between the cell and the sink (a buffer kept across
+    /// collectives).
+    legs: RefCell<Vec<(VTime, EventKind)>>,
 }
 
 /// Sender-side state of the reliable-delivery layer, engaged only when
@@ -126,6 +130,8 @@ pub struct NodeCtx {
     /// The machine's collective cell, on fault-free runs; `None` sends
     /// every collective leg over the wire.
     cell: Option<Arc<CollectiveCell>>,
+    /// Rendezvous this rank made in the collective cell.
+    rendezvous: Cell<u64>,
 }
 
 impl NodeCtx {
@@ -140,6 +146,7 @@ impl NodeCtx {
             sink,
             seq: Cell::new(0),
             coll_depth: Cell::new(0),
+            legs: RefCell::new(Vec::new()),
         });
         let faults = config
             .faults
@@ -176,6 +183,7 @@ impl NodeCtx {
                 pending: Vec::new(),
             }),
             cell,
+            rendezvous: Cell::new(0),
         }
     }
 
@@ -280,6 +288,33 @@ impl NodeCtx {
             if t.coll_depth.get() == 0 {
                 self.emit_with(kind);
             }
+        }
+    }
+
+    /// Whether an API-level `Collective` event would be recorded now:
+    /// the run is traced and no collective scope is open.
+    pub(crate) fn announces_collectives(&self) -> bool {
+        self.tracer
+            .as_ref()
+            .is_some_and(|t| t.coll_depth.get() == 0)
+    }
+
+    /// Swap the leg events a collective cell recorded for this rank into
+    /// the tracer; `events` gets the tracer's empty buffer back.
+    pub(crate) fn stash_legs(&self, events: &mut Vec<(VTime, EventKind)>) {
+        if let Some(t) = &self.tracer {
+            std::mem::swap(&mut *t.legs.borrow_mut(), events);
+        }
+    }
+
+    /// Record the stashed leg events, in order.
+    pub(crate) fn emit_legs(&self) {
+        if let Some(t) = &self.tracer {
+            let mut legs = t.legs.take();
+            for (vtime, kind) in legs.drain(..) {
+                self.emit_at(vtime, kind);
+            }
+            *t.legs.borrow_mut() = legs;
         }
     }
 
@@ -680,6 +715,19 @@ impl NodeCtx {
     /// The machine's collective cell, when collectives bypass the wire.
     pub(crate) fn cell(&self) -> Option<&CollectiveCell> {
         self.cell.as_deref()
+    }
+
+    /// Count one rendezvous in the collective cell.
+    pub(crate) fn count_rendezvous(&self) {
+        self.rendezvous.set(self.rendezvous.get() + 1);
+    }
+
+    /// How many times this rank has met its peers in the collective cell:
+    /// one per collective, or per fused program of collectives, on a
+    /// fault-free machine. Always 0 on a machine with a fault plan, whose
+    /// collectives run on the wire.
+    pub fn rendezvous_count(&self) -> u64 {
+        self.rendezvous.get()
     }
 }
 

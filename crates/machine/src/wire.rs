@@ -10,6 +10,12 @@ pub trait Wire: Sized {
     fn to_wire(&self) -> Vec<u8>;
     /// Deserialize; `None` on malformed input.
     fn from_wire(bytes: &[u8]) -> Option<Self>;
+    /// Run `f` over the encoding. The default encodes with
+    /// [`Wire::to_wire`]; fixed-size types encode on the stack, so a
+    /// collective carries them without a heap buffer.
+    fn with_wire<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(&self.to_wire())
+    }
 }
 
 macro_rules! impl_wire_int {
@@ -20,6 +26,9 @@ macro_rules! impl_wire_int {
             }
             fn from_wire(bytes: &[u8]) -> Option<Self> {
                 Some(<$t>::from_le_bytes(bytes.try_into().ok()?))
+            }
+            fn with_wire<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+                f(&self.to_le_bytes())
             }
         }
     )*};
@@ -34,6 +43,9 @@ impl Wire for usize {
     fn from_wire(bytes: &[u8]) -> Option<Self> {
         u64::from_wire(bytes).map(|v| v as usize)
     }
+    fn with_wire<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        (*self as u64).with_wire(f)
+    }
 }
 
 impl Wire for VTime {
@@ -42,6 +54,9 @@ impl Wire for VTime {
     }
     fn from_wire(bytes: &[u8]) -> Option<Self> {
         u64::from_wire(bytes).map(VTime::from_nanos)
+    }
+    fn with_wire<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.as_nanos().with_wire(f)
     }
 }
 
@@ -60,6 +75,9 @@ impl Wire for () {
     }
     fn from_wire(bytes: &[u8]) -> Option<Self> {
         bytes.is_empty().then_some(())
+    }
+    fn with_wire<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(&[])
     }
 }
 
@@ -80,12 +98,12 @@ pub fn get_block<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
 }
 
 /// Frame a list of byte blocks into one buffer.
-pub fn frame_blocks(blocks: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = blocks.iter().map(|b| b.len() + 8).sum();
+pub fn frame_blocks<B: AsRef<[u8]>>(blocks: &[B]) -> Vec<u8> {
+    let total: usize = blocks.iter().map(|b| b.as_ref().len() + 8).sum();
     let mut out = Vec::with_capacity(total + 8);
     out.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
     for b in blocks {
-        put_block(&mut out, b);
+        put_block(&mut out, b.as_ref());
     }
     out
 }
@@ -118,6 +136,20 @@ mod tests {
             Some(VTime::from_nanos(99))
         );
         assert_eq!(<()>::from_wire(&().to_wire()), Some(()));
+    }
+
+    #[test]
+    fn stack_encodings_equal_the_heap_ones() {
+        assert_eq!(
+            0xdead_beefu64.with_wire(<[u8]>::to_vec),
+            0xdead_beefu64.to_wire()
+        );
+        assert_eq!((-17i16).with_wire(<[u8]>::to_vec), (-17i16).to_wire());
+        assert_eq!(42usize.with_wire(<[u8]>::to_vec), 42usize.to_wire());
+        let t = VTime::from_nanos(99);
+        assert_eq!(t.with_wire(<[u8]>::to_vec), t.to_wire());
+        assert_eq!(().with_wire(<[u8]>::to_vec), ().to_wire());
+        assert_eq!(vec![1u8, 2].with_wire(<[u8]>::to_vec), vec![1u8, 2]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! sizes, and roots, and the collective cell must be indistinguishable
 //! from the wire path it replaces on fault-free machines.
 
-use dstreams_machine::{FaultPlan, Machine, MachineConfig, MsgFaultPlan, VTime, Wire};
+use dstreams_machine::wire::frame_blocks;
+use dstreams_machine::{FaultPlan, Gathered, Machine, MachineConfig, MsgFaultPlan, VTime, Wire};
 use dstreams_trace::{OpCounts, TraceSink};
 use proptest::prelude::*;
 
@@ -181,7 +182,14 @@ fn run_program(prog: &Program, wire_seed: Option<u64>) -> (Vec<RankOut>, String,
             // Order-sensitive operators, so a fold in the wrong order shows.
             let fold = |a: u64, b: u64| a.wrapping_mul(31).wrapping_add(b);
             let prefix = |a: &u64, b: &u64| a.wrapping_mul(7) ^ *b;
-            let res: Vec<Vec<u8>> = match code % 13 {
+            // A root step that frames the gathered buffers behind a
+            // code-dependent header: a pure function of its inputs.
+            let plan = |frames: Gathered<'_>| {
+                let mut blocks = vec![code.to_le_bytes().to_vec()];
+                blocks.extend(frames.iter().map(<[u8]>::to_vec));
+                Ok(frame_blocks(&blocks))
+            };
+            let res: Vec<Vec<u8>> = match code % 16 {
                 0 => {
                     ctx.barrier().unwrap();
                     Vec::new()
@@ -215,6 +223,14 @@ fn run_program(prog: &Program, wire_seed: Option<u64>) -> (Vec<RankOut>, String,
                 9 => vec![ctx.exclusive_scan(operand, 5, prefix).unwrap().to_wire()],
                 10 => vec![ctx.max_time().unwrap().to_wire()],
                 11 => vec![ctx.sync_clocks().unwrap().to_wire()],
+                12 => vec![ctx
+                    .barrier_gather_plan_broadcast(root, payload(me), plan)
+                    .unwrap()],
+                13 => {
+                    let verdict = ctx.barrier_probe_broadcast(root, || code & 1 == 1).unwrap();
+                    vec![vec![u8::from(verdict)]]
+                }
+                14 => vec![ctx.gather_plan_broadcast(root, payload(me), plan).unwrap()],
                 _ => {
                     // Point-to-point ring traffic between collectives.
                     if n == 1 {
@@ -239,8 +255,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
     /// The collective cell and the wire run one hop schedule: any program
-    /// gives identical results, clocks, traces and operation counts on
-    /// both paths.
+    /// of collectives, fused programs among them, gives identical
+    /// results, clocks, traces and operation counts on both paths.
     #[test]
     fn cell_and_wire_paths_are_indistinguishable(
         nprocs in 1usize..10,
@@ -255,5 +271,79 @@ proptest! {
         prop_assert_eq!(&cell_out, &wire_out, "results or clocks differ");
         prop_assert_eq!(&cell_trace, &wire_trace, "traces differ");
         prop_assert_eq!(&cell_counts, &wire_counts);
+    }
+}
+
+/// Run `calls` fused programs, or the separate collectives each stands
+/// for, traced on `nprocs` ranks (on the wire when `wire`). Returns every
+/// rank's results and clock, and the merged trace.
+fn run_fused(nprocs: usize, calls: &[u64], fused: bool, wire: bool) -> (Vec<RankOut>, String) {
+    let sink = TraceSink::new(nprocs);
+    let mut config = MachineConfig::paragon(nprocs).traced(sink.clone());
+    if wire {
+        config = config.with_faults(FaultPlan::default().with_msg(MsgFaultPlan::seeded(1)));
+    }
+    let outs = Machine::run(config, |ctx| {
+        let me = ctx.rank();
+        let mut results = Vec::new();
+        for &code in calls {
+            ctx.advance(VTime::from_nanos(code % 7_000 * me as u64));
+            let root = (code >> 8) as usize % nprocs;
+            let data = vec![me as u8; (code >> 16) as usize % 30];
+            let plan = |frames: Vec<&[u8]>| {
+                let mut blocks = vec![code.to_le_bytes().to_vec()];
+                blocks.extend(frames.iter().map(|f| f.to_vec()));
+                frame_blocks(&blocks)
+            };
+            let res = match (code % 3, fused) {
+                (0, true) => ctx
+                    .barrier_gather_plan_broadcast(root, data, |g| Ok(plan(g.iter().collect())))
+                    .unwrap(),
+                (1, true) => ctx
+                    .gather_plan_broadcast(root, data, |g| Ok(plan(g.iter().collect())))
+                    .unwrap(),
+                (_, true) => vec![u8::from(
+                    ctx.barrier_probe_broadcast(root, || code & 8 != 0).unwrap(),
+                )],
+                (2, false) => {
+                    ctx.barrier().unwrap();
+                    let verdict = (me == root).then(|| vec![u8::from(code & 8 != 0)]);
+                    let got = ctx.broadcast(root, verdict.unwrap_or_default()).unwrap();
+                    vec![u8::from(got == [1])]
+                }
+                (head, false) => {
+                    if head == 0 {
+                        ctx.barrier().unwrap();
+                    }
+                    let gathered = ctx.gather(root, data).unwrap();
+                    let mine = gathered
+                        .map(|g| plan(g.iter().map(Vec::as_slice).collect()))
+                        .unwrap_or_default();
+                    ctx.broadcast(root, mine).unwrap()
+                }
+            };
+            results.push(vec![res]);
+        }
+        (results, ctx.now())
+    })
+    .unwrap();
+    (outs, sink.take().to_events_json())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// A fused program is its separate collectives in one rendezvous:
+    /// same results, clocks and trace, on either executor.
+    #[test]
+    fn fused_programs_equal_their_separate_calls(
+        nprocs in 1usize..8,
+        calls in proptest::collection::vec(any::<u64>(), 1..10),
+        wire in any::<bool>(),
+    ) {
+        let fused = run_fused(nprocs, &calls, true, wire);
+        let separate = run_fused(nprocs, &calls, false, wire);
+        prop_assert_eq!(&fused.0, &separate.0, "results or clocks differ");
+        prop_assert_eq!(&fused.1, &separate.1, "traces differ");
     }
 }

@@ -1,0 +1,112 @@
+//! A root-side step that fails must fail its collective on every rank,
+//! with the root's error and at once, on both executors: the collective
+//! cell and the wire. No peer may be left waiting for a phase the root
+//! never sends.
+
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
+
+use dstreams_machine::{FaultPlan, Machine, MachineConfig, MachineError, MsgFaultPlan, NodeCtx};
+
+const NPROCS: usize = 4;
+
+/// The fault-free machine (collective cell) and one with an inert
+/// message plan (wire).
+fn executors() -> [(&'static str, MachineConfig); 2] {
+    let wire = FaultPlan::default().with_msg(MsgFaultPlan::seeded(9));
+    [
+        ("cell", MachineConfig::paragon(NPROCS)),
+        ("wire", MachineConfig::paragon(NPROCS).with_faults(wire)),
+    ]
+}
+
+/// Run `call` on every rank and return each rank's result and how long
+/// the call took. No rank exits before every rank has returned, so a
+/// stranded peer cannot be rescued by `PeerGone`.
+fn run_all(
+    config: MachineConfig,
+    call: impl Fn(&NodeCtx) -> Result<(), MachineError> + Sync,
+) -> Vec<(Result<(), MachineError>, Duration)> {
+    let returned = Barrier::new(NPROCS);
+    Machine::run(config, |ctx| {
+        let start = Instant::now();
+        let res = call(ctx);
+        let took = start.elapsed();
+        returned.wait();
+        (res, took)
+    })
+    .unwrap()
+}
+
+fn assert_every_rank_fails_with(
+    name: &str,
+    out: &[(Result<(), MachineError>, Duration)],
+    msg: &str,
+) {
+    for (rank, (res, took)) in out.iter().enumerate() {
+        assert_eq!(
+            res,
+            &Err(MachineError::CollectiveMismatch(msg.into())),
+            "{name}: rank {rank}"
+        );
+        assert!(
+            *took < Duration::from_secs(1),
+            "{name}: rank {rank} took {took:?}"
+        );
+    }
+}
+
+#[test]
+fn an_undecodable_operand_fails_all_reduce_on_every_rank() {
+    for (name, config) in executors() {
+        // Rank 0 (the root) folds u64 operands, its peers u32 ones.
+        let out = run_all(config, |ctx| {
+            if ctx.is_root() {
+                ctx.all_reduce(1u64, |a, b| a + b).map(drop)
+            } else {
+                ctx.all_reduce(1u32, |a, b| a + b).map(drop)
+            }
+        });
+        assert_every_rank_fails_with(name, &out, "reduce: undecodable operand");
+    }
+}
+
+#[test]
+fn a_refused_plan_fails_the_plan_exchange_on_every_rank() {
+    for barrier in [false, true] {
+        for (name, config) in executors() {
+            // Rank 2 sends a frame of the wrong size; the plan rejects it.
+            let out = run_all(config, |ctx| {
+                let frame = vec![0u8; if ctx.rank() == 2 { 3 } else { 8 }];
+                let plan = |frames: dstreams_machine::Gathered<'_>| {
+                    if frames.iter().any(|f| f.len() != 8) {
+                        return Err(MachineError::CollectiveMismatch("malformed frame".into()));
+                    }
+                    Ok(Vec::new())
+                };
+                let res = if barrier {
+                    ctx.barrier_gather_plan_broadcast(0, frame, plan)
+                } else {
+                    ctx.gather_plan_broadcast(0, frame, plan)
+                };
+                res.map(drop)
+            });
+            assert_every_rank_fails_with(name, &out, "malformed frame");
+        }
+    }
+}
+
+#[test]
+fn the_machine_stays_usable_after_a_failed_root_step() {
+    for (name, config) in executors() {
+        let out = Machine::run(config, |ctx| {
+            let bad = ctx.gather_plan_broadcast(1, vec![ctx.rank() as u8], |_| {
+                Err(MachineError::CollectiveMismatch("no plan".into()))
+            });
+            assert!(bad.is_err());
+            ctx.all_reduce(ctx.rank() as u64, |a, b| a + b).unwrap()
+        })
+        .unwrap();
+        assert_eq!(out, vec![6; NPROCS], "{name}");
+    }
+}

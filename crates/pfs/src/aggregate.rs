@@ -231,7 +231,7 @@ impl FileHandle {
             ChunkSum::EMPTY
         };
         let frame = size_digest_frame(block.len(), my_sum, &[my_crash as u8]);
-        let (base, frames) = self.exchange_write_plan(ctx, frame)?;
+        let (base, frames) = self.exchange_write_plan(ctx, false, frame)?;
         let (sizes, digests) = decode_size_digests(&frames, 1)?;
         let crashed: Vec<bool> = frames.iter().map(|frame| frame[24] != 0).collect();
         check_my_size(ctx, &sizes, block.len())?;

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dstreams_machine::wire::{frame_blocks, unframe_blocks};
-use dstreams_machine::{AsyncOp, FaultDecision, MachineError, NodeCtx, VTime};
+use dstreams_machine::{AsyncOp, FaultDecision, Gathered, MachineError, NodeCtx, VTime};
 use dstreams_trace::{CollectiveRegime, EventKind, FaultKind, IndependentRegime, PfsOp};
 
 use crate::checksum::ChunkSum;
@@ -545,16 +545,18 @@ impl FileHandle {
         let _scope = ctx.collective_scope();
         let op = ctx.next_pfs_op();
         let fate = self.collective_fate(ctx, op, Some(block.len()))?;
-        // Make prior independent writes globally visible and align clocks.
-        ctx.barrier()?;
-        // Exchange block sizes and digests; rank 0 supplies the append base.
+        // Hashing charges no virtual time, so it may run before the
+        // barrier and keep the barrier and plan exchange one rendezvous.
         let my_sum = if summed {
             ChunkSum::of(block)
         } else {
             ChunkSum::EMPTY
         };
+        // Make prior independent writes globally visible and align
+        // clocks, then exchange block sizes and digests; rank 0 supplies
+        // the append base.
         let frame = size_digest_frame(block.len(), my_sum, &[]);
-        let (base, frames) = self.exchange_write_plan(ctx, frame)?;
+        let (base, frames) = self.exchange_write_plan(ctx, true, frame)?;
         let (sizes, digests) = decode_size_digests(&frames, 0)?;
         check_my_size(ctx, &sizes, block.len())?;
         let my_off = base + sizes[..ctx.rank()].iter().sum::<u64>();
@@ -704,32 +706,39 @@ impl FileHandle {
         Ok((buf, digests, handle))
     }
 
-    /// The plan exchange of a collective write: gather every rank's
-    /// fixed-size `frame` to root, which prepends the file's append base,
-    /// and broadcast the plan back. Returns the base and every rank's
+    /// The plan exchange of a collective write, after a barrier when
+    /// `barrier`: gather every rank's fixed-size `frame` to root, which
+    /// prepends the file's append base, and broadcast the plan back, all
+    /// in one machine rendezvous. Returns the base and every rank's
     /// frame, in node order.
     pub(crate) fn exchange_write_plan(
         &self,
         ctx: &NodeCtx,
+        barrier: bool,
         frame: Vec<u8>,
     ) -> Result<(u64, Vec<Vec<u8>>), PfsError> {
         let frame_len = frame.len();
-        let gathered = ctx.gather(0, frame)?;
-        let plan = if ctx.is_root() {
-            let frames = gathered.expect("root gathers");
+        // Runs once, on root or on the thread combining the rendezvous:
+        // it only reads the frames and the shared file's length.
+        let plan = |frames: Gathered<'_>| {
+            let base = self.file.len().to_le_bytes();
             let mut blocks = Vec::with_capacity(frames.len() + 1);
-            blocks.push(self.file.len().to_le_bytes().to_vec());
-            for frame in frames {
+            blocks.push(&base[..]);
+            for frame in frames.iter() {
                 if frame.len() != frame_len {
-                    return Err(mismatch("write plan: malformed size/digest frame"));
+                    return Err(MachineError::CollectiveMismatch(
+                        "write plan: malformed size/digest frame".into(),
+                    ));
                 }
                 blocks.push(frame);
             }
-            frame_blocks(&blocks)
-        } else {
-            Vec::new()
+            Ok(frame_blocks(&blocks))
         };
-        let plan = ctx.broadcast(0, plan)?;
+        let plan = if barrier {
+            ctx.barrier_gather_plan_broadcast(0, frame, plan)?
+        } else {
+            ctx.gather_plan_broadcast(0, frame, plan)?
+        };
         let mut parts = unframe_blocks(&plan).ok_or_else(|| mismatch("write plan: malformed"))?;
         if parts.len() != ctx.nprocs() + 1 {
             return Err(mismatch("write plan: size mismatch"));

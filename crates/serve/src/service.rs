@@ -462,6 +462,24 @@ mod tests {
         }
     }
 
+    /// The exact number of collective-cell rendezvous a small fixed run
+    /// makes per rank. A change that adds a rendezvous to any request
+    /// path moves it; a timing check would not notice.
+    #[test]
+    fn a_fixed_run_makes_a_pinned_number_of_rendezvous() {
+        let pfs = Pfs::new(4, DiskModel::paragon_pfs(), dstreams_pfs::Backend::Memory);
+        let counts = Machine::run(MachineConfig::paragon(4), |ctx| {
+            let cfg = ServiceConfig::for_model(pfs.model());
+            let report = run_service(ctx, &pfs, &cfg, &tenants(), &workload(16)).unwrap();
+            assert_eq!(report.aborted, 0);
+            ctx.rendezvous_count()
+        })
+        .unwrap();
+        assert_eq!(counts, vec![RENDEZVOUS_16_SESSIONS; 4]);
+    }
+
+    const RENDEZVOUS_16_SESSIONS: u64 = 433;
+
     type RankDigest = Option<(Vec<(u64, bool)>, u64)>;
 
     fn parking_lot_free_collect(n: usize) -> std::sync::Mutex<Vec<RankDigest>> {
