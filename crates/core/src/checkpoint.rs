@@ -27,13 +27,12 @@
 //! prefix — one tenant's recovery never touches another's files.
 
 use dstreams_collections::{Collection, Layout};
-use dstreams_machine::NodeCtx;
+use dstreams_machine::{Local, NodeCtx, RankIo};
 use dstreams_pfs::{OpenMode, Pfs};
 
 use crate::data::StreamData;
 use crate::error::StreamError;
 use crate::istream::IStream;
-use crate::localio::LocalFile;
 use crate::ostream::{OStream, StreamOptions};
 
 /// Manages a rotating series of checkpoint files `<prefix>.<generation>`.
@@ -77,14 +76,94 @@ impl RecoveryOutcome {
     }
 }
 
-/// Rank-consistent existence check. `Pfs::exists` alone is racy in SPMD
-/// code: a fast rank's subsequent `open(Create)` can register the file
-/// while a slow rank is still asking, sending the ranks down different
-/// branches (and desynchronizing their collectives). Rank 0 samples after
-/// a barrier and broadcasts the verdict, so every rank sees one answer;
-/// the three steps are one machine rendezvous.
-fn exists_consistent(ctx: &NodeCtx, pfs: &Pfs, name: &str) -> Result<bool, StreamError> {
-    Ok(ctx.barrier_probe_broadcast(0, || pfs.exists(name))?)
+/// What rank 0 does at one act of a replicated-local checkpoint step.
+enum RootAct<'a> {
+    /// Answer whether the file exists: the verdict the next broadcast
+    /// carries.
+    Probe(&'a str),
+    /// Remove the file if it is there.
+    Remove(&'a str),
+    /// Create the file, empty.
+    Create(&'a str),
+    /// Write bytes at the start of the file, charged to rank 0.
+    Write(&'a str, &'a [u8]),
+}
+
+impl RootAct<'_> {
+    fn run(&self, io: &dyn RankIo, pfs: &Pfs) -> Result<Vec<u8>, StreamError> {
+        match *self {
+            RootAct::Probe(name) => return Ok(vec![u8::from(pfs.exists(name))]),
+            RootAct::Remove(name) => {
+                let _ = pfs.remove(name);
+            }
+            RootAct::Create(name) => {
+                pfs.open(true, name, OpenMode::Create)?;
+            }
+            RootAct::Write(name, bytes) => {
+                pfs.open(false, name, OpenMode::Read)?
+                    .write_at(io, 0, bytes)?;
+            }
+        }
+        Ok(Vec::new())
+    }
+}
+
+/// A replicated-local checkpoint step (paper §4.2) under construction:
+/// the barriers and broadcasts every rank runs in one rendezvous, and
+/// what rank 0 does between them. The clocks, tags and trace are those of
+/// the separate calls.
+#[derive(Default)]
+struct RootSteps<'a> {
+    program: Vec<Local>,
+    acts: Vec<RootAct<'a>>,
+}
+
+impl<'a> RootSteps<'a> {
+    fn barrier(&mut self) {
+        self.program.push(Local::Barrier);
+    }
+
+    fn act(&mut self, act: RootAct<'a>) {
+        self.program.push(Local::Act);
+        self.acts.push(act);
+    }
+
+    /// Remove the pruned generation file `name` between two barriers.
+    fn prune(&mut self, name: &'a str) {
+        self.barrier();
+        self.act(RootAct::Remove(name));
+        self.barrier();
+    }
+
+    /// Leave `name` a fresh, empty file. `Pfs::exists` alone is racy in
+    /// SPMD code (a fast rank's create could answer a slow rank's
+    /// question), so rank 0 probes after a barrier and broadcasts the
+    /// verdict; if the file existed, rank 0 removes it and every rank
+    /// meets again; then rank 0 creates it and every rank meets once
+    /// more, after which each may open it.
+    fn fresh(&mut self, name: &'a str) {
+        self.barrier();
+        self.act(RootAct::Probe(name));
+        self.program.extend([Local::Broadcast, Local::IfSet(2)]);
+        self.act(RootAct::Remove(name));
+        self.barrier();
+        self.act(RootAct::Create(name));
+        self.barrier();
+    }
+
+    /// Rank 0 writes `bytes` at the start of `name`; then every rank
+    /// meets, so no rank reads before the write (a [`LocalFile`] write).
+    ///
+    /// [`LocalFile`]: crate::LocalFile
+    fn write(&mut self, name: &'a str, bytes: &'a [u8]) {
+        self.act(RootAct::Write(name, bytes));
+        self.barrier();
+    }
+
+    fn run(&self, ctx: &NodeCtx, pfs: &Pfs) -> Result<(), StreamError> {
+        ctx.replicated_local(&self.program, |io, k| self.acts[k].run(io, pfs))
+            .map(drop)
+    }
 }
 
 impl CheckpointManager {
@@ -120,23 +199,16 @@ impl CheckpointManager {
     /// files, unions the two views, and broadcasts the result — every rank
     /// sees the same list even when the manifest is missing or torn.
     pub fn generations(&self, ctx: &NodeCtx, pfs: &Pfs) -> Result<Vec<u64>, StreamError> {
-        ctx.barrier()?;
-        let blob = if ctx.is_root() {
+        let program = [Local::Barrier, Local::Act, Local::Broadcast];
+        let blob = ctx.replicated_local(&program, |io, _| {
             let mut gens = self.scan_generations(pfs);
-            if let Some(listed) = self.read_manifest_root(ctx, pfs) {
+            if let Some(listed) = self.read_manifest_root(io, pfs) {
                 gens.extend(listed);
             }
             gens.sort_unstable();
             gens.dedup();
-            let mut buf = Vec::with_capacity(gens.len() * 8);
-            for g in &gens {
-                buf.extend_from_slice(&g.to_le_bytes());
-            }
-            buf
-        } else {
-            Vec::new()
-        };
-        let blob = ctx.broadcast(0, blob)?;
+            Ok::<_, StreamError>(gens.iter().flat_map(|g| g.to_le_bytes()).collect())
+        })?;
         Ok(blob
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
@@ -155,42 +227,55 @@ impl CheckpointManager {
 
     /// Root-only manifest parse; `None` when missing or unreadable (the
     /// caller falls back to the namespace scan).
-    fn read_manifest_root(&self, ctx: &NodeCtx, pfs: &Pfs) -> Option<Vec<u64>> {
+    fn read_manifest_root(&self, io: &dyn RankIo, pfs: &Pfs) -> Option<Vec<u64>> {
         let fh = pfs
             .open(false, &self.manifest_name(), OpenMode::Read)
             .ok()?;
         let mut head = vec![0u8; MANIFEST_MAGIC.len() + 8];
-        fh.read_at(ctx, 0, &mut head).ok()?;
+        fh.read_at(io, 0, &mut head).ok()?;
         if &head[..8] != MANIFEST_MAGIC {
             return None;
         }
-        let count = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes")) as usize;
-        let mut body = vec![0u8; count.checked_mul(8)?];
-        fh.read_at(ctx, head.len() as u64, &mut body).ok()?;
-        Some(
+        let count = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes"));
+        // A count the file cannot hold is unreadable. Reading one entry
+        // more than fits fails at the storage exactly as reading all of
+        // them would, without allocating them.
+        let fits = fh.len().saturating_sub(head.len() as u64) / 8;
+        let entries = count.min(fits + 1);
+        let mut body = vec![0u8; usize::try_from(entries * 8).ok()?];
+        fh.read_at(io, head.len() as u64, &mut body).ok()?;
+        (entries == count).then(|| {
             body.chunks_exact(8)
                 .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect(),
-        )
+                .collect()
+        })
     }
 
-    fn write_manifest(&self, ctx: &NodeCtx, pfs: &Pfs, gens: &[u64]) -> Result<(), StreamError> {
-        // Rewrite from scratch (manifests are tiny).
-        if exists_consistent(ctx, pfs, &self.manifest_name())? {
-            if ctx.is_root() {
-                let _ = pfs.remove(&self.manifest_name());
-            }
-            ctx.barrier()?;
-        }
-        let mut f = LocalFile::create(ctx, pfs, &self.manifest_name())?;
-        let mut buf = Vec::with_capacity(16 + gens.len() * 8);
-        buf.extend_from_slice(MANIFEST_MAGIC);
-        buf.extend_from_slice(&(gens.len() as u64).to_le_bytes());
+    /// Remove the `pruned` generation files, then rewrite the manifest
+    /// from scratch (manifests are tiny) to list `gens`: one
+    /// replicated-local step.
+    fn write_manifest(
+        &self,
+        ctx: &NodeCtx,
+        pfs: &Pfs,
+        pruned: &[u64],
+        gens: &[u64],
+    ) -> Result<(), StreamError> {
+        let pruned: Vec<String> = pruned.iter().map(|&g| self.file_for(g)).collect();
+        let manifest = self.manifest_name();
+        let mut image = Vec::with_capacity(16 + gens.len() * 8);
+        image.extend_from_slice(MANIFEST_MAGIC);
+        image.extend_from_slice(&(gens.len() as u64).to_le_bytes());
         for g in gens {
-            buf.extend_from_slice(&g.to_le_bytes());
+            image.extend_from_slice(&g.to_le_bytes());
         }
-        f.write(&buf)?;
-        Ok(())
+        let mut steps = RootSteps::default();
+        for name in &pruned {
+            steps.prune(name);
+        }
+        steps.fresh(&manifest);
+        steps.write(&manifest, &image);
+        steps.run(ctx, pfs)
     }
 
     /// Save a checkpoint of `grid` as `generation`. Prunes generations
@@ -204,13 +289,14 @@ impl CheckpointManager {
     ) -> Result<(), StreamError> {
         let name = self.file_for(generation);
         // A fresh file per generation: drop any stale leftover first.
-        if exists_consistent(ctx, pfs, &name)? {
-            if ctx.is_root() {
-                let _ = pfs.remove(&name);
-            }
-            ctx.barrier()?;
-        }
-        let mut s = OStream::create_with(ctx, pfs, grid.layout(), &name, self.opts.clone())?;
+        let open = || {
+            let mut steps = RootSteps::default();
+            steps.fresh(&name);
+            steps.run(ctx, pfs)?;
+            Ok(pfs.open(ctx.is_root(), &name, OpenMode::Create)?)
+        };
+        let opts = self.opts.clone();
+        let mut s = OStream::create_via(ctx, pfs, grid.layout(), &name, opts, open)?;
         s.insert_collection(grid)?;
         s.write()?;
         s.close()?;
@@ -219,15 +305,8 @@ impl CheckpointManager {
         gens.retain(|&g| g != generation);
         gens.push(generation);
         gens.sort_unstable();
-        while gens.len() > self.keep {
-            let old = gens.remove(0);
-            ctx.barrier()?;
-            if ctx.is_root() {
-                let _ = pfs.remove(&self.file_for(old));
-            }
-            ctx.barrier()?;
-        }
-        self.write_manifest(ctx, pfs, &gens)
+        let pruned: Vec<u64> = gens.drain(..gens.len().saturating_sub(self.keep)).collect();
+        self.write_manifest(ctx, pfs, &pruned, &gens)
     }
 
     /// Restore the newest generation that reads back successfully into a
@@ -302,7 +381,7 @@ impl CheckpointManager {
                 _ => out.unreadable.push(generation),
             }
         }
-        self.write_manifest(ctx, pfs, &survivors)?;
+        self.write_manifest(ctx, pfs, &[], &survivors)?;
         Ok(out)
     }
 
@@ -407,23 +486,28 @@ mod tests {
     }
 
     #[test]
-    fn the_existence_probe_is_one_rendezvous() {
+    fn a_fresh_file_step_is_one_rendezvous_and_leaves_an_empty_file() {
         let pfs = Pfs::in_memory(4);
         let p = pfs.clone();
         let out = Machine::run(MachineConfig::functional(4), move |ctx| {
-            let before = ctx.rendezvous_count();
-            let missing = exists_consistent(ctx, &p, "probe").unwrap();
-            let probes = ctx.rendezvous_count() - before;
-            p.open(ctx.is_root(), "probe", OpenMode::Create).unwrap();
-            ctx.barrier().unwrap();
-            (
-                missing,
-                exists_consistent(ctx, &p, "probe").unwrap(),
-                probes,
-            )
+            let mut steps = RootSteps::default();
+            steps.fresh("probe");
+            let mut rendezvous = Vec::new();
+            for stale in [false, true] {
+                if stale && ctx.is_root() {
+                    let fh = p.open(false, "probe", OpenMode::Read).unwrap();
+                    fh.write_at(ctx, 0, b"stale bytes").unwrap();
+                }
+                let before = ctx.rendezvous_count();
+                steps.run(ctx, &p).unwrap();
+                rendezvous.push(ctx.rendezvous_count() - before);
+                assert_eq!(p.file_size("probe").unwrap(), 0, "stale = {stale}");
+                ctx.barrier().unwrap();
+            }
+            rendezvous
         })
         .unwrap();
-        assert_eq!(out, vec![(false, true, 1); 4]);
+        assert_eq!(out, vec![vec![1, 1]; 4]);
     }
 
     #[test]

@@ -159,6 +159,30 @@ impl<'a> OStream<'a> {
         name: &str,
         opts: StreamOptions,
     ) -> Result<Self, StreamError> {
+        Self::create_via(ctx, pfs, layout, name, opts, || {
+            let fh = pfs.open(ctx.is_root(), name, OpenMode::Create)?;
+            // Open is collective; the file header itself is written
+            // lazily with the first record's metadata operation, so
+            // `open` costs no parallel I/O (matching the paper's oStream
+            // constructor, which only sets up state).
+            ctx.barrier()?;
+            Ok(fh)
+        })
+    }
+
+    /// [`OStream::create_with`] on the handle `open` returns. `open` is
+    /// collective and leaves every rank past the file's creation: the
+    /// plain open and a barrier, or the checkpoint manager's fresh-file
+    /// step, which meets every rank after the create in the same
+    /// rendezvous as its stale-file probe.
+    pub(crate) fn create_via(
+        ctx: &'a NodeCtx,
+        pfs: &Pfs,
+        layout: &Layout,
+        name: &str,
+        opts: StreamOptions,
+        open: impl FnOnce() -> Result<FileHandle, StreamError>,
+    ) -> Result<Self, StreamError> {
         if layout.nprocs() != ctx.nprocs() {
             return Err(StreamError::LayoutMismatch(format!(
                 "layout built for {} procs, machine has {}",
@@ -172,15 +196,10 @@ impl<'a> OStream<'a> {
                 "single-buffer mode requires a shared-memory machine",
             ));
         }
-        let fh = pfs.open(ctx.is_root(), name, OpenMode::Create)?;
+        let fh = open()?;
         let scratch = opts
             .smp_single_buffer
             .then(|| pfs.scratch(&format!("__ostream_smp__{name}")));
-        // Open is collective; the file header itself is written lazily
-        // with the first record's metadata operation, so `open` costs no
-        // parallel I/O (matching the paper's oStream constructor, which
-        // only sets up state).
-        ctx.barrier()?;
         Ok(OStream {
             ctx,
             layout: layout.clone(),

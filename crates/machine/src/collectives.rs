@@ -7,18 +7,19 @@
 //! accounting transparent.
 //!
 //! **Step programs.** Every collective runs as a short program of
-//! [`Step`]s: phases (one message pattern each), at most one root-side
-//! step, and, in a fused program, the `Collective` trace events of the
-//! API-level calls it stands for. `barrier` is a gather then a release
-//! scatter, `all_reduce` a gather, a fold and a broadcast, `all_gather` a
-//! gather, a framing and a broadcast, the scans a gather, a prefix pass
-//! and a scatter. A fused program runs API-level collectives back to back
+//! [`Step`]s: phases (one message pattern each), root-side steps, and,
+//! in a fused program, the `Collective` trace events of the API-level
+//! calls it stands for. `barrier` is a gather then a release scatter,
+//! `all_reduce` a gather, a fold and a broadcast, `all_gather` a gather,
+//! a framing and a broadcast, the scans a gather, a prefix pass and a
+//! scatter. A fused program runs API-level collectives back to back
 //! where no caller work sits between them:
 //! [`NodeCtx::barrier_gather_plan_broadcast`] and
 //! [`NodeCtx::gather_plan_broadcast`] (the plan exchange of a PFS
-//! collective write), [`NodeCtx::barrier_probe_broadcast`] (a
-//! rank-consistent existence check). Its legs, tags, clocks and trace
-//! events are those of the separate calls.
+//! collective write), and [`NodeCtx::replicated_local`], a program of
+//! barriers and broadcasts around rank 0's own acts (paper §4.2), whose
+//! later steps may depend on a broadcast verdict. Its legs, tags, clocks
+//! and trace events are those of the separate calls.
 //!
 //! **One hop schedule, two executors.** [`Pattern::hop`] lists, per rank,
 //! the legs of each phase in program order: whom to send which slot to,
@@ -43,22 +44,31 @@
 //!   hand-offs is gone. Lanes and replay scratch are reused from round
 //!   to round, and scalars travel inline, so a round allocates nothing.
 //!
-//! The root-side step runs on the root on the wire, and on the combiner in
-//! the cell, with the combiner's own closure: SPMD programs pass every
-//! rank the same step, which must therefore be a pure function of the
-//! root's slots and of state every rank shares. `Wire` encodings
-//! round-trip exactly, so folding decoded operands on either thread gives
-//! the same value. If the step fails, its error is every rank's result:
-//! the cell hands it to all ranks at once; on the wire the root sends an
-//! abort marker carrying it down its remaining legs, and each rank that
-//! receives one forwards it on its own remaining send legs. (A `reduce`
-//! has no phase after its fold, so on the wire only its root fails.)
+//! A root-side step runs on the root on the wire. In the cell a *pure*
+//! step runs on the combiner, with the combiner's own closure: SPMD
+//! programs pass every rank the same step, which must therefore be a
+//! pure function of the root's slots and of state every rank shares.
+//! `Wire` encodings round-trip exactly, so folding decoded operands on
+//! either thread gives the same value. If a pure step fails, its error is
+//! every rank's result: the cell hands it to all ranks at once; on the
+//! wire the root sends an abort marker carrying it down its remaining
+//! legs, and each rank that receives one forwards it on its own remaining
+//! send legs. (A `reduce` has no phase after its fold, so on the wire
+//! only its root fails.) A *charged* step (a replicated-local act) may
+//! mutate shared state and charge the root's clock, trace and PFS
+//! counters. It reaches them through a [`RankIo`]: on the wire the root's
+//! own context, in the cell the root's lane, whose clock, events and PFS
+//! operation count the root takes back at exit, so the combiner can act
+//! for the root without waking it. A failing charged step fails like the
+//! separate call it stands for: on the wire the root returns its error at
+//! once, and its peers learn of it when it departs.
 //!
 //! Mismatched collectives are errors, never garbage. On the wire each
 //! message carries a one-byte opcode, trailing the payload so a sender
 //! appends it to a buffer it owns and a receiver strips it with a `pop`.
 //! In the cell every rank deposits its program's key (its API-level
-//! collectives and root), and any disagreement fails the collective on
+//! collectives, root and, for a program built at run time, a fingerprint
+//! of its steps), and any disagreement fails the collective on
 //! every rank with [`MachineError::CollectiveMismatch`].
 //!
 //! `all_to_all` stays on the wire path on every machine. Its callers are
@@ -67,6 +77,7 @@
 //! workloads never call it, while `service_mix` runs tens of thousands
 //! of barriers and clock syncs per round.
 
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use dstreams_trace::{CollOp, EventKind};
@@ -74,8 +85,9 @@ use dstreams_trace::{CollOp, EventKind};
 use crate::cell::{Key, Lane};
 use crate::config::NetModel;
 use crate::error::MachineError;
+use crate::fault::FaultDecision;
 use crate::message::Tag;
-use crate::node::NodeCtx;
+use crate::node::{NodeCtx, RankIo};
 use crate::time::VTime;
 use crate::wire::{frame_blocks, unframe_blocks, Wire};
 
@@ -298,6 +310,33 @@ impl<'a> Gathered<'a> {
     }
 }
 
+/// One step of a [`NodeCtx::replicated_local`] program, as every rank
+/// calls it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Local {
+    /// A barrier, as [`NodeCtx::barrier`].
+    Barrier,
+    /// Rank 0 runs the program's next act.
+    Act,
+    /// A broadcast from rank 0 of what its last act returned, as
+    /// [`NodeCtx::broadcast`] with the other ranks passing nothing.
+    Broadcast,
+    /// Run the next `n` steps only if the broadcast just before delivered
+    /// the single byte 1; skip them otherwise.
+    IfSet(usize),
+}
+
+impl Local {
+    /// How many executor steps this step expands to.
+    fn len(&self) -> usize {
+        match self {
+            Local::Barrier => 3,
+            Local::Broadcast => 2,
+            Local::Act | Local::IfSet(_) => 1,
+        }
+    }
+}
+
 /// Which of a rank's [`Slots`] a leg reads or writes.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
@@ -428,8 +467,11 @@ enum Step {
     Announce(CollOp, Option<usize>),
     /// Run the legs of a phase.
     Phase(Phase),
-    /// Run the program's root-side step on the root's slots.
-    AtRoot,
+    /// Run the program's `k`-th root-side step on the root's slots.
+    AtRoot(usize),
+    /// Run the next `n` steps only if the whole slot holds the verdict
+    /// `[1]` (every rank has it once a broadcast delivered it).
+    IfSet(usize),
 }
 
 /// A barrier's two phases: gather tiny messages to rank 0, then scatter
@@ -440,10 +482,6 @@ const BARRIER: [Step; 2] = [
     Step::Phase(Phase::new(Pattern::Scatter(0), Op::Barrier)),
 ];
 
-/// The most phases one program runs (a barrier's two, a gather and a
-/// broadcast).
-const MAX_PHASES: usize = 4;
-
 /// A collective program as each rank calls it.
 struct Program<'a> {
     /// The API-level collectives it stands for, which the cell checks
@@ -451,11 +489,37 @@ struct Program<'a> {
     ops: &'static [CollOp],
     root: usize,
     steps: &'a [Step],
+    /// Fingerprint of a program built at run time (0 for a fixed one).
+    shape: u64,
+    /// Whether its root steps charge the root's clock, trace and PFS
+    /// counters. In the cell such a step acts on the root's lane through
+    /// a [`LaneIo`]; on the wire a failing one fails the program the way
+    /// the separate call fails: the root returns its error at once and
+    /// its peers learn of it when it departs (no abort marker).
+    charged: bool,
+}
+
+impl<'a> Program<'a> {
+    /// A fixed program with pure root steps.
+    const fn new(ops: &'static [CollOp], root: usize, steps: &'a [Step]) -> Self {
+        Program {
+            ops,
+            root,
+            steps,
+            shape: 0,
+            charged: false,
+        }
+    }
 }
 
 /// The root-side step of a program that has none.
-fn no_root_step(_: &mut Slots) -> Result<(), MachineError> {
+fn no_root_step(_: &dyn RankIo, _: usize, _: &mut Slots) -> Result<(), MachineError> {
     Ok(())
+}
+
+/// Whether `slots` hold the verdict `[1]`, which `Step::IfSet` tests.
+fn verdict_set(slots: &Slots) -> bool {
+    slots.whole.as_ref() == [1]
 }
 
 /// The `Collective` event `rank` records for `op`, with the bytes a
@@ -463,7 +527,10 @@ fn no_root_step(_: &mut Slots) -> Result<(), MachineError> {
 fn announced(op: CollOp, root: Option<usize>, rank: usize, slots: &Slots) -> EventKind {
     let bytes = match op {
         CollOp::Barrier => 0,
-        CollOp::Broadcast => slots.whole.len(),
+        // Only the root has something to broadcast; the others pass
+        // nothing.
+        CollOp::Broadcast if root == Some(rank) => slots.whole.len(),
+        CollOp::Broadcast => 0,
         _ => slots.parts[rank].len(),
     };
     EventKind::Collective {
@@ -475,13 +542,17 @@ fn announced(op: CollOp, root: Option<usize>, rank: usize, slots: &Slots) -> Eve
 
 /// The error of ranks that called different programs.
 fn disagreement(rank: usize, got: Key, want: Key) -> MachineError {
-    let names = |ops: &[CollOp]| ops.iter().map(|op| op.name()).collect::<Vec<_>>().join("+");
+    let name = |(ops, root, shape): Key| {
+        let ops = ops.iter().map(|op| op.name()).collect::<Vec<_>>().join("+");
+        match shape {
+            0 => format!("{ops} (root {root})"),
+            shape => format!("{ops} (root {root}, program {shape:#x})"),
+        }
+    };
     MachineError::CollectiveMismatch(format!(
-        "rank {rank} called {} (root {}) but rank 0 called {} (root {})",
-        names(got.0),
-        got.1,
-        names(want.0),
-        want.1
+        "rank {rank} called {} but rank 0 called {}",
+        name(got),
+        name(want)
     ))
 }
 
@@ -604,10 +675,71 @@ fn replay_phase(
     }
 }
 
+/// Rank `rank`'s lane as the rank a charged root step acts for, on the
+/// thread that combines the round: the step's charges go to the lane's
+/// clock, its events to the lane's (which the rank records at exit, in
+/// order) and its PFS operation numbers continue the rank's count. The
+/// cell only runs fault-free, so no fault ever fires.
+struct LaneIo<'a> {
+    rank: usize,
+    nprocs: usize,
+    tracing: bool,
+    clock: Cell<VTime>,
+    pfs_ops: Cell<u64>,
+    events: RefCell<&'a mut Vec<(VTime, EventKind)>>,
+}
+
+impl RankIo for LaneIo<'_> {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn nprocs(&self) -> usize {
+        self.nprocs
+    }
+
+    fn now(&self) -> VTime {
+        self.clock.get()
+    }
+
+    fn advance(&self, d: VTime) {
+        self.clock.set(self.clock.get() + d);
+    }
+
+    fn tracing(&self) -> bool {
+        self.tracing
+    }
+
+    fn emit(&self, kind: EventKind) {
+        if self.tracing {
+            self.events.borrow_mut().push((self.clock.get(), kind));
+        }
+    }
+
+    fn next_pfs_op(&self) -> u64 {
+        let op = self.pfs_ops.get();
+        self.pfs_ops.set(op + 1);
+        op
+    }
+
+    fn fault_decision(&self, _: u64, _: u32, _: Option<usize>) -> FaultDecision {
+        FaultDecision::Proceed
+    }
+
+    fn fault_is_dead(&self) -> bool {
+        false
+    }
+
+    fn fault_mark_dead(&self) {}
+}
+
 impl NodeCtx {
     /// Run one collective program. `deposit` fills this rank's (empty)
-    /// slots, `at_root` is the root-side step, and `extract` takes this
-    /// rank's results out of its slots at exit.
+    /// slots, `at_root(io, k, slots)` is the program's `k`-th root-side
+    /// step, and `extract` takes this rank's results out of its slots at
+    /// exit. `io` is the root's own context on the wire and the root's
+    /// lane (a [`LaneIo`]) in the cell of a charged program; a pure step
+    /// gets the combining rank's context and must not use it.
     fn run_program<F, R>(
         &self,
         program: Program<'_>,
@@ -616,33 +748,39 @@ impl NodeCtx {
         extract: impl FnOnce(&mut Slots) -> R,
     ) -> Result<R, MachineError>
     where
-        F: FnMut(&mut Slots) -> Result<(), MachineError>,
+        F: FnMut(&dyn RankIo, usize, &mut Slots) -> Result<(), MachineError>,
     {
-        let Program { ops, root, steps } = program;
-        let mut tags: [Tag; MAX_PHASES] = [0; MAX_PHASES];
-        let phases = steps.iter().filter(|s| matches!(s, Step::Phase(_)));
-        for (tag, _) in tags.iter_mut().zip(phases) {
-            *tag = self.next_coll_tag();
-        }
+        let Program {
+            ops,
+            root,
+            steps,
+            shape,
+            charged,
+        } = program;
         let (rank, announce) = (self.rank(), self.announces_collectives());
         let Some(cell) = self.cell() else {
             let mut slots = Slots::new(self.nprocs());
             deposit(&mut slots);
-            let mut tags = tags.iter();
             let mut failed = None;
-            for &step in steps {
+            let mut next = 0;
+            while let Some(&step) = steps.get(next) {
+                next += 1;
                 match step {
                     Step::Announce(op, r) if announce => {
                         self.emit_at(self.now(), announced(op, r, rank, &slots));
                     }
                     Step::Phase(phase) => {
-                        let tag = *tags.next().expect("a tag per phase");
+                        let tag = self.next_coll_tag();
                         self.wire_phase(phase, tag, &mut slots, &mut failed)?;
                     }
-                    Step::AtRoot if rank == root && failed.is_none() => {
-                        failed = at_root(&mut slots).err();
+                    Step::AtRoot(k) if rank == root && failed.is_none() => {
+                        match at_root(self, k, &mut slots) {
+                            Err(e) if charged => return Err(e),
+                            res => failed = res.err(),
+                        }
                     }
-                    Step::Announce(..) | Step::AtRoot => {}
+                    Step::IfSet(n) if !verdict_set(&slots) => next += n,
+                    Step::Announce(..) | Step::AtRoot(_) | Step::IfSet(_) => {}
                 }
             }
             return match failed {
@@ -651,13 +789,14 @@ impl NodeCtx {
             };
         };
         self.count_rendezvous();
-        let (net, tracing) = (&self.config().net, self.tracing());
-        let (clock, out) = cell.rendezvous(
+        let (net, tracing, n) = (&self.config().net, self.tracing(), self.nprocs());
+        let out = cell.rendezvous(
             rank,
-            tags[0],
+            self.coll_tag(0),
             |lane| {
-                lane.key = (ops, root);
+                lane.key = (ops, root, shape);
                 lane.clock = self.now();
+                lane.pfs_ops = self.pfs_op_count();
                 lane.announce = announce;
                 deposit(&mut lane.slots);
             },
@@ -666,8 +805,10 @@ impl NodeCtx {
                 if let Some((r, lane)) = lanes.iter().enumerate().find(|(_, l)| l.key != key) {
                     return Err(disagreement(r, lane.key, key));
                 }
-                let mut tags = tags.iter();
-                for &step in steps {
+                let mut tags = 0;
+                let mut next = 0;
+                while let Some(&step) = steps.get(next) {
+                    next += 1;
                     match step {
                         Step::Announce(op, r) => {
                             for (me, lane) in lanes.iter_mut().enumerate() {
@@ -678,19 +819,58 @@ impl NodeCtx {
                             }
                         }
                         Step::Phase(phase) => {
-                            let tag = *tags.next().expect("a tag per phase");
+                            let tag = self.coll_tag(tags);
                             replay_phase(phase, tag, net, tracing, lanes, replay);
+                            tags += 1;
                         }
-                        Step::AtRoot => at_root(&mut lanes[root].slots)?,
+                        Step::AtRoot(k) if charged => {
+                            let Lane {
+                                clock,
+                                slots,
+                                events,
+                                pfs_ops,
+                                ..
+                            } = &mut lanes[root];
+                            let io = LaneIo {
+                                rank: root,
+                                nprocs: n,
+                                tracing,
+                                clock: Cell::new(*clock),
+                                pfs_ops: Cell::new(*pfs_ops),
+                                events: RefCell::new(events),
+                            };
+                            let res = at_root(&io, k, slots);
+                            (*clock, *pfs_ops) = (io.clock.get(), io.pfs_ops.get());
+                            res?;
+                        }
+                        Step::AtRoot(k) => at_root(self, k, &mut lanes[root].slots)?,
+                        Step::IfSet(n) if !verdict_set(&lanes[root].slots) => next += n,
+                        Step::IfSet(_) => {}
                     }
+                }
+                for lane in lanes.iter_mut() {
+                    lane.tags = tags;
                 }
                 Ok(())
             },
             |lane| {
                 self.stash_legs(&mut lane.events);
-                (lane.clock, extract(&mut lane.slots))
+                let counts = (lane.tags, lane.pfs_ops);
+                (lane.clock, counts, extract(&mut lane.slots))
             },
-        )?;
+        );
+        let (clock, (tags, pfs_ops), out) = match out {
+            Ok(done) => done,
+            Err(e) => {
+                // The wire runs every phase of a failed program, carrying
+                // abort markers.
+                let phases = steps.iter().filter(|s| matches!(s, Step::Phase(_)));
+                self.skip_coll_tags(phases.count() as u32);
+                return Err(e);
+            }
+        };
+        self.skip_coll_tags(tags);
+        self.set_pfs_op_count(pfs_ops);
         self.emit_legs();
         self.sync_to(clock);
         Ok(out)
@@ -751,11 +931,7 @@ impl NodeCtx {
             bytes: 0,
         });
         let _scope = self.collective_scope();
-        let program = Program {
-            ops: &[CollOp::Barrier],
-            root: 0,
-            steps: &BARRIER,
-        };
+        let program = Program::new(&[CollOp::Barrier], 0, &BARRIER);
         self.run_program(program, no_root_step, |_| {}, |_| ())
     }
 
@@ -770,14 +946,11 @@ impl NodeCtx {
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let program = Program {
-            ops: &[CollOp::Broadcast],
-            root,
-            steps: &[Step::Phase(Phase::new(
-                Pattern::Broadcast(root),
-                Op::Broadcast,
-            ))],
-        };
+        let steps = [Step::Phase(Phase::new(
+            Pattern::Broadcast(root),
+            Op::Broadcast,
+        ))];
+        let program = Program::new(&[CollOp::Broadcast], root, &steps);
         let deposit = |s: &mut Slots| s.whole = Payload::Owned(data);
         let out = self.run_program(program, no_root_step, deposit, Slots::take_whole)?;
         Ok(out.into_vec())
@@ -793,11 +966,8 @@ impl NodeCtx {
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let program = Program {
-            ops: &[CollOp::Gather],
-            root,
-            steps: &[Step::Phase(Phase::new(Pattern::Gather(root), Op::Gather))],
-        };
+        let steps = [Step::Phase(Phase::new(Pattern::Gather(root), Op::Gather))];
+        let program = Program::new(&[CollOp::Gather], root, &steps);
         let me = self.rank();
         self.run_program(
             program,
@@ -816,17 +986,14 @@ impl NodeCtx {
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let program = Program {
-            ops: &[CollOp::AllGather],
-            root: 0,
-            steps: &[
-                Step::Phase(Phase::new(Pattern::Gather(0), Op::Gather)),
-                Step::AtRoot,
-                Step::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
-            ],
-        };
+        let steps = [
+            Step::Phase(Phase::new(Pattern::Gather(0), Op::Gather)),
+            Step::AtRoot(0),
+            Step::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
+        ];
+        let program = Program::new(&[CollOp::AllGather], 0, &steps);
         let me = self.rank();
-        let frame = |s: &mut Slots| {
+        let frame = |_: &dyn RankIo, _, s: &mut Slots| {
             s.whole = Payload::Owned(frame_blocks(&s.parts));
             Ok(())
         };
@@ -887,11 +1054,8 @@ impl NodeCtx {
                 ));
             }
         };
-        let program = Program {
-            ops: &[CollOp::Scatter],
-            root,
-            steps: &[Step::Phase(Phase::new(Pattern::Scatter(root), Op::Scatter))],
-        };
+        let steps = [Step::Phase(Phase::new(Pattern::Scatter(root), Op::Scatter))];
+        let program = Program::new(&[CollOp::Scatter], root, &steps);
         let me = self.rank();
         let out = self.run_program(
             program,
@@ -978,18 +1142,15 @@ impl NodeCtx {
             bytes: mine.len() as u64,
         });
         let _scope = self.collective_scope();
-        let program = Program {
-            ops: &[CollOp::Reduce],
-            root,
-            steps: &[
-                Step::Phase(Phase::new(Pattern::Gather(root), Op::Reduce)),
-                Step::AtRoot,
-            ],
-        };
+        let steps = [
+            Step::Phase(Phase::new(Pattern::Gather(root), Op::Reduce)),
+            Step::AtRoot(0),
+        ];
+        let program = Program::new(&[CollOp::Reduce], root, &steps);
         let me = self.rank();
         let out = self.run_program(
             program,
-            |s| Self::fold_at_root(root, &op, s),
+            |_, _, s| Self::fold_at_root(root, &op, s),
             |s| s.parts[me] = mine,
             Slots::take_whole,
         )?;
@@ -1013,19 +1174,16 @@ impl NodeCtx {
             bytes: mine.len() as u64,
         });
         let _scope = self.collective_scope();
-        let program = Program {
-            ops: &[CollOp::AllReduce],
-            root: 0,
-            steps: &[
-                Step::Phase(Phase::new(Pattern::Gather(0), Op::Reduce)),
-                Step::AtRoot,
-                Step::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
-            ],
-        };
+        let steps = [
+            Step::Phase(Phase::new(Pattern::Gather(0), Op::Reduce)),
+            Step::AtRoot(0),
+            Step::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
+        ];
+        let program = Program::new(&[CollOp::AllReduce], 0, &steps);
         let me = self.rank();
         let out = self.run_program(
             program,
-            |s| Self::fold_at_root(0, &op, s),
+            |_, _, s| Self::fold_at_root(0, &op, s),
             |s| s.parts[me] = mine,
             Slots::take_whole,
         )?;
@@ -1045,19 +1203,16 @@ impl NodeCtx {
         T: Wire,
         P: FnMut(&mut [Payload]) -> Result<(), MachineError>,
     {
-        let program = Program {
-            ops,
-            root: 0,
-            steps: &[
-                Step::Phase(Phase::new(Pattern::Gather(0), Op::Gather)),
-                Step::AtRoot,
-                Step::Phase(Phase::new(Pattern::Scatter(0), Op::Scatter)),
-            ],
-        };
+        let steps = [
+            Step::Phase(Phase::new(Pattern::Gather(0), Op::Gather)),
+            Step::AtRoot(0),
+            Step::Phase(Phase::new(Pattern::Scatter(0), Op::Scatter)),
+        ];
+        let program = Program::new(ops, 0, &steps);
         let me = self.rank();
         let out = self.run_program(
             program,
-            |s| prefixes(&mut s.parts),
+            |_, _, s| prefixes(&mut s.parts),
             |s| s.parts[me] = value.with_wire(Payload::copy_of),
             |s| std::mem::take(&mut s.parts[me]),
         )?;
@@ -1178,27 +1333,23 @@ impl NodeCtx {
             BARRIER[1],
             Step::Announce(CollOp::Gather, Some(root)),
             Step::Phase(Phase::new(Pattern::Gather(root), Op::Gather)),
-            Step::AtRoot,
+            Step::AtRoot(0),
             Step::Announce(CollOp::Broadcast, Some(root)),
             Step::Phase(Phase::new(Pattern::Broadcast(root), Op::Broadcast)),
         ];
         let program = if barrier {
-            Program {
-                ops: &[CollOp::Barrier, CollOp::Gather, CollOp::Broadcast],
+            Program::new(
+                &[CollOp::Barrier, CollOp::Gather, CollOp::Broadcast],
                 root,
-                steps: &steps,
-            }
+                &steps,
+            )
         } else {
-            Program {
-                ops: &[CollOp::Gather, CollOp::Broadcast],
-                root,
-                steps: &steps[3..],
-            }
+            Program::new(&[CollOp::Gather, CollOp::Broadcast], root, &steps[3..])
         };
         let me = self.rank();
         let out = self.run_program(
             program,
-            |s| {
+            |_, _, s| {
                 s.whole = Payload::Owned(plan(Gathered(&s.parts))?);
                 Ok(())
             },
@@ -1208,40 +1359,106 @@ impl NodeCtx {
         Ok(out.into_vec())
     }
 
-    /// A barrier, then `probe` on `root`, and a broadcast of its verdict
-    /// from `root` (one byte): a rank-consistent answer to a question
-    /// about shared state, in one rendezvous. Legs, tags, clocks and
-    /// trace events are those of [`NodeCtx::barrier`] followed by
-    /// [`NodeCtx::broadcast`] of the root's one-byte verdict. `probe`
-    /// runs once, on the root or on the thread that combines the round,
-    /// so it must only read state every rank shares.
-    pub fn barrier_probe_broadcast<F>(
-        &self,
-        root: usize,
-        mut probe: F,
-    ) -> Result<bool, MachineError>
+    /// Run a replicated-local program (paper §4.2) in one rendezvous:
+    /// rank 0 acts on state every rank shares (the PFS namespace, a
+    /// file), and the others learn the outcome through the program's
+    /// barriers and broadcasts. Legs, tags, clocks and trace events are
+    /// those of the separate calls, with rank 0 acting between them.
+    ///
+    /// `act(io, k)` runs the program's `k`-th [`Local::Act`] (counting
+    /// the acts a [`Local::IfSet`] skipped) once, for rank 0: on the wire
+    /// on rank 0 with `io` its own context, in the cell on the rank that
+    /// completes the round with `io` rank 0's lane. Either way, PFS reads
+    /// and writes made through `io` are charged to rank 0's clock, trace
+    /// and operation count exactly as a separate call would charge them;
+    /// so an act must reach rank 0's state through `io` only, and
+    /// otherwise only state every rank shares. Its bytes are what the
+    /// next [`Local::Broadcast`] sends. Returns the bytes of the last
+    /// broadcast on every rank (on rank 0, those of its last act).
+    ///
+    /// A failing act fails the program the way the separate calls fail.
+    /// On the wire rank 0 returns the act's error at once and its peers
+    /// learn of it when rank 0 departs, as [`MachineError::PeerGone`]
+    /// (that is what a power cut inside an act's write looks like). The
+    /// cell, which runs fault-free, hands every rank the error's text as
+    /// a [`MachineError::CollectiveMismatch`].
+    ///
+    /// # Panics
+    ///
+    /// If an `IfSet` does not directly follow a `Broadcast` or reaches
+    /// past the end of the program.
+    pub fn replicated_local<E, F>(&self, program: &[Local], mut act: F) -> Result<Vec<u8>, E>
     where
-        F: FnMut() -> bool,
+        E: From<MachineError> + std::fmt::Display,
+        F: FnMut(&dyn RankIo, usize) -> Result<Vec<u8>, E>,
     {
-        self.check_root(root)?;
+        let mut steps = Vec::with_capacity(3 * program.len());
+        // FNV-1a over the step codes: ranks that built different programs
+        // fail the rendezvous instead of replaying one of them.
+        let mut shape: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut acts = 0;
+        for (i, &local) in program.iter().enumerate() {
+            let code = match local {
+                Local::Barrier => {
+                    steps.extend([
+                        Step::Announce(CollOp::Barrier, None),
+                        BARRIER[0],
+                        BARRIER[1],
+                    ]);
+                    1
+                }
+                Local::Act => {
+                    steps.push(Step::AtRoot(acts));
+                    acts += 1;
+                    2
+                }
+                Local::Broadcast => {
+                    steps.extend([
+                        Step::Announce(CollOp::Broadcast, Some(0)),
+                        Step::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
+                    ]);
+                    3
+                }
+                Local::IfSet(n) => {
+                    assert!(
+                        i > 0 && program[i - 1] == Local::Broadcast,
+                        "IfSet must follow a Broadcast"
+                    );
+                    let guarded = program
+                        .get(i + 1..i + 1 + n)
+                        .expect("IfSet reaches past the program's end");
+                    steps.push(Step::IfSet(guarded.iter().map(Local::len).sum()));
+                    4 + n as u64
+                }
+            };
+            shape = (shape ^ code).wrapping_mul(0x0100_0000_01b3);
+        }
         let program = Program {
             ops: &[CollOp::Barrier, CollOp::Broadcast],
-            root,
-            steps: &[
-                Step::Announce(CollOp::Barrier, None),
-                BARRIER[0],
-                BARRIER[1],
-                Step::AtRoot,
-                Step::Announce(CollOp::Broadcast, Some(root)),
-                Step::Phase(Phase::new(Pattern::Broadcast(root), Op::Broadcast)),
-            ],
+            root: 0,
+            steps: &steps,
+            shape,
+            charged: true,
         };
-        let verdict = |s: &mut Slots| {
-            s.whole = Payload::copy_of(&[u8::from(probe())]);
-            Ok(())
+        let mut failure = None;
+        let run = |io: &dyn RankIo, k, s: &mut Slots| match act(io, k) {
+            Ok(bytes) => {
+                s.whole = Payload::Owned(bytes);
+                Ok(())
+            }
+            Err(e) => {
+                let text = MachineError::CollectiveMismatch(e.to_string());
+                failure = Some(e);
+                Err(text)
+            }
         };
-        let out = self.run_program(program, verdict, |_| {}, Slots::take_whole)?;
-        Ok(out.as_ref() == [1])
+        match self.run_program(program, run, |_| {}, Slots::take_whole) {
+            Ok(out) => Ok(out.into_vec()),
+            Err(e) => Err(match failure {
+                Some(own) if self.cell().is_none() => own,
+                _ => e.into(),
+            }),
+        }
     }
 
     /// Maximum of all ranks' virtual clocks, visible on every rank — the

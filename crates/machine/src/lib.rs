@@ -48,13 +48,13 @@ pub mod shared;
 pub mod time;
 pub mod wire;
 
-pub use collectives::Gathered;
+pub use collectives::{Gathered, Local};
 pub use config::{CollectiveConfig, CpuModel, MachineConfig, MemoryModel, NetModel};
 pub use error::MachineError;
 pub use fault::{EdgeCut, FaultDecision, FaultPlan, FaultSpec, MsgFate, MsgFaultPlan};
 pub use machine::Machine;
 pub use message::{Tag, AGG_SHUTTLE_RETRY_BASE, AGG_SHUTTLE_TAG, REDIST_SHUTTLE_TAG};
-pub use node::{AsyncOp, CollectiveScope, NodeCtx};
+pub use node::{AsyncOp, CollectiveScope, NodeCtx, RankIo};
 pub use shared::{SharedBuffer, SharedRegion};
 pub use time::{VTime, VirtualClock};
 pub use wire::Wire;

@@ -102,6 +102,78 @@ struct AsyncQueue {
     pending: Vec<u64>,
 }
 
+/// What an independent PFS access touches of the rank it is charged to:
+/// its identity, clock, trace, PFS operation counter and fault plan. A
+/// rank's own [`NodeCtx`] is one. The collective cell lends a
+/// replicated-local act another, standing for rank 0's lane, so the rank
+/// that completes a round can act for rank 0 with the same charges,
+/// events and operation numbers (see [`NodeCtx::replicated_local`]).
+pub trait RankIo {
+    /// The rank charged.
+    fn rank(&self) -> usize;
+    /// Number of ranks in the machine.
+    fn nprocs(&self) -> usize;
+    /// The rank's virtual clock.
+    fn now(&self) -> VTime;
+    /// Advance the rank's clock by `d`.
+    fn advance(&self, d: VTime);
+    /// Whether the run records a trace.
+    fn tracing(&self) -> bool;
+    /// Record `kind` on the rank's trace at its clock (a no-op when the
+    /// run is untraced; check [`RankIo::tracing`] before building it).
+    fn emit(&self, kind: EventKind);
+    /// Allocate the index of the rank's next logical PFS operation.
+    fn next_pfs_op(&self) -> u64;
+    /// Consult the fault plan about attempt `attempt` of operation `op`.
+    fn fault_decision(&self, op: u64, attempt: u32, write_len: Option<usize>) -> FaultDecision;
+    /// True once an injected power cut has killed the rank.
+    fn fault_is_dead(&self) -> bool;
+    /// Kill the rank (a crash fault fired).
+    fn fault_mark_dead(&self);
+}
+
+impl RankIo for NodeCtx {
+    fn rank(&self) -> usize {
+        NodeCtx::rank(self)
+    }
+
+    fn nprocs(&self) -> usize {
+        NodeCtx::nprocs(self)
+    }
+
+    fn now(&self) -> VTime {
+        NodeCtx::now(self)
+    }
+
+    fn advance(&self, d: VTime) {
+        NodeCtx::advance(self, d)
+    }
+
+    fn tracing(&self) -> bool {
+        NodeCtx::tracing(self)
+    }
+
+    fn emit(&self, kind: EventKind) {
+        self.emit_at(NodeCtx::now(self), kind);
+    }
+
+    fn next_pfs_op(&self) -> u64 {
+        NodeCtx::next_pfs_op(self)
+    }
+
+    fn fault_decision(&self, op: u64, attempt: u32, write_len: Option<usize>) -> FaultDecision {
+        NodeCtx::fault_decision(self, op, attempt, write_len)
+    }
+
+    fn fault_is_dead(&self) -> bool {
+        NodeCtx::fault_is_dead(self)
+    }
+
+    fn fault_mark_dead(&self) {
+        NodeCtx::fault_mark_dead(self)
+    }
+}
+
 /// Execution context handed to each rank of a machine run.
 pub struct NodeCtx {
     rank: usize,
@@ -394,6 +466,12 @@ impl NodeCtx {
         let k = self.pfs_ops.get();
         self.pfs_ops.set(k + 1);
         k
+    }
+
+    /// Take over a PFS operation count a collective cell advanced on this
+    /// rank's behalf.
+    pub(crate) fn set_pfs_op_count(&self, count: u64) {
+        self.pfs_ops.set(count);
     }
 
     /// How many logical PFS operations this rank has issued so far.
@@ -707,9 +785,20 @@ impl NodeCtx {
 
     /// Next collective sequence number (wraps in the reserved tag space).
     pub(crate) fn next_coll_tag(&self) -> Tag {
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq.wrapping_add(1));
-        crate::message::COLLECTIVE_TAG_BASE | (seq & 0x7fff_ffff)
+        let tag = self.coll_tag(0);
+        self.skip_coll_tags(1);
+        tag
+    }
+
+    /// The collective tag `k` places past the next one, without taking
+    /// it.
+    pub(crate) fn coll_tag(&self, k: u32) -> Tag {
+        COLLECTIVE_TAG_BASE | (self.coll_seq.get().wrapping_add(k) & 0x7fff_ffff)
+    }
+
+    /// Take the next `k` collective tags.
+    pub(crate) fn skip_coll_tags(&self, k: u32) {
+        self.coll_seq.set(self.coll_seq.get().wrapping_add(k));
     }
 
     /// The machine's collective cell, when collectives bypass the wire.

@@ -4,8 +4,11 @@
 //! from the wire path it replaces on fault-free machines.
 
 use dstreams_machine::wire::frame_blocks;
-use dstreams_machine::{FaultPlan, Gathered, Machine, MachineConfig, MsgFaultPlan, VTime, Wire};
-use dstreams_trace::{OpCounts, TraceSink};
+use dstreams_machine::{
+    FaultPlan, Gathered, Local, Machine, MachineConfig, MachineError, MsgFaultPlan, NodeCtx,
+    RankIo, VTime, Wire,
+};
+use dstreams_trace::{EventKind, IndependentRegime, OpCounts, PfsOp, TraceSink};
 use proptest::prelude::*;
 
 proptest! {
@@ -137,6 +140,65 @@ proptest! {
     }
 }
 
+/// A replicated-local program whose tail hangs on rank 0's verdict: a
+/// probe, then (if it says yes) an act between barriers, then an act whose
+/// bytes every rank receives.
+const LOCAL_PROGRAM: [Local; 9] = [
+    Local::Barrier,
+    Local::Act,
+    Local::Broadcast,
+    Local::IfSet(2),
+    Local::Act,
+    Local::Barrier,
+    Local::Barrier,
+    Local::Act,
+    Local::Broadcast,
+];
+
+/// Rank 0's `k`-th act of [`LOCAL_PROGRAM`] under `code`: it charges rank
+/// 0's clock and records an event on its trace, as a PFS access would.
+/// Act 0 is the verdict (bit 20 of `code`); the others return bytes.
+fn act(io: &dyn RankIo, code: u64, k: usize) -> Result<Vec<u8>, MachineError> {
+    let cost = VTime::from_nanos((code >> (4 * k)) % 9_000);
+    io.advance(cost);
+    let op = io.next_pfs_op();
+    if io.tracing() {
+        io.emit(EventKind::PfsIndependent {
+            op: PfsOp::Write,
+            file: "local".into(),
+            offset: op,
+            bytes: 8,
+            regime: IndependentRegime::Cached,
+            cost_ns: cost.as_nanos(),
+        });
+    }
+    Ok(match k {
+        0 => vec![u8::from(code >> 20 & 1 == 1)],
+        k => vec![k as u8; (code >> 24) as usize % 20 + k],
+    })
+}
+
+/// The calls [`LOCAL_PROGRAM`] stands for, made separately.
+fn local_separately(ctx: &NodeCtx, code: u64) -> Vec<u8> {
+    let root = ctx.is_root();
+    let on_root = |k| {
+        if root {
+            act(ctx, code, k).unwrap()
+        } else {
+            Vec::new()
+        }
+    };
+    ctx.barrier().unwrap();
+    let verdict = on_root(0);
+    if ctx.broadcast(0, verdict).unwrap() == [1] {
+        on_root(1);
+        ctx.barrier().unwrap();
+    }
+    ctx.barrier().unwrap();
+    let last = on_root(2);
+    ctx.broadcast(0, last).unwrap()
+}
+
 /// One generated SPMD program: a sequence of call codes (each picks a
 /// collective or a point-to-point ring and derives its root, payload
 /// length and operand from the code) and one clock skew per rank.
@@ -226,10 +288,9 @@ fn run_program(prog: &Program, wire_seed: Option<u64>) -> (Vec<RankOut>, String,
                 12 => vec![ctx
                     .barrier_gather_plan_broadcast(root, payload(me), plan)
                     .unwrap()],
-                13 => {
-                    let verdict = ctx.barrier_probe_broadcast(root, || code & 1 == 1).unwrap();
-                    vec![vec![u8::from(verdict)]]
-                }
+                13 => vec![ctx
+                    .replicated_local(&LOCAL_PROGRAM, |io, k| act(io, code, k))
+                    .unwrap()],
                 14 => vec![ctx.gather_plan_broadcast(root, payload(me), plan).unwrap()],
                 _ => {
                     // Point-to-point ring traffic between collectives.
@@ -243,6 +304,8 @@ fn run_program(prog: &Program, wire_seed: Option<u64>) -> (Vec<RankOut>, String,
             };
             results.push(res);
         }
+        // Replicated-local acts number rank 0's PFS operations.
+        results.push(vec![ctx.pfs_op_count().to_wire()]);
         (results, ctx.now())
     })
     .unwrap();
@@ -302,15 +365,10 @@ fn run_fused(nprocs: usize, calls: &[u64], fused: bool, wire: bool) -> (Vec<Rank
                 (1, true) => ctx
                     .gather_plan_broadcast(root, data, |g| Ok(plan(g.iter().collect())))
                     .unwrap(),
-                (_, true) => vec![u8::from(
-                    ctx.barrier_probe_broadcast(root, || code & 8 != 0).unwrap(),
-                )],
-                (2, false) => {
-                    ctx.barrier().unwrap();
-                    let verdict = (me == root).then(|| vec![u8::from(code & 8 != 0)]);
-                    let got = ctx.broadcast(root, verdict.unwrap_or_default()).unwrap();
-                    vec![u8::from(got == [1])]
-                }
+                (_, true) => ctx
+                    .replicated_local(&LOCAL_PROGRAM, |io, k| act(io, code, k))
+                    .unwrap(),
+                (2, false) => local_separately(ctx, code),
                 (head, false) => {
                     if head == 0 {
                         ctx.barrier().unwrap();
@@ -324,6 +382,7 @@ fn run_fused(nprocs: usize, calls: &[u64], fused: bool, wire: bool) -> (Vec<Rank
             };
             results.push(vec![res]);
         }
+        results.push(vec![ctx.pfs_op_count().to_wire()]);
         (results, ctx.now())
     })
     .unwrap();

@@ -110,3 +110,31 @@ fn the_machine_stays_usable_after_a_failed_root_step() {
         assert_eq!(out, vec![6; NPROCS], "{name}");
     }
 }
+
+/// A replicated-local act that fails is the separate call failing. On
+/// the wire rank 0 returns the act's own error at once and its peers
+/// learn of it only when rank 0 departs, as `PeerGone`, never as an abort
+/// marker (that is what a power cut inside a PFS write looks like). The
+/// cell, where nothing crashes, gives every rank the error's text.
+#[test]
+fn a_failing_act_fails_the_program_like_the_separate_call() {
+    use dstreams_machine::Local;
+    let program = [Local::Barrier, Local::Act, Local::Barrier];
+    let crashed = MachineError::RankCrashed { rank: 0 };
+    for (name, config) in executors() {
+        let out = Machine::run(config, |ctx| {
+            ctx.replicated_local(&program, |_, _| -> Result<Vec<u8>, MachineError> {
+                Err(MachineError::RankCrashed { rank: 0 })
+            })
+        })
+        .unwrap();
+        for (rank, res) in out.iter().enumerate() {
+            let want = match (name, rank) {
+                ("wire", 0) => crashed.clone(),
+                ("wire", _) => MachineError::PeerGone { rank: 0 },
+                _ => MachineError::CollectiveMismatch(crashed.to_string()),
+            };
+            assert_eq!(res, &Err(want), "{name}: rank {rank}");
+        }
+    }
+}

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dstreams_machine::wire::{frame_blocks, unframe_blocks};
-use dstreams_machine::{AsyncOp, FaultDecision, Gathered, MachineError, NodeCtx, VTime};
+use dstreams_machine::{AsyncOp, FaultDecision, Gathered, MachineError, NodeCtx, RankIo, VTime};
 use dstreams_trace::{CollectiveRegime, EventKind, FaultKind, IndependentRegime, PfsOp};
 
 use crate::checksum::ChunkSum;
@@ -115,16 +115,16 @@ impl FileHandle {
 
     /// Charge one independent operation: the service cost goes onto the
     /// clock now (`deferred == None`, blocking) or onto the rank's async
-    /// queue together with the folded retry backoff (`Some(backoff)`,
-    /// begin mode). Event, traffic and stats bookkeeping are the same
-    /// either way.
-    fn charge_independent(
+    /// queue together with the folded retry backoff (`Some((ctx,
+    /// backoff))`, begin mode, where `ctx` is the rank's own context).
+    /// Event, traffic and stats bookkeeping are the same either way.
+    fn charge_independent<C: RankIo + ?Sized>(
         &self,
-        ctx: &NodeCtx,
+        ctx: &C,
         op: PfsOp,
         offset: u64,
         bytes: usize,
-        deferred: Option<VTime>,
+        deferred: Option<(&NodeCtx, VTime)>,
     ) -> Option<AsyncOp> {
         let traffic = &self.pfs.rank_traffic[ctx.rank()];
         let before = traffic.load(Ordering::Relaxed);
@@ -136,13 +136,13 @@ impl FileHandle {
             .independent_regime(self.file.len(), ctx.nprocs());
         let cost = self.pfs.model.independent_cost(bytes, regime, ctx.nprocs());
         let submitted = match deferred {
-            Some(backoff) => Some(ctx.async_submit(cost + backoff)),
+            Some((queue, backoff)) => Some(queue.async_submit(cost + backoff)),
             None => {
                 ctx.advance(cost);
                 None
             }
         };
-        ctx.emit_with(|| EventKind::PfsIndependent {
+        emit(ctx, || EventKind::PfsIndependent {
             op,
             file: self.file.name.clone(),
             offset,
@@ -173,8 +173,14 @@ impl FileHandle {
 
     // ---- fault injection and retry -----------------------------------------
 
-    pub(crate) fn emit_fault(&self, ctx: &NodeCtx, kind: FaultKind, op: u64, bytes_kept: u64) {
-        ctx.emit_with(|| EventKind::FaultInjected {
+    pub(crate) fn emit_fault<C: RankIo + ?Sized>(
+        &self,
+        ctx: &C,
+        kind: FaultKind,
+        op: u64,
+        bytes_kept: u64,
+    ) {
+        emit(ctx, || EventKind::FaultInjected {
             kind,
             op_index: op,
             file: self.file.name.clone(),
@@ -186,9 +192,9 @@ impl FileHandle {
     /// now, or — given `fold` (begin mode) — added to the deferred cost,
     /// so the retries happen "in the background". Returns `false` when
     /// the policy's retry budget is exhausted.
-    fn backoff_and_retry(
+    fn backoff_and_retry<C: RankIo + ?Sized>(
         &self,
-        ctx: &NodeCtx,
+        ctx: &C,
         op: u64,
         attempt: &mut u32,
         fold: Option<&mut VTime>,
@@ -204,7 +210,7 @@ impl FileHandle {
         }
         *attempt += 1;
         let next = *attempt;
-        ctx.emit_with(|| EventKind::PfsRetry {
+        emit(ctx, || EventKind::PfsRetry {
             op_index: op,
             attempt: next,
             backoff_ns: pause.as_nanos(),
@@ -219,7 +225,7 @@ impl FileHandle {
         )
     }
 
-    pub(crate) fn check_alive(&self, ctx: &NodeCtx) -> Result<(), PfsError> {
+    pub(crate) fn check_alive<C: RankIo + ?Sized>(&self, ctx: &C) -> Result<(), PfsError> {
         if ctx.fault_is_dead() {
             return Err(MachineError::RankCrashed { rank: ctx.rank() }.into());
         }
@@ -228,7 +234,14 @@ impl FileHandle {
 
     /// Power-cut a write: persist the seeded prefix and record the fault.
     /// The caller decides when the rank dies ([`rank_crashed`]).
-    fn crash_prefix(&self, ctx: &NodeCtx, op: u64, offset: u64, data: &[u8], keep: Option<usize>) {
+    fn crash_prefix<C: RankIo + ?Sized>(
+        &self,
+        ctx: &C,
+        op: u64,
+        offset: u64,
+        data: &[u8],
+        keep: Option<usize>,
+    ) {
         let k = keep.unwrap_or(0).min(data.len());
         if k > 0 {
             let _ = self
@@ -310,20 +323,29 @@ impl FileHandle {
     /// One logical PFS operation: transient failures (injected or from the
     /// real-disk backend) are retried with exponential virtual-time
     /// backoff under the PFS [`crate::RetryPolicy`].
-    pub fn write_at(&self, ctx: &NodeCtx, offset: u64, data: &[u8]) -> Result<(), PfsError> {
-        self.write_at_impl(ctx, offset, data, false).map(drop)
+    ///
+    /// `ctx` is the rank the write is charged to: its own [`NodeCtx`],
+    /// or the [`RankIo`] a replicated-local act runs with.
+    pub fn write_at<C: RankIo + ?Sized>(
+        &self,
+        ctx: &C,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<(), PfsError> {
+        self.write_at_impl(ctx, offset, data, None).map(drop)
     }
 
     /// The one implementation behind [`FileHandle::write_at`] and
     /// [`FileHandle::write_at_begin`]. The bytes land now either way;
-    /// `begin` only moves the service cost and the retry backoff onto
-    /// the async queue and defers a power-cut's death to the handle.
-    pub(crate) fn write_at_impl(
+    /// `begin` (the rank's own context, whose async queue takes the
+    /// cost) only moves the service cost and the retry backoff onto the
+    /// async queue and defers a power-cut's death to the handle.
+    pub(crate) fn write_at_impl<C: RankIo + ?Sized>(
         &self,
-        ctx: &NodeCtx,
+        ctx: &C,
         offset: u64,
         data: &[u8],
-        begin: bool,
+        begin: Option<&NodeCtx>,
     ) -> Result<Option<IoHandle>, PfsError> {
         let op = ctx.next_pfs_op();
         let mut attempt = 0u32;
@@ -334,7 +356,8 @@ impl FileHandle {
                 FaultDecision::Proceed => data.len(),
                 FaultDecision::Transient => {
                     self.emit_fault(ctx, FaultKind::Transient, op, 0);
-                    if self.backoff_and_retry(ctx, op, &mut attempt, begin.then_some(&mut folded)) {
+                    let fold = begin.is_some().then_some(&mut folded);
+                    if self.backoff_and_retry(ctx, op, &mut attempt, fold) {
                         continue;
                     }
                     return Err(Self::injected_transient(op));
@@ -350,12 +373,12 @@ impl FileHandle {
                 FaultDecision::Crash { keep } => {
                     self.crash_prefix(ctx, op, offset, data, keep);
                     let crashed = rank_crashed(ctx);
-                    if !begin {
+                    let Some(queue) = begin else {
                         return Err(crashed);
-                    }
+                    };
                     // A dead disk serves nothing: zero deferred cost, the
                     // crash outcome rides the handle.
-                    let submitted = ctx.async_submit(VTime::ZERO);
+                    let submitted = queue.async_submit(VTime::ZERO);
                     return Ok(Some(IoHandle::new(submitted, Some(crashed), true)));
                 }
             };
@@ -370,7 +393,7 @@ impl FileHandle {
                         PfsOp::Write,
                         offset,
                         data.len(),
-                        begin.then_some(folded),
+                        begin.map(|queue| (queue, folded)),
                     );
                     return Ok(submitted.map(|op| IoHandle::new(op, None, false)));
                 }
@@ -380,7 +403,7 @@ impl FileHandle {
                             ctx,
                             op,
                             &mut attempt,
-                            begin.then_some(&mut folded),
+                            begin.is_some().then_some(&mut folded),
                         ) =>
                 {
                     continue;
@@ -393,8 +416,13 @@ impl FileHandle {
     /// Independent positioned read (does not move the private position).
     ///
     /// Like [`FileHandle::write_at`], one logical retry-wrapped PFS
-    /// operation.
-    pub fn read_at(&self, ctx: &NodeCtx, offset: u64, buf: &mut [u8]) -> Result<(), PfsError> {
+    /// operation, charged to `ctx`.
+    pub fn read_at<C: RankIo + ?Sized>(
+        &self,
+        ctx: &C,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<(), PfsError> {
         let op = ctx.next_pfs_op();
         let mut attempt = 0u32;
         loop {
@@ -860,7 +888,15 @@ pub(crate) fn charge_collective(
 }
 
 /// Mark this rank dead and return the error a crashed rank surfaces.
-pub(crate) fn rank_crashed(ctx: &NodeCtx) -> PfsError {
+/// Record the event `kind` builds on `ctx`'s trace, building it only
+/// when the run is traced.
+fn emit<C: RankIo + ?Sized>(ctx: &C, kind: impl FnOnce() -> EventKind) {
+    if ctx.tracing() {
+        ctx.emit(kind());
+    }
+}
+
+pub(crate) fn rank_crashed<C: RankIo + ?Sized>(ctx: &C) -> PfsError {
     ctx.fault_mark_dead();
     MachineError::RankCrashed { rank: ctx.rank() }.into()
 }

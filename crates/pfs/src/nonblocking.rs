@@ -115,7 +115,7 @@ impl FileHandle {
         offset: u64,
         data: &[u8],
     ) -> Result<IoHandle, PfsError> {
-        let handle = self.write_at_impl(ctx, offset, data, true)?;
+        let handle = self.write_at_impl(ctx, offset, data, Some(ctx))?;
         Ok(handle.expect("begin mode returns a handle"))
     }
 

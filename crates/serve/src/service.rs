@@ -478,7 +478,67 @@ mod tests {
         assert_eq!(counts, vec![RENDEZVOUS_16_SESSIONS; 4]);
     }
 
-    const RENDEZVOUS_16_SESSIONS: u64 = 433;
+    const RENDEZVOUS_16_SESSIONS: u64 = 302;
+
+    /// Rendezvous per request kind on one rank: the request's own
+    /// collectives plus the `sync_clocks` that closes it in
+    /// `run_service`. Each replicated-local checkpoint step is one
+    /// rendezvous whatever it finds (a stale file, pruned generations, a
+    /// missing manifest), so every kind makes a fixed number.
+    const RENDEZVOUS_PER_REQUEST: [(&str, u64); 5] = [
+        ("attach", 2),
+        ("write", 9),
+        ("read miss", 8),
+        ("read hit", 1),
+        ("recover", 4),
+    ];
+
+    /// The pins of [`RENDEZVOUS_PER_REQUEST`]: one tenant attaches,
+    /// writes three generations (the third prunes one), reads (a miss,
+    /// then a hit) and recovers.
+    #[test]
+    fn each_request_kind_makes_a_pinned_number_of_rendezvous() {
+        let pfs = Pfs::new(4, DiskModel::paragon_pfs(), dstreams_pfs::Backend::Memory);
+        let counts = Machine::run(MachineConfig::paragon(4), |ctx| {
+            let mut cfg = ServiceConfig::for_model(pfs.model());
+            cfg.keep = 2;
+            let tenants = tenants();
+            let profiles = tenants.iter().map(|t| (t.tenant, *t)).collect();
+            let (mut sessions, mut cache) = (BTreeMap::new(), WorkingSetCache::new(cfg.cache));
+            let script = [
+                ("attach", ServeOp::Open),
+                ("write", ServeOp::Write),
+                ("write", ServeOp::Write),
+                ("write", ServeOp::Write),
+                ("read miss", ServeOp::Read),
+                ("read hit", ServeOp::Read),
+                ("recover", ServeOp::Recover),
+            ];
+            let mut counts = Vec::new();
+            for (request_id, (kind, op)) in (0..).zip(script) {
+                let req = Request {
+                    request_id,
+                    tenant: 1,
+                    class: QosLevel::Premium,
+                    op,
+                    arrival_ns: 0,
+                };
+                let before = ctx.rendezvous_count();
+                let ok = execute(ctx, &pfs, &cfg, &profiles, &mut sessions, &mut cache, &req);
+                assert!(matches!(ok, Ok(true)), "{kind}: {ok:?}");
+                ctx.sync_clocks().unwrap();
+                counts.push((kind, ctx.rendezvous_count() - before));
+            }
+            counts
+        })
+        .unwrap();
+        for rank in counts {
+            for (kind, count) in rank {
+                let pin = RENDEZVOUS_PER_REQUEST.iter().find(|(k, _)| *k == kind);
+                assert_eq!(Some(count), pin.map(|p| p.1), "{kind}");
+            }
+        }
+    }
 
     type RankDigest = Option<(Vec<(u64, bool)>, u64)>;
 
