@@ -2,14 +2,21 @@
 //! platforms and compare against the published numbers.
 //!
 //! Usage:
-//!   tables [table1|table2|table3|table4|all] [--json PATH] [--markdown]
+//!   tables [table1|table2|table3|table4|all] [--json [PATH]] [--markdown]
 //!   tables trace [--out PATH] [--segments N]
+//!   tables ablations | realdisk | sweep | phases | table5
 //!
 //! `--json` output includes per-cell trace op counts (messages, collectives,
-//! PFS operations) next to the simulated seconds. The `trace` subcommand
+//! PFS operations) next to the simulated seconds; without a path it lands
+//! in `assets/tables_results.json`. The `trace` subcommand
 //! re-runs one Table 1 cell (pC++/streams on a 4-node Paragon) with event
 //! tracing on and writes a Chrome `trace_event` JSON file that can be opened
 //! in Perfetto (https://ui.perfetto.dev) or `chrome://tracing`.
+//!
+//! `ablations` prints the five design ablations to the nanosecond
+//! (pinned in `assets/ablations_output.txt`). `realdisk` runs the three
+//! I/O methods against real files in a temporary directory and prints
+//! host seconds, which are not deterministic.
 //!
 //! Seconds are *simulated platform seconds* from the calibrated cost
 //! models — deterministic and host-independent. The claim being reproduced
@@ -18,9 +25,15 @@
 //! the library overhead shrinks as I/O size grows.
 
 use std::io::Write as _;
+use std::time::Instant;
 
+use dstreams_collections::{Collection, DistKind, Layout};
+use dstreams_machine::{Machine, MachineConfig};
+use dstreams_pfs::{Backend, DiskModel, Pfs};
 use dstreams_scf::tables::{run_table, run_table_traced, TableResult};
-use dstreams_scf::{run_cell_traced, run_sizes, table_by_name, CellSpec, IoMethod, Platform};
+use dstreams_scf::{
+    run_cell_traced, run_sizes, table_by_name, CellSpec, IoMethod, Platform, ScfConfig, Segment,
+};
 use dstreams_trace::json::Value;
 
 fn main() {
@@ -33,13 +46,13 @@ fn main() {
         match args[i].as_str() {
             "--json" => match args.get(i + 1) {
                 // A path operand is only consumed if it looks like one,
-                // so `tables all --json` works and lands at the
-                // machine-readable default.
+                // so `tables all --json` works and lands in the pinned
+                // asset.
                 Some(p) if p.ends_with(".json") => {
                     json_path = Some(p.clone());
                     i += 1;
                 }
-                _ => json_path = Some("BENCH_tables.json".to_string()),
+                _ => json_path = Some("assets/tables_results.json".to_string()),
             },
             "--markdown" => markdown = true,
             other => which.push(other.to_string()),
@@ -60,6 +73,14 @@ fn main() {
     }
     if which.iter().any(|w| w == "phases") {
         run_phases();
+        return;
+    }
+    if which.iter().any(|w| w == "ablations") {
+        print!("{}", dstreams_bench::ablations::report());
+        return;
+    }
+    if which.iter().any(|w| w == "realdisk") {
+        run_realdisk();
         return;
     }
     if which.is_empty() || which.iter().any(|w| w == "all") {
@@ -252,6 +273,39 @@ fn run_phases() {
             p.extract_s,
             p.insert_s + p.write_s + p.read_s + p.extract_s
         );
+    }
+}
+
+/// Host wall clock of the three I/O methods (out + in, 256 segments,
+/// 4 ranks) against real files under the system temp directory, with the
+/// instant cost model: what the library paths cost on this host's disk.
+/// Each method's directory is removed before the next one runs.
+fn run_realdisk() {
+    let nprocs = 4;
+    let n_segments = 256;
+    println!(
+        "Real-disk host seconds, {nprocs} ranks, {n_segments} segments, out + in (not deterministic):"
+    );
+    for method in IoMethod::ALL {
+        let dir = std::env::temp_dir().join(format!(
+            "dstreams-realdisk-{}-{method:?}",
+            std::process::id()
+        ));
+        let pfs = Pfs::new(nprocs, DiskModel::instant(), Backend::Disk(dir.clone()));
+        let start = Instant::now();
+        Machine::run(MachineConfig::functional(nprocs), |ctx| {
+            let cfg = ScfConfig::paper(n_segments);
+            let layout = Layout::dense(n_segments, nprocs, DistKind::Block).unwrap();
+            let grid = Collection::new(ctx, layout.clone(), |g| cfg.make_segment(g)).unwrap();
+            let mut back = Collection::new(ctx, layout, |_| Segment::default()).unwrap();
+            method
+                .out_and_in(ctx, &pfs, &grid, &mut back, "w", cfg.particles_per_segment)
+                .unwrap();
+        })
+        .expect("real-disk run");
+        let secs = start.elapsed().as_secs_f64();
+        std::fs::remove_dir_all(&dir).expect("remove real-disk files");
+        println!("{:<18}{secs:>10.3}", method.label());
     }
 }
 

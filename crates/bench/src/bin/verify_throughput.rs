@@ -20,7 +20,8 @@
 //!   verify_throughput [--smoke] [--out PATH]
 //!
 //! Writes machine-readable results (default `BENCH_dsverify.json`) and
-//! exits nonzero if a claim is violated.
+//! exits nonzero if a claim is violated or the service shed or aborted
+//! any request while generating the trace.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -28,7 +29,8 @@ use std::time::Instant;
 use dstreams_machine::{Machine, MachineConfig};
 use dstreams_pfs::{Backend, DiskModel, Pfs};
 use dstreams_serve::{
-    generate, run_service, OpMix, QosLevel, ServiceConfig, TenantProfile, TrafficSpec,
+    generate, run_service, OpMix, QosLevel, ServiceConfig, ServiceReport, TenantProfile,
+    TrafficSpec,
 };
 use dstreams_trace::json::Value;
 use dstreams_trace::{Trace, TraceSink};
@@ -47,8 +49,17 @@ const FLOOR_EVENTS_PER_SEC: f64 = 50_000.0;
 /// Timing repetitions; the best (least-interfered) run is kept.
 const REPS: usize = 3;
 
-/// Generate the service-style trace the analyzer is timed against.
-fn service_trace(smoke: bool) -> Trace {
+/// Mean virtual gap between session starts. A saturated service sheds
+/// most sessions at once, which made the full run analyze fewer events
+/// than the smoke run. With 2 ms between a session's operations, a
+/// 300 ms gap still sheds 286 of the full run's 3,200 requests and
+/// 500 ms sheds none; this sits at twice that.
+const SESSION_GAP_NS: u64 = 1_000_000_000;
+
+/// Generate the service-style trace the analyzer is timed against, and
+/// rank 0's service report. Nothing is shed, so the full trace (640
+/// sessions) holds about four times the events of the smoke trace (160).
+fn service_trace(smoke: bool) -> (Trace, ServiceReport) {
     let nprocs = 4;
     let sessions = if smoke { 160 } else { 640 };
     let tenants: Vec<TenantProfile> = [
@@ -68,7 +79,7 @@ fn service_trace(smoke: bool) -> Trace {
             seed: SEED,
             sessions,
             ops_per_session: 4,
-            mean_session_gap_ns: 200,
+            mean_session_gap_ns: SESSION_GAP_NS,
             mean_interarrival_ns: 2_000_000,
             zipf_s: 0.6,
             mix: OpMix::read_mostly(),
@@ -80,11 +91,11 @@ fn service_trace(smoke: bool) -> Trace {
     let sink = TraceSink::new(nprocs);
     let config = MachineConfig::paragon(nprocs).traced(sink.clone());
     let p = pfs.clone();
-    Machine::run(config, move |ctx| {
+    let mut reports = Machine::run(config, move |ctx| {
         run_service(ctx, &p, &cfg, &tenants, &arrivals).expect("service loop")
     })
     .expect("service run");
-    sink.take()
+    (sink.take(), reports.swap_remove(0))
 }
 
 /// The first `n` events of a trace, as a standalone trace. Orphaned
@@ -120,7 +131,7 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_dsverify.json".to_string());
 
-    let trace = service_trace(smoke);
+    let (trace, report) = service_trace(smoke);
     let total = trace.events.len();
     let half = prefix(&trace, total / 2);
 
@@ -130,6 +141,10 @@ fn main() {
     let events_per_sec = total as f64 / t_full.max(1e-9);
 
     println!(
+        "service workload: {} requests served, {} shed, {} failed, {} aborted",
+        report.served, report.shed, report.failed, report.aborted
+    );
+    println!(
         "dsverify throughput: {total} events analyzed in {:.1} ms \
          ({:.0}k events/s); half-trace {:.1} ms -> full/half x{ratio:.2}",
         t_full * 1e3,
@@ -138,6 +153,13 @@ fn main() {
     );
 
     let mut violations = Vec::new();
+    if report.shed + report.aborted > 0 {
+        violations.push(format!(
+            "the workload shed {} and aborted {} requests — the trace comes from a \
+             saturated or failing service, not the calibrated load",
+            report.shed, report.aborted
+        ));
+    }
     if total < 1_000 {
         violations.push(format!(
             "workload produced only {total} events — the timing is vacuous"

@@ -1,51 +1,8 @@
-//! Shared helpers for the Criterion benches.
-//!
-//! Two measurement styles coexist here:
-//!
-//! * **wall-clock** benches run the full stack (simulation threads and
-//!   all) with the *instant* cost model, so Criterion measures the real
-//!   CPU cost of the library paths on the host — the modern analogue of
-//!   the paper's comparison;
-//! * **virtual-time** benches use `iter_custom` to report *simulated
-//!   platform seconds* from the calibrated cost models, regenerating the
-//!   paper's tables and the ablations of its design choices
-//!   deterministically.
+//! Bench harness of the paper reproduction: the `tables` binary and the
+//! BENCH binaries under `src/bin`, the design ablations they report, and
+//! the percentile helpers shared with perfbench.
 
 #![forbid(unsafe_code)]
 
+pub mod ablations;
 pub mod percentile;
-
-use std::time::Duration;
-
-use dstreams_machine::{Machine, MachineConfig, VTime};
-use dstreams_scf::{run_cell, CellSpec, IoMethod, Platform};
-
-/// Run one benchmark cell and convert its simulated seconds into a
-/// `Duration` for Criterion's `iter_custom`.
-pub fn cell_virtual_duration(
-    platform: Platform,
-    nprocs: usize,
-    n_segments: usize,
-    method: IoMethod,
-) -> Duration {
-    let secs = run_cell(CellSpec {
-        platform,
-        nprocs,
-        n_segments,
-        method,
-    })
-    .expect("benchmark cell");
-    Duration::from_nanos((secs * 1e9) as u64)
-}
-
-/// Run an SPMD closure on a machine and return the slowest rank's virtual
-/// time as a `Duration` — used by ablations that assemble their own
-/// pipelines.
-pub fn machine_virtual_duration<F>(config: MachineConfig, f: F) -> Duration
-where
-    F: Fn(&dstreams_machine::NodeCtx) -> VTime + Sync,
-{
-    let times = Machine::run(config, |ctx| f(ctx)).expect("machine run");
-    let worst = times.into_iter().fold(VTime::ZERO, VTime::max);
-    Duration::from_nanos(worst.as_nanos())
-}

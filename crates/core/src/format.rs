@@ -213,6 +213,23 @@ impl RecordHeader {
     /// Flag bit: record written in checked mode.
     pub const FLAG_CHECKED: u32 = 1;
 
+    /// Bytes the record spans on the file: header, size table and data
+    /// (the span a seal certifies, which excludes the seal itself).
+    /// A damaged header can claim any sizes, so the sum is checked and
+    /// an overflow is a [`StreamError::CorruptRecord`].
+    pub fn span(&self) -> Result<u64, StreamError> {
+        self.n_elements
+            .checked_mul(8)
+            .and_then(|t| t.checked_add(Self::LEN as u64))
+            .and_then(|t| t.checked_add(self.data_len))
+            .ok_or_else(|| {
+                StreamError::CorruptRecord(format!(
+                    "record header claims {} elements and {} data bytes: more than 2^64 bytes",
+                    self.n_elements, self.data_len
+                ))
+            })
+    }
+
     /// Encode to bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(Self::LEN);

@@ -85,9 +85,9 @@ fn parse_record(
         ))
     })?;
     let rh = RecordHeader::decode(rh_bytes)?;
-    let table_len = rh.n_elements.checked_mul(8).ok_or_else(|| {
-        StreamError::CorruptRecord(format!("record {index}: absurd element count"))
-    })?;
+    let span = rh.span()?;
+    // Cannot overflow: the table is part of the checked span.
+    let table_len = rh.n_elements * 8;
     let table_start = pos + RecordHeader::LEN as u64;
     let table = get_span(bytes, table_start, table_len).ok_or_else(|| {
         StreamError::CorruptRecord(format!(
@@ -95,18 +95,15 @@ fn parse_record(
         ))
     })?;
     let sizes = decode_sizes(table, rh.n_elements as usize)?;
-    let total: u64 = sizes.iter().sum();
-    if total != rh.data_len {
+    let total = sizes.iter().try_fold(0u64, |acc, &s| acc.checked_add(s));
+    if total != Some(rh.data_len) {
         return Err(StreamError::CorruptRecord(format!(
-            "record {index}: size table sums to {total}, header claims {}",
+            "record {index}: size table sums to {}, header claims {}",
+            total.map_or("more than 2^64".to_string(), |t| t.to_string()),
             rh.data_len
         )));
     }
-    let data_start = table_start + table_len;
-    let Some(data_end) = data_start
-        .checked_add(rh.data_len)
-        .filter(|e| *e <= bytes.len() as u64)
-    else {
+    let Some(data_end) = pos.checked_add(span).filter(|e| *e <= bytes.len() as u64) else {
         return Err(StreamError::CorruptRecord(format!(
             "file ends mid-data in record {index}"
         )));
@@ -116,7 +113,6 @@ fn parse_record(
             StreamError::CorruptRecord(format!("file ends mid-seal in record {index}"))
         })?;
         let seal = RecordSeal::decode(seal_bytes)?;
-        let span = data_end - pos;
         if seal.record_len != span {
             return Err(StreamError::CorruptRecord(format!(
                 "record {index}: seal claims {} bytes, structure implies {span}",

@@ -254,12 +254,7 @@ impl<'a> IStream<'a> {
                 return torn;
             };
             // All arithmetic checked: a torn header can claim any sizes.
-            let Some(span) = header
-                .n_elements
-                .checked_mul(8)
-                .and_then(|t| t.checked_add(RecordHeader::LEN as u64))
-                .and_then(|t| t.checked_add(header.data_len))
-            else {
+            let Ok(span) = header.span() else {
                 return torn;
             };
             let Some(end) = pos
@@ -600,7 +595,7 @@ impl<'a> IStream<'a> {
         let Some(seal) = seal else {
             return Ok(());
         };
-        let span = RecordHeader::LEN as u64 + header.n_elements * 8 + header.data_len;
+        let span = header.span()?;
         if seal.record_len != span {
             return Err(StreamError::CorruptRecord(format!(
                 "seal claims {} record bytes, header implies {span}",
@@ -674,12 +669,7 @@ impl<'a> IStream<'a> {
     /// scan admits neither for files written by this library).
     fn read_seal_after(&self, head: &[u8]) -> Option<Vec<u8>> {
         let header = RecordHeader::decode(head).ok()?;
-        let seal_off = header
-            .n_elements
-            .checked_mul(8)?
-            .checked_add(RecordHeader::LEN as u64)?
-            .checked_add(header.data_len)?
-            .checked_add(self.cursor)?;
+        let seal_off = header.span().ok()?.checked_add(self.cursor)?;
         let mut seal = vec![0u8; RecordSeal::LEN];
         self.fh.read_at(self.ctx, seal_off, &mut seal).ok()?;
         Some(seal)
@@ -899,8 +889,11 @@ impl<'a> IStream<'a> {
             }
         }
         let (header, _seal) = self.read_header()?;
-        self.cursor +=
-            (RecordHeader::LEN as u64) + header.n_elements * 8 + header.data_len + self.seal_len();
+        self.cursor = header
+            .span()?
+            .checked_add(self.seal_len())
+            .and_then(|span| span.checked_add(self.cursor))
+            .ok_or_else(|| StreamError::CorruptRecord("record ends past 2^64 bytes".into()))?;
         Ok(())
     }
 

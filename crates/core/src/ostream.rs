@@ -30,15 +30,16 @@ pub enum MetaPolicy {
         /// Collections smaller than this use [`MetaMode::Gathered`].
         small_threshold: usize,
     },
-    /// Always use the given mode (ablation benches use this).
+    /// Always use the given mode (the design ablations use this).
     Force(MetaMode),
 }
 
 impl Default for MetaPolicy {
     fn default() -> Self {
-        // Crossover measured by benches/ablation_metadata.rs on the
-        // Paragon model: gathering beats the extra parallel operation up
-        // to ~8 K elements (64 KB of size info); stay a bit below it.
+        // Crossover measured by `tables ablations` (metadata) on the
+        // Paragon model: gathering beats the extra parallel operation
+        // between 4 K and 16 K elements (32–128 KB of size info), and
+        // crates/bench/tests/metadata_crossover.rs pins it there.
         MetaPolicy::Auto {
             small_threshold: 8192,
         }
@@ -654,9 +655,8 @@ impl<'a> OStream<'a> {
         begin: bool,
     ) -> Result<Option<IoHandle>, StreamError> {
         debug_assert!(self.ctx.is_root());
-        let record_len = RecordHeader::LEN as u64 + header.n_elements * 8 + header.data_len;
         let seal = RecordSeal {
-            record_len,
+            record_len: header.span()?,
             checksum: digest.hash(),
         }
         .encode();

@@ -6,8 +6,8 @@
 use dstreams_collections::{Collection, DistKind, Layout};
 use dstreams_core::MetaMode;
 use dstreams_core::{
-    impl_stream_data, FileHeader, IStream, MetaPolicy, OStream, ReadStrategy, StreamError,
-    StreamOptions,
+    impl_stream_data, FileHeader, IStream, MetaPolicy, OStream, ReadStrategy, RecordHeader,
+    StreamError, StreamOptions,
 };
 use dstreams_machine::{Machine, MachineConfig};
 use dstreams_pfs::{OpenMode, Pfs};
@@ -392,4 +392,50 @@ fn writer_and_reader_streams_can_share_one_file_with_two_layouts() {
         rb.close().unwrap();
     })
     .unwrap();
+}
+
+/// A version-1 (unsealed) record header can claim any sizes: no seal and
+/// no open-time chain scan stand between it and `skip_record`. A span
+/// that overflows `u64` must be a typed `CorruptRecord` on every rank —
+/// never an overflow panic, nor a wrapped cursor and `Ok`.
+#[test]
+fn skip_record_rejects_an_overflowing_v1_record_span_on_every_rank() {
+    let nprocs = 2;
+    let layout = Layout::dense(8, nprocs, DistKind::Block).unwrap();
+    for (n_elements, data_len) in [(8, u64::MAX), (u64::MAX / 2, 0)] {
+        let mut image = FileHeader {
+            version: 1,
+            flags: 0,
+        }
+        .encode();
+        image.extend_from_slice(
+            &RecordHeader {
+                n_elements,
+                n_inserts: 1,
+                flags: 0,
+                meta_mode: MetaMode::Parallel,
+                layout: layout.descriptor(),
+                data_len,
+            }
+            .encode(),
+        );
+        let pfs = Pfs::in_memory(nprocs);
+        let p = pfs.clone();
+        Machine::run(MachineConfig::functional(1), move |ctx| {
+            let fh = p.open(true, "v1", OpenMode::Create).unwrap();
+            fh.write_at(ctx, 0, &image).unwrap();
+        })
+        .unwrap();
+
+        let l = layout.clone();
+        let errors = Machine::run(MachineConfig::functional(nprocs), move |ctx| {
+            let mut s = IStream::open(ctx, &pfs, &l, "v1").unwrap();
+            match s.skip_record() {
+                Err(e @ StreamError::CorruptRecord(_)) => e.to_string(),
+                other => panic!("rank {}: expected CorruptRecord, got {other:?}", ctx.rank()),
+            }
+        })
+        .unwrap();
+        assert_eq!(errors[0], errors[1], "ranks disagree on the error");
+    }
 }

@@ -15,7 +15,7 @@
 //! * a calibrated **disk cost model** ([`DiskModel`]) with the buffer-cache
 //!   knees responsible for the paper's headline anomalies;
 //! * two backends: paged in-memory images (virtual-time benchmarks) and
-//!   real-disk files (wall-clock Criterion benchmarks).
+//!   real-disk files (the host-time `tables realdisk` run).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

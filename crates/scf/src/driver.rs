@@ -8,16 +8,12 @@
 //! fresh PFS so file-cache state cannot leak between cells.
 
 use dstreams_collections::{Collection, DistKind, Layout};
-use dstreams_core::MetaMode;
 use dstreams_machine::{Machine, MachineConfig, VTime};
 use dstreams_pfs::{Backend, DiskModel, Pfs};
 use dstreams_trace::json::Value;
 use dstreams_trace::{OpCounts, Trace, TraceSink};
 
-use crate::methods::{
-    input_dstreams_unsorted, input_manual, input_unbuffered, output_dstreams, output_manual,
-    output_unbuffered, IoMethod,
-};
+use crate::methods::IoMethod;
 use crate::physics::global_checksum;
 use crate::segment::Segment;
 use crate::workload::ScfConfig;
@@ -104,22 +100,14 @@ fn run_cell_inner(spec: CellSpec, trace: Option<TraceSink>) -> Result<f64, ScfEr
         // Timed region: output followed by input.
         ctx.barrier()?;
         let t0 = ctx.now();
-        match spec.method {
-            IoMethod::Unbuffered => {
-                output_unbuffered(ctx, &pfs, &grid, "bench")?;
-                input_unbuffered(ctx, &pfs, &mut back, "bench")?;
-            }
-            IoMethod::ManualBuffered => {
-                output_manual(ctx, &pfs, &grid, "bench")?;
-                input_manual(ctx, &pfs, &mut back, "bench", cfg.particles_per_segment)?;
-            }
-            IoMethod::DStreams => {
-                // The measured 1995 implementation wrote metadata as a
-                // separate parallel operation at every size.
-                output_dstreams(ctx, &pfs, &grid, "bench", MetaMode::Parallel)?;
-                input_dstreams_unsorted(ctx, &pfs, &mut back, "bench")?;
-            }
-        }
+        spec.method.out_and_in(
+            ctx,
+            &pfs,
+            &grid,
+            &mut back,
+            "bench",
+            cfg.particles_per_segment,
+        )?;
         ctx.barrier()?;
         let elapsed = ctx.now() - t0;
 

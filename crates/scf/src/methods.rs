@@ -47,6 +47,35 @@ impl IoMethod {
             IoMethod::DStreams => "pC++/streams",
         }
     }
+
+    /// One benchmark measurement with this method: output `grid` to
+    /// `file`, then input it into `back`. The streams path writes its
+    /// metadata as a separate parallel operation at every size, as the
+    /// measured 1995 implementation did, and reads with `unsortedRead`.
+    pub fn out_and_in(
+        self,
+        ctx: &NodeCtx,
+        pfs: &Pfs,
+        grid: &Collection<Segment>,
+        back: &mut Collection<Segment>,
+        file: &str,
+        particles_per_segment: usize,
+    ) -> Result<(), ScfError> {
+        match self {
+            IoMethod::Unbuffered => {
+                output_unbuffered(ctx, pfs, grid, file)?;
+                input_unbuffered(ctx, pfs, back, file)
+            }
+            IoMethod::ManualBuffered => {
+                output_manual(ctx, pfs, grid, file)?;
+                input_manual(ctx, pfs, back, file, particles_per_segment)
+            }
+            IoMethod::DStreams => {
+                output_dstreams(ctx, pfs, grid, file, MetaMode::Parallel)?;
+                input_dstreams_unsorted(ctx, pfs, back, file)
+            }
+        }
+    }
 }
 
 fn pack_f64s(out: &mut Vec<u8>, vals: &[f64]) {
@@ -265,20 +294,9 @@ mod tests {
             let (grid, want) = grid_and_checksum(ctx, &cfg, np);
             let layout = grid.layout().clone();
             let mut back = Collection::new(ctx, layout, |_| Segment::default()).unwrap();
-            match method {
-                IoMethod::Unbuffered => {
-                    output_unbuffered(ctx, &p, &grid, "u").unwrap();
-                    input_unbuffered(ctx, &p, &mut back, "u").unwrap();
-                }
-                IoMethod::ManualBuffered => {
-                    output_manual(ctx, &p, &grid, "m").unwrap();
-                    input_manual(ctx, &p, &mut back, "m", 100).unwrap();
-                }
-                IoMethod::DStreams => {
-                    output_dstreams(ctx, &p, &grid, "d", MetaMode::Parallel).unwrap();
-                    input_dstreams_unsorted(ctx, &p, &mut back, "d").unwrap();
-                }
-            }
+            method
+                .out_and_in(ctx, &p, &grid, &mut back, "f", cfg.particles_per_segment)
+                .unwrap();
             let got = global_checksum(ctx, &back).unwrap();
             assert!((got - want).abs() < 1e-9, "{method:?}: {got} vs {want}");
             // Unbuffered and manual preserve index order exactly.
