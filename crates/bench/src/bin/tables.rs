@@ -259,19 +259,21 @@ fn run_phases() {
     use dstreams_scf::profile_dstreams_phases;
     println!("pC++/streams phase decomposition, Paragon (4 nodes), simulated seconds:\n");
     println!(
-        "{:<12}{:>10}{:>10}{:>14}{:>10}{:>10}",
-        "segments", "insert", "write()", "unsortedRead", "extract", "total"
+        "{:<12}{:>8}{:>10}{:>10}{:>14}{:>10}{:>8}{:>10}",
+        "segments", "open", "insert", "write()", "unsortedRead", "extract", "close", "total"
     );
     for n in [256usize, 512, 1000, 2000] {
         let p = profile_dstreams_phases(Platform::Paragon, 4, n).expect("phase profile");
         println!(
-            "{:<12}{:>10.3}{:>10.3}{:>14.3}{:>10.3}{:>10.3}",
+            "{:<12}{:>8.3}{:>10.3}{:>10.3}{:>14.3}{:>10.3}{:>8.3}{:>10.3}",
             n,
+            p.open_s,
             p.insert_s,
             p.write_s,
             p.read_s,
             p.extract_s,
-            p.insert_s + p.write_s + p.read_s + p.extract_s
+            p.close_s,
+            p.total_s()
         );
     }
 }

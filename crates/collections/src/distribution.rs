@@ -139,24 +139,36 @@ impl Axis {
 
     /// Number of axis cells owned by processor coordinate `p`.
     pub fn local_count(&self, p: usize) -> usize {
-        if self.k == 0 {
-            let b = self.block_size();
-            let start = p * b;
-            if p == self.procs - 1 {
-                self.cells.saturating_sub(start)
-            } else {
-                self.cells.saturating_sub(start).min(b)
+        self.cells_below(p, self.cells)
+    }
+
+    /// The axis cell at local index `j` of processor coordinate `p`
+    /// (`j < local_count(p)`): the inverse of [`Axis::local_index`]. O(1).
+    fn nth_cell(&self, p: usize, j: usize) -> usize {
+        match self.k {
+            0 => p * self.block_size() + j,
+            k => (j / k) * k * self.procs + p * k + j % k,
+        }
+    }
+
+    /// How many cells of processor coordinate `p < procs` lie below axis
+    /// cell `c` (`c <= cells`). O(1).
+    fn cells_below(&self, p: usize, c: usize) -> usize {
+        match self.k {
+            0 => {
+                // The last processor absorbs everything past its start
+                // (matches `owner`'s min-clamp).
+                let below = c.saturating_sub(p * self.block_size());
+                if p == self.procs - 1 {
+                    below
+                } else {
+                    below.min(self.block_size())
+                }
             }
-        } else {
-            let round = self.k * self.procs;
-            let full_rounds = self.cells / round;
-            let rem = self.cells % round;
-            let mut count = full_rounds * self.k;
-            let start = p * self.k;
-            if rem > start {
-                count += (rem - start).min(self.k);
+            k => {
+                let round = k * self.procs;
+                (c / round) * k + (c % round).saturating_sub(p * k).min(k)
             }
-            count
         }
     }
 
@@ -230,15 +242,49 @@ pub fn composed_place(axes: &[Axis], coord: &[usize]) -> (usize, usize) {
     (rank, local)
 }
 
-/// Number of cells the (row-major) processor-grid rank `rank` owns under
-/// the composition of `axes`.
-pub fn composed_local_count(axes: &[Axis], mut rank: usize) -> usize {
-    let mut count = 1usize;
+/// The cell at local offset `j` (`j <` the rank's cell count) of the
+/// processor-grid rank `rank`, as a row-major linear index: the inverse
+/// of [`composed_place`]. O(axes).
+fn composed_nth_cell(axes: &[Axis], mut rank: usize, mut j: usize) -> usize {
+    let mut cell = 0;
+    let mut scale = 1;
     for ax in axes.iter().rev() {
-        count *= ax.local_count(rank % ax.procs);
+        let p = rank % ax.procs;
         rank /= ax.procs;
+        let count = ax.local_count(p);
+        cell += ax.nth_cell(p, j % count) * scale;
+        j /= count;
+        scale *= ax.cells;
     }
-    count
+    cell
+}
+
+/// How many cells of the processor-grid rank `rank` have a row-major
+/// linear index below `t` (`t <=` the cell count). Innermost axis first:
+/// the cells below `t` in one slice along axes `i..` are the owned
+/// slices below `t`'s coordinate on axis `i`, plus the cells below `t`
+/// within its own slice if the rank owns that coordinate. O(axes).
+fn composed_cells_below(axes: &[Axis], mut rank: usize, t: usize) -> usize {
+    if t == 0 {
+        return 0;
+    }
+    let mut below = 0;
+    let mut inner = 1;
+    let mut stride = 1;
+    for (i, ax) in axes.iter().enumerate().rev() {
+        let p = rank % ax.procs;
+        rank /= ax.procs;
+        let c = if i == 0 {
+            t / stride
+        } else {
+            (t / stride) % ax.cells
+        };
+        let own = c < ax.cells && ax.owner(c) == p;
+        below = ax.cells_below(p, c) * inner + if own { below } else { 0 };
+        inner *= ax.local_count(p);
+        stride *= ax.cells;
+    }
+    below
 }
 
 /// Cells the processor-grid rank `rank` owns under the composition of
@@ -429,41 +475,7 @@ impl Distribution {
     /// Number of template cells owned by `rank` (0 for `rank >= nprocs`),
     /// in O(1).
     pub fn local_count(&self, rank: usize) -> usize {
-        if rank >= self.nprocs {
-            return 0;
-        }
-        match self.kind {
-            DistKind::Block => {
-                let b = self.block_size();
-                let start = rank * b;
-                if rank == self.nprocs - 1 {
-                    // The last processor absorbs everything past its start
-                    // (matches `owner`'s min-clamp).
-                    self.len.saturating_sub(start)
-                } else {
-                    self.len.saturating_sub(start).min(b)
-                }
-            }
-            DistKind::Cyclic => {
-                let full = self.len / self.nprocs;
-                full + usize::from(rank < self.len % self.nprocs)
-            }
-            DistKind::BlockCyclic(k) => {
-                let round = k * self.nprocs;
-                let full_rounds = self.len / round;
-                let rem = self.len % round;
-                let mut count = full_rounds * k;
-                // Remaining cells deal blocks of k to ranks 0, 1, ...
-                let start = rank * k;
-                if rem > start {
-                    count += (rem - start).min(k);
-                }
-                count
-            }
-            DistKind::Composed2d(_) => {
-                composed_local_count(&self.axes().expect("composed kind has axes"), rank)
-            }
-        }
+        self.cells_below(rank, self.len)
     }
 
     /// Template cells owned by `rank`, in local-slot (increasing) order;
@@ -487,34 +499,76 @@ impl Distribution {
         }
     }
 
+    /// `rank`'s cells from local offset `j` on, as far as they are
+    /// consecutive cells and at most `max` of them (`j + max <=
+    /// local_count(rank)`): `(first cell, run length)`, the length at
+    /// least 1 when `max` is. O(1) for the 1-D kinds, O(axes) composed.
+    pub(crate) fn local_run(
+        &self,
+        rank: usize,
+        j: usize,
+        max: usize,
+    ) -> Result<(usize, usize), CollectionError> {
+        // A rank's consecutive cells sit at consecutive local offsets, so
+        // its run from `first` is the piece that starts there.
+        match self.axes() {
+            Some(axes) => {
+                let first = composed_nth_cell(&axes, rank, j);
+                Ok((first, self.piece(first, max)?.2))
+            }
+            None => {
+                let axis = self.axis();
+                let first = axis.nth_cell(rank, j);
+                Ok((first, axis.piece_len(first, max)))
+            }
+        }
+    }
+
+    /// How many of `rank`'s cells lie below template cell `t` (`t <=
+    /// len()`), in O(1); 0 for `rank >= nprocs`.
+    pub(crate) fn cells_below(&self, rank: usize, t: usize) -> usize {
+        if rank >= self.nprocs {
+            return 0;
+        }
+        match self.axes() {
+            Some(axes) => composed_cells_below(&axes, rank, t),
+            None => self.axis().cells_below(rank, t),
+        }
+    }
+
     /// The longest prefix of template cells `t, t + 1, …, t + len - 1`
     /// (`t + len <= len()`) that one rank owns at consecutive local
-    /// offsets: `(owner, local offset of t, prefix length)`. O(1) for
-    /// the 1-D kinds; a composed pattern walks one step per row the
-    /// piece spans.
+    /// offsets: `(owner, local offset of t, prefix length)`. O(1).
     pub fn piece(&self, t: usize, len: usize) -> Result<(usize, usize, usize), CollectionError> {
         let (owner, local) = self.place(t)?;
         if len == 0 {
             return Ok((owner, local, 0));
         }
-        let Some([_, cols]) = self.axes() else {
+        let Some([rows, cols]) = self.axes() else {
             return Ok((owner, local, self.axis().piece_len(t, len)));
         };
         // Within a row the column axis decides; a piece that reaches the
         // row end carries on into the next row only if that row's first
         // cell is the very next slot on the same rank.
-        let mut plen = 0;
-        loop {
-            let c = (t + plen) % cols.cells;
-            let step = cols.piece_len(c, len - plen);
-            plen += step;
-            if plen == len
-                || c + step < cols.cells
-                || self.place(t + plen)? != (owner, local + plen)
-            {
-                return Ok((owner, local, plen));
-            }
+        let c = t % cols.cells;
+        let first = cols.piece_len(c, len);
+        if first == len
+            || c + first < cols.cells
+            || self.place(t + first)? != (owner, local + first)
+        {
+            return Ok((owner, local, first));
         }
+        // Unless the rank owns whole rows, the piece ends in that row.
+        let rest = len - first;
+        if cols.piece_len(0, cols.cells) < cols.cells {
+            return Ok((owner, local, first + cols.piece_len(0, rest)));
+        }
+        // Whole rows follow for as long as the row axis keeps them on one
+        // processor at consecutive local indices, then a partial row.
+        let run = rows.piece_len(t / cols.cells + 1, rows.cells);
+        let whole = (rest / cols.cells).min(run);
+        let tail = if whole < run { rest % cols.cells } else { 0 };
+        Ok((owner, local, first + whole * cols.cells + tail))
     }
 
     /// The single axis a 1-D kind is (BLOCK is CYCLIC with `k = 0`).
@@ -553,8 +607,20 @@ mod tests {
             for (slot, &t) in cells.iter().enumerate() {
                 assert_eq!(d.owner(t).unwrap(), r);
                 assert_eq!(d.local_index(t).unwrap(), slot);
+                let (first, len) = d.local_run(r, slot, count - slot).unwrap();
+                assert_eq!(first, t);
+                let run = cells[slot..]
+                    .windows(2)
+                    .take_while(|w| w[0] + 1 == w[1])
+                    .count();
+                assert_eq!(len, run + 1, "rank {r} run at slot {slot}");
+            }
+            for t in 0..=d.len() {
+                let below = cells.iter().filter(|&&c| c < t).count();
+                assert_eq!(d.cells_below(r, t), below, "rank {r} below {t}");
             }
         }
+        assert_eq!(d.cells_below(d.nprocs(), d.len()), 0);
         assert_eq!(counts.iter().sum::<usize>(), d.len());
     }
 
@@ -759,10 +825,17 @@ mod tests {
         for (rank, owned) in cells.iter().enumerate() {
             assert_eq!(
                 owned.len(),
-                composed_local_count(&axes, rank),
+                composed_cells_below(&axes, rank, 4 * 6 * 5),
                 "rank {rank}"
             );
             assert_eq!(*owned, composed_local_cells(&axes, rank), "rank {rank}");
+            for (j, &t) in owned.iter().enumerate() {
+                assert_eq!(composed_nth_cell(&axes, rank, j), t, "rank {rank} slot {j}");
+            }
+            for t in 0..=4 * 6 * 5 {
+                let below = owned.iter().filter(|&&c| c < t).count();
+                assert_eq!(composed_cells_below(&axes, rank, t), below, "rank {rank}");
+            }
         }
         assert!(composed_local_cells(&axes, nprocs).is_empty());
         assert_eq!(cells.iter().map(Vec::len).sum::<usize>(), 4 * 6 * 5);

@@ -160,9 +160,9 @@ impl Layout {
 
     /// Number of elements owned by `rank`.
     pub fn local_count(&self, rank: usize) -> usize {
-        if self.align == Alignment::identity() && self.dist.len() == self.n_elements {
-            // Dense case: delegate to the O(1) distribution counts.
-            self.dist.local_count(rank)
+        if self.align == Alignment::identity() {
+            // Every cell below `n` is an element: O(1).
+            self.dist.cells_below(rank, self.n_elements)
         } else {
             self.local_elements(rank).len()
         }
@@ -194,24 +194,27 @@ impl Layout {
         Ok((owner, slot))
     }
 
-    /// A placement query for runs of elements, see [`Pieces::piece`].
-    /// Free under the identity alignment; other alignments first fill an
-    /// element-indexed `(rank, slot)` table from one
-    /// [`Layout::local_elements`] per rank.
+    /// Placement queries for runs of elements: where a run lands
+    /// ([`Pieces::piece`]), and a cursor over each rank's local elements
+    /// ([`Pieces::local_run`], [`Pieces::count_below`]). Free under the
+    /// identity alignment, where all three are closed-form; other
+    /// alignments first coalesce one [`Layout::local_elements`] per rank
+    /// into a per-rank run table.
     pub fn pieces(&self) -> Pieces<'_> {
-        let table = (self.align != Alignment::identity()).then(|| {
-            let mut table = vec![(0, 0); self.n_elements];
-            for rank in 0..self.nprocs() {
-                for (slot, i) in self.local_elements(rank).into_iter().enumerate() {
-                    table[i] = (rank, slot);
-                }
-            }
-            table
+        let runs = (self.align != Alignment::identity()).then(|| {
+            (0..self.nprocs())
+                .map(|rank| {
+                    let mut slot = 0;
+                    let mut runs = Vec::new();
+                    for (first, len) in self.local_runs(rank) {
+                        runs.push(LocalRun { first, slot, len });
+                        slot += len;
+                    }
+                    runs
+                })
+                .collect()
         });
-        Pieces {
-            layout: self,
-            table,
-        }
+        Pieces { layout: self, runs }
     }
 
     fn check(&self, i: usize) -> Result<(), CollectionError> {
@@ -263,12 +266,22 @@ impl Layout {
     }
 }
 
-/// Target-side placement of element runs, from [`Layout::pieces`].
+/// Placement of element runs and per-rank element cursors, from
+/// [`Layout::pieces`].
 #[derive(Debug, Clone)]
 pub struct Pieces<'a> {
     layout: &'a Layout,
-    /// Element-indexed `(rank, slot)`, for non-identity alignments only.
-    table: Option<Vec<(usize, usize)>>,
+    /// Each rank's local elements as increasing runs of consecutive ids,
+    /// for non-identity alignments only.
+    runs: Option<Vec<Vec<LocalRun>>>,
+}
+
+/// Local elements `first..first + len` of one rank, at slots `slot..`.
+#[derive(Debug, Clone, Copy)]
+struct LocalRun {
+    first: usize,
+    slot: usize,
+    len: usize,
 }
 
 impl Pieces<'_> {
@@ -276,7 +289,7 @@ impl Pieces<'_> {
     /// rank owns at consecutive local slots: `(owner, slot of i, prefix
     /// length)`, the length at least 1 when `len` is. In closed form
     /// under the identity alignment ([`Distribution::piece`]); otherwise
-    /// one table probe per element of the piece.
+    /// one binary search of the owner's run table.
     pub fn piece(&self, i: usize, len: usize) -> Result<(usize, usize, usize), CollectionError> {
         let n = self.layout.n_elements;
         self.layout.check(i)?;
@@ -286,14 +299,59 @@ impl Pieces<'_> {
                 len: n,
             });
         }
-        let Some(table) = &self.table else {
+        let Some(runs) = &self.runs else {
             return self.layout.dist.piece(i, len);
         };
-        let (owner, slot) = table[i];
-        let plen = (1..len)
-            .find(|&j| table[i + j] != (owner, slot + j))
-            .unwrap_or(len);
-        Ok((owner, slot, plen))
+        let owner = self.layout.owner(i)?;
+        let runs = &runs[owner];
+        let run = runs[runs.partition_point(|r| r.first <= i) - 1];
+        Ok((
+            owner,
+            run.slot + (i - run.first),
+            len.min(run.first + run.len - i),
+        ))
+    }
+
+    /// `rank`'s local elements from slot `k` on, as far as their ids are
+    /// consecutive and at most `max` of them (`k + max <= count_below(rank,
+    /// len())`): `(first id, run length)`, the length at least 1 when
+    /// `max` is. In closed form under the identity alignment (the
+    /// distribution's k-th local cell and run length); otherwise one
+    /// binary search of the rank's run table.
+    pub fn local_run(
+        &self,
+        rank: usize,
+        k: usize,
+        max: usize,
+    ) -> Result<(usize, usize), CollectionError> {
+        let Some(runs) = &self.runs else {
+            return self.layout.dist.local_run(rank, k, max);
+        };
+        let runs = &runs[rank];
+        let run = runs[runs.partition_point(|r| r.slot <= k) - 1];
+        let skip = k - run.slot;
+        Ok((run.first + skip, (run.len - skip).min(max)))
+    }
+
+    /// How many of `rank`'s local elements have an id below `i` (`i <=
+    /// len()`); with `i = len()`, the rank's element count. O(1) under
+    /// the identity alignment, one binary search otherwise.
+    pub fn count_below(&self, rank: usize, i: usize) -> usize {
+        let Some(runs) = &self.runs else {
+            // Under the identity alignment every cell below `i <= n` is
+            // an element.
+            return self.layout.dist.cells_below(rank, i);
+        };
+        let Some(runs) = runs.get(rank) else {
+            return 0;
+        };
+        match runs.partition_point(|r| r.first < i) {
+            0 => 0,
+            r => {
+                let run = runs[r - 1];
+                run.slot + run.len.min(i - run.first)
+            }
+        }
     }
 }
 

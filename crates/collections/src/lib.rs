@@ -30,8 +30,7 @@ pub mod layout;
 pub use alignment::Alignment;
 pub use collection::Collection;
 pub use distribution::{
-    composed_local_cells, composed_local_count, composed_place, Axis, Composed2d, DistKind,
-    Distribution,
+    composed_local_cells, composed_place, Axis, Composed2d, DistKind, Distribution,
 };
 pub use error::CollectionError;
 pub use grid::{Grid2d, GridRow, RowHalo, RunHalo};

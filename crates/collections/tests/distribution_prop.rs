@@ -77,9 +77,10 @@ fn check_local_cells(d: &Distribution) -> Result<(), TestCaseError> {
 }
 
 /// The flattened file-order runs equal the per-rank owner scans, each
-/// run is non-empty, and every piece — of every file run, and of each
+/// run is non-empty, every piece — of every file run, and of each
 /// probed `(start, len)` range — agrees with per-element `place` and is
-/// the longest such prefix.
+/// the longest such prefix, and the per-rank cursor agrees with the
+/// owner scans.
 fn check_runs_and_pieces(layout: &Layout, probes: &[(usize, usize)]) -> Result<(), TestCaseError> {
     let n = layout.len();
     let nprocs = layout.nprocs();
@@ -116,6 +117,34 @@ fn check_runs_and_pieces(layout: &Layout, probes: &[(usize, usize)]) -> Result<(
     for &(first, len) in &runs {
         check(first, len)?;
     }
+    // The per-rank cursor: the run of consecutive ids from each local
+    // slot, at every cap, and the count below any element bound, against
+    // the owner scan.
+    for r in 0..nprocs {
+        let elements = element_scan(layout, r);
+        for (k, &i) in elements.iter().enumerate() {
+            let run = 1 + elements[k..]
+                .windows(2)
+                .take_while(|w| w[0] + 1 == w[1])
+                .count();
+            for max in 1..=elements.len() - k {
+                let got = pieces.local_run(r, k, max).unwrap();
+                prop_assert_eq!(
+                    got,
+                    (i, run.min(max)),
+                    "rank {} slot {} of {:?}",
+                    r,
+                    k,
+                    layout
+                );
+            }
+        }
+        for i in 0..=n {
+            let below = elements.iter().filter(|&&e| e < i).count();
+            prop_assert_eq!(pieces.count_below(r, i), below, "rank {} below {}", r, i);
+        }
+    }
+    prop_assert_eq!(pieces.count_below(nprocs, n), 0);
     for &(start, len) in probes {
         if start < n {
             check(start, len.min(n - start))?;

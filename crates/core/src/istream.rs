@@ -15,7 +15,7 @@
 //!   arbitrary — the fast path for index-free data (and the primitive used
 //!   in all of the paper's measurements).
 
-use dstreams_collections::{Collection, Layout};
+use dstreams_collections::{Collection, CollectionError, Layout};
 use dstreams_machine::wire::{frame_blocks, unframe_blocks};
 use dstreams_machine::NodeCtx;
 use dstreams_pfs::{ChunkSum, FileHandle, IoHandle, OpenMode, Pfs};
@@ -474,6 +474,19 @@ impl<'a> IStream<'a> {
             )));
         }
         let data_base = self.cursor + RecordHeader::LEN as u64 + (n as u64) * 8;
+        // Unsealed files have no open-time chain scan to vouch for the
+        // data span: every rank rejects one that passes the file end
+        // before any rank sizes a buffer from it.
+        let file_len = self.fh.len();
+        if data_base
+            .checked_add(header.data_len)
+            .is_none_or(|end| end > file_len)
+        {
+            return Err(StreamError::CorruptRecord(format!(
+                "record data [{data_base}, +{}) passes the file end {file_len}",
+                header.data_len
+            )));
+        }
         Ok(RecordMeta {
             header,
             seal,
@@ -532,7 +545,7 @@ impl<'a> IStream<'a> {
             return Ok((route, meta.data_base + lo, (hi - lo) as usize));
         }
         let (lo, hi) = self.element_range(meta.sizes.len(), sorted);
-        let ids = slice_ids(&meta.writer, lo, hi);
+        let ids = slice_ids(&meta.writer, lo, hi)?;
         let before: u64 = meta.sizes[..lo].iter().sum();
         let sizes = meta.sizes[lo..hi].to_vec();
         let len: u64 = sizes.iter().sum();
@@ -1003,20 +1016,28 @@ impl<'a> IStream<'a> {
 }
 
 /// Global ids of file-order elements `[lo, hi)` of a record written under
-/// `writer`, walked from its file-order runs: runs before `lo` are
-/// skipped whole, so only the slice gets per-element entries.
-fn slice_ids(writer: &Layout, lo: usize, hi: usize) -> Vec<usize> {
+/// `writer`. Writer ranks whose elements all lie before `lo` are skipped
+/// by count, the first one in the slice is entered at its slot for `lo`,
+/// and the slice is taken a writer run at a time: only the slice gets
+/// per-element entries.
+fn slice_ids(writer: &Layout, lo: usize, hi: usize) -> Result<Vec<usize>, CollectionError> {
+    let n = writer.len();
+    let cursor = writer.pieces();
     let mut ids = Vec::with_capacity(hi - lo);
     let mut e = 0usize;
-    for (first, len) in writer.file_runs() {
+    for w in 0..writer.nprocs() {
         if e >= hi {
             break;
         }
-        let (a, b) = (lo.max(e), hi.min(e + len));
-        if a < b {
-            ids.extend(first + (a - e)..first + (b - e));
+        let count = cursor.count_below(w, n);
+        let end = count.min(hi - e);
+        let mut pos = lo.saturating_sub(e);
+        while pos < end {
+            let (gid, len) = cursor.local_run(w, pos, end - pos)?;
+            ids.extend(gid..gid + len);
+            pos += len;
         }
-        e += len;
+        e += count;
     }
-    ids
+    Ok(ids)
 }

@@ -439,3 +439,55 @@ fn skip_record_rejects_an_overflowing_v1_record_span_on_every_rank() {
         assert_eq!(errors[0], errors[1], "ranks disagree on the error");
     }
 }
+
+/// A version-1 record whose size table and header agree on a data span
+/// far past the file end (entry 5 claims 2^40 bytes) must be a typed
+/// `CorruptRecord` on every rank, for `unsorted_read` and the planned
+/// `read` alike — never a buffer sized from the claim.
+#[test]
+fn reads_reject_a_v1_data_span_past_the_file_end_on_every_rank() {
+    let nprocs = 2;
+    let layout = Layout::dense(8, nprocs, DistKind::Block).unwrap();
+    let huge = 1u64 << 40;
+    let mut image = FileHeader {
+        version: 1,
+        flags: 0,
+    }
+    .encode();
+    image.extend_from_slice(
+        &RecordHeader {
+            n_elements: 8,
+            n_inserts: 1,
+            flags: 0,
+            meta_mode: MetaMode::Parallel,
+            layout: layout.descriptor(),
+            data_len: huge,
+        }
+        .encode(),
+    );
+    for e in 0..8 {
+        let size = if e == 5 { huge } else { 0 };
+        image.extend_from_slice(&size.to_le_bytes());
+    }
+    let pfs = Pfs::in_memory(nprocs);
+    let p = pfs.clone();
+    Machine::run(MachineConfig::functional(1), move |ctx| {
+        let fh = p.open(true, "v1", OpenMode::Create).unwrap();
+        fh.write_at(ctx, 0, &image).unwrap();
+    })
+    .unwrap();
+
+    for sorted in [false, true] {
+        let (p, l) = (pfs.clone(), layout.clone());
+        let errors = Machine::run(MachineConfig::functional(nprocs), move |ctx| {
+            let mut s = IStream::open(ctx, &p, &l, "v1").unwrap();
+            let got = if sorted { s.read() } else { s.unsorted_read() };
+            match got {
+                Err(e @ StreamError::CorruptRecord(_)) => e.to_string(),
+                other => panic!("rank {}: expected CorruptRecord, got {other:?}", ctx.rank()),
+            }
+        })
+        .unwrap();
+        assert_eq!(errors[0], errors[1], "ranks disagree on the error");
+    }
+}

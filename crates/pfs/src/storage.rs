@@ -363,8 +363,10 @@ impl Storage {
 
     /// Read `len` bytes starting at `offset` into a new buffer, which the
     /// in-memory backend fills by appending: no zero-fill pass first.
-    /// Bounds as in [`Storage::read_at`].
+    /// Bounds as in [`Storage::read_at`], checked before the buffer is
+    /// allocated, so a hostile `len` is an error, never an allocation.
     pub fn read_vec(&self, offset: u64, len: usize, name: &str) -> Result<Vec<u8>, PfsError> {
+        self.check_range(name, offset, len)?;
         match self {
             Storage::Mem(m) => {
                 let mut out = Vec::with_capacity(len);

@@ -46,13 +46,24 @@ pub struct Piece {
 /// `writer` into a machine of `nprocs` ranks that wants `target`
 /// placement, given the record's file-order `sizes` (its size table).
 ///
-/// Works on runs, never on a table over all elements: the writer's file
-/// order comes as runs of consecutive global ids
-/// ([`Layout::file_runs`]), the target splits each into pieces of one
-/// owner and consecutive slots ([`Layout::pieces`]), and adjacent pieces
-/// with one owner merge into the [`OwnerRun`]s the planner works on.
+/// Works on target *windows* — maximal runs of consecutive global ids
+/// that one target rank holds at consecutive slots — never on a table
+/// over all elements. Each writer rank's elements are walked one window
+/// at a time, within the writer's current run of consecutive ids
+/// ([`Pieces::local_run`]): [`Pieces::piece`] gives the window holding
+/// the writer's next element. A window that ends inside the run holds
+/// that many of the writer's elements, as in a walk over file runs; one
+/// that reaches past it is counted in closed form
+/// ([`Pieces::count_below`]), so a large window on another rank extends
+/// the current [`OwnerRun`] in O(1) plus one sum over its sizes however
+/// many writer runs it covers. Only the calling rank's own windows are
+/// cut into the writer's runs.
 ///
 /// Returns the plan plus the pieces `rank` owns, in file order.
+///
+/// [`Pieces::piece`]: dstreams_collections::Pieces::piece
+/// [`Pieces::count_below`]: dstreams_collections::Pieces::count_below
+/// [`Pieces::local_run`]: dstreams_collections::Pieces::local_run
 pub fn plan_for_layouts(
     nprocs: usize,
     writer: &Layout,
@@ -62,39 +73,70 @@ pub fn plan_for_layouts(
 ) -> Result<(RedistPlan, Vec<Piece>), CollectionError> {
     debug_assert_eq!(writer.len(), target.len());
     debug_assert_eq!(sizes.len(), writer.len());
-    let pieces = target.pieces();
+    let n = writer.len();
+    let src = writer.pieces();
+    let dst = target.pieces();
     let mut runs: Vec<OwnerRun> = Vec::new();
     let mut mine: Vec<Piece> = Vec::new();
+    // File position of writer `w`'s element at local slot `pos`.
     let mut e = 0usize;
-    for (first, len) in writer.file_runs() {
-        let mut done = 0;
-        while done < len {
-            let (owner, slot, plen) = pieces.piece(first + done, len - done)?;
-            let bytes: u64 = sizes[e..e + plen].iter().sum();
+    for w in 0..writer.nprocs() {
+        let count = src.count_below(w, n);
+        let mut pos = 0;
+        // The rest of the writer's current run of consecutive ids.
+        let (mut gid, mut end) = (0, 0);
+        while pos < count {
+            if gid == end {
+                let (first, len) = src.local_run(w, pos, count - pos)?;
+                (gid, end) = (first, first + len);
+            }
+            let (owner, slot, wlen) = dst.piece(gid, n - gid)?;
+            let inside = gid + wlen <= end;
+            let len = if inside {
+                wlen
+            } else {
+                src.count_below(w, gid + wlen) - pos
+            };
+            let bytes: u64 = sizes[e..e + len].iter().sum();
             match runs.last_mut() {
                 Some(run) if run.owner == owner => {
-                    run.len += plen;
+                    run.len += len;
                     run.bytes += bytes;
                 }
                 _ => runs.push(OwnerRun {
                     start: e,
-                    len: plen,
+                    len,
                     owner,
                     bytes,
                 }),
             }
             if owner == rank {
-                match mine.last_mut() {
-                    Some(p) if p.start + p.len == e && p.slot + p.len == slot => p.len += plen,
-                    _ => mine.push(Piece {
-                        start: e,
-                        len: plen,
-                        slot,
-                    }),
+                let mut k = 0;
+                while k < len {
+                    let (first, rlen) = if inside {
+                        (gid, len)
+                    } else {
+                        src.local_run(w, pos + k, len - k)?
+                    };
+                    let piece = Piece {
+                        start: e + k,
+                        len: rlen,
+                        slot: slot + (first - gid),
+                    };
+                    match mine.last_mut() {
+                        Some(p)
+                            if p.start + p.len == piece.start && p.slot + p.len == piece.slot =>
+                        {
+                            p.len += rlen
+                        }
+                        _ => mine.push(piece),
+                    }
+                    k += rlen;
                 }
             }
-            e += plen;
-            done += plen;
+            gid = if inside { gid + wlen } else { end };
+            e += len;
+            pos += len;
         }
     }
     Ok((RedistPlan::from_runs(nprocs, runs), mine))

@@ -5,9 +5,14 @@
 //! partitions — checked here against exhaustive enumeration on small
 //! instances, which is exactly the slide-argument the planner's
 //! minimality claim rests on. The O(P · r) DP is checked against the
-//! plain O(P · r²) loop it replaced, kept here as the reference oracle.
+//! plain O(P · r²) loop it replaced, and the window walk of
+//! `plan_for_layouts` against the per-file-run loop it replaced, both
+//! kept here as reference oracles.
 
-use dstreams_redist::{Interval, OwnerRun, RedistPlan, Transfer};
+use dstreams_collections::{
+    Alignment, CollectionError, Composed2d, DistKind, Distribution, Layout,
+};
+use dstreams_redist::{plan_for_layouts, Interval, OwnerRun, Piece, RedistPlan, Transfer};
 use proptest::prelude::*;
 
 /// The plan's observable schedule: spans, messages, retained transfers
@@ -144,6 +149,100 @@ fn brute_force_min(nprocs: usize, sizes: &[u64], dst: &[usize]) -> u64 {
     rec(0, 0, nprocs, sizes, dst)
 }
 
+/// The reference layout planner: cut every writer file run into target
+/// pieces, summing the sizes per piece, merging adjacent pieces with one
+/// owner into runs and keeping the pieces `rank` owns.
+fn reference_layout_plan(
+    nprocs: usize,
+    writer: &Layout,
+    target: &Layout,
+    sizes: &[u64],
+    rank: usize,
+) -> Result<(RedistPlan, Vec<Piece>), CollectionError> {
+    let pieces = target.pieces();
+    let mut runs: Vec<OwnerRun> = Vec::new();
+    let mut mine: Vec<Piece> = Vec::new();
+    let mut e = 0usize;
+    for (first, len) in writer.file_runs() {
+        let mut done = 0;
+        while done < len {
+            let (owner, slot, plen) = pieces.piece(first + done, len - done)?;
+            let bytes: u64 = sizes[e..e + plen].iter().sum();
+            match runs.last_mut() {
+                Some(run) if run.owner == owner => {
+                    run.len += plen;
+                    run.bytes += bytes;
+                }
+                _ => runs.push(OwnerRun {
+                    start: e,
+                    len: plen,
+                    owner,
+                    bytes,
+                }),
+            }
+            if owner == rank {
+                match mine.last_mut() {
+                    Some(p) if p.start + p.len == e && p.slot + p.len == slot => p.len += plen,
+                    _ => mine.push(Piece {
+                        start: e,
+                        len: plen,
+                        slot,
+                    }),
+                }
+            }
+            e += plen;
+            done += plen;
+        }
+    }
+    Ok((RedistPlan::from_runs(nprocs, runs), mine))
+}
+
+/// A layout shape: kind, ranks (1..=9), alignment `(stride, offset)` and
+/// the template cells past the last aligned one.
+type Shape = (DistKind, usize, (usize, usize), usize);
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    let kind = prop_oneof![
+        Just(DistKind::Block),
+        Just(DistKind::Cyclic),
+        (2usize..5).prop_map(DistKind::BlockCyclic),
+        (1u32..5, 1u16..4, 0u8..4, 0u8..4).prop_map(|(rows, grid_rows, row_k, col_k)| {
+            DistKind::Composed2d(Composed2d {
+                rows,
+                grid_rows,
+                row_k,
+                col_k,
+            })
+        }),
+    ];
+    // Mostly identity-aligned, often strided or offset.
+    let align = prop_oneof![Just((1usize, 0usize)), (1usize..4, 0usize..5)];
+    (
+        kind,
+        1usize..10,
+        align,
+        prop_oneof![Just(0usize), 0usize..12],
+    )
+}
+
+/// Build an `n`-element layout of `shape`, rounding the template and the
+/// rank count up to what a composed shape needs (a grid that would need
+/// more than 9 ranks gets one grid row).
+fn build(n: usize, (kind, nprocs, (stride, offset), slack): Shape) -> Layout {
+    let mut kind = kind;
+    let mut len = stride * n + offset + slack;
+    let mut nprocs = nprocs;
+    if let DistKind::Composed2d(c) = &mut kind {
+        if nprocs.next_multiple_of(c.grid_rows as usize) > 9 {
+            c.grid_rows = 1;
+        }
+        nprocs = nprocs.next_multiple_of(c.grid_rows as usize);
+        len = len.next_multiple_of(c.rows as usize);
+    }
+    let dist = Distribution::new(len, nprocs, kind).unwrap();
+    Layout::new(n, dist, Alignment::affine(stride, offset).unwrap()).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -275,5 +374,30 @@ proptest! {
         let plan = RedistPlan::new(nprocs, &sizes, &dst);
         prop_assert!(plan.is_identity());
         prop_assert_eq!(plan.lower_bound(), 0);
+    }
+
+    /// The window walk of `plan_for_layouts` gives exactly the plan and
+    /// pieces of the per-file-run loop — runs, messages, retained
+    /// intervals, byte spans, lower bound — on every rank, for every
+    /// writer × target kind, strided and offset alignments, 1..=9 ranks
+    /// on either side and ragged sizes with zeros.
+    #[test]
+    fn window_walk_equals_the_file_run_reference(
+        sizes in proptest::collection::vec(prop_oneof![Just(0u64), 0u64..40], 0..70),
+        writer in shape_strategy(),
+        target in shape_strategy(),
+    ) {
+        let n = sizes.len();
+        let writer = build(n, writer);
+        let target = build(n, target);
+        let nprocs = target.nprocs();
+        for rank in 0..nprocs {
+            let got = plan_for_layouts(nprocs, &writer, &target, &sizes, rank).unwrap();
+            let want = reference_layout_plan(nprocs, &writer, &target, &sizes, rank).unwrap();
+            prop_assert_eq!(schedule(&got.0), schedule(&want.0), "{:?} -> {:?}", writer, target);
+            prop_assert_eq!(&got.1, &want.1, "rank {} of {:?} -> {:?}", rank, writer, target);
+            // Whole-plan equality adds the byte spans.
+            prop_assert_eq!(got.0, want.0);
+        }
     }
 }

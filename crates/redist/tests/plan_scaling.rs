@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use dstreams_collections::{DistKind, Layout};
+use dstreams_collections::{Composed2d, DistKind, Layout};
 use dstreams_redist::{plan_for_layouts, RedistPlan};
 
 const ELEMENTS: usize = 65_536;
@@ -63,4 +63,58 @@ fn one_run_per_element_plans_in_linear_time() {
     }
     assert_eq!(next, ELEMENTS);
     assert_eq!(plan.lower_bound(), moved);
+}
+
+/// Minimum wall time of three `plan_for_layouts` calls by rank 0.
+fn plan_time(writer: &Layout, target: &Layout, sizes: &[u64]) -> Duration {
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            plan_for_layouts(READERS, writer, target, sizes, 0).unwrap();
+            t.elapsed()
+        })
+        .min()
+        .unwrap()
+}
+
+/// CYCLIC writers read into a row-block target: each reader owns whole
+/// consecutive rows of 4 columns, so one target window spans 4 096
+/// rows. The walk must answer each window in closed form, not one step
+/// per row for every writer that has an element in it: planning for 64
+/// writers may not cost much more than for 4, where a walk of
+/// O(writers × rows) costs ~16× more.
+#[test]
+fn whole_row_windows_cost_no_step_per_row_per_writer() {
+    let rowblock = DistKind::Composed2d(Composed2d {
+        rows: (ELEMENTS / 4) as u32,
+        grid_rows: READERS as u16,
+        row_k: 0,
+        col_k: 0,
+    });
+    let target = Layout::dense(ELEMENTS, READERS, rowblock).unwrap();
+    let mut times = Vec::new();
+    for writers in [4, 64] {
+        let writer = Layout::dense(ELEMENTS, writers, DistKind::Cyclic).unwrap();
+        let sizes: Vec<u64> = writer
+            .file_order()
+            .map(|gid| 8 + (gid % 3) as u64)
+            .collect();
+        let dst: Vec<usize> = writer
+            .file_order()
+            .map(|gid| target.owner(gid).unwrap())
+            .collect();
+        let (plan, pieces) = plan_for_layouts(READERS, &writer, &target, &sizes, 0).unwrap();
+        assert_eq!(plan, RedistPlan::new(READERS, &sizes, &dst));
+        assert_eq!(
+            pieces.iter().map(|p| p.len).sum::<usize>(),
+            target.local_count(0)
+        );
+        times.push(plan_time(&writer, &target, &sizes));
+    }
+    assert!(
+        times[1] < 4 * times[0] + Duration::from_millis(5),
+        "64 writers took {:?}, 4 writers {:?}",
+        times[1],
+        times[0]
+    );
 }

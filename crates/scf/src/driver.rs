@@ -131,11 +131,14 @@ fn run_cell_inner(spec: CellSpec, trace: Option<TraceSink>) -> Result<f64, ScfEr
 
 /// Per-phase decomposition of one d/streams benchmark cell — where the
 /// time (and the library overhead) actually goes. The paper reports only
-/// the combined out+in number; this extension splits it.
+/// the combined out+in number; this extension splits it into every call
+/// the cell makes, so the phases account for the whole cell.
 #[derive(Debug, Clone)]
 pub struct PhaseBreakdown {
     /// Segment count.
     pub n_segments: usize,
+    /// `OStream::create_with` plus `IStream::open`.
+    pub open_s: f64,
     /// Serializing elements into per-element chunks (`s << g`).
     pub insert_s: f64,
     /// The `write()` primitive: metadata + data parallel operations.
@@ -144,23 +147,33 @@ pub struct PhaseBreakdown {
     pub read_s: f64,
     /// Transferring buffered data into the collection (`s >> g`).
     pub extract_s: f64,
+    /// The output and input streams' `close` calls.
+    pub close_s: f64,
 }
 
 impl PhaseBreakdown {
+    /// Sum of the phases.
+    pub fn total_s(&self) -> f64 {
+        self.open_s + self.insert_s + self.write_s + self.read_s + self.extract_s + self.close_s
+    }
+
     /// Render as a JSON object (stable key order).
     pub fn to_json(&self) -> Value {
         Value::Obj(vec![
             ("n_segments".into(), Value::Int(self.n_segments as i64)),
+            ("open_s".into(), Value::Num(self.open_s)),
             ("insert_s".into(), Value::Num(self.insert_s)),
             ("write_s".into(), Value::Num(self.write_s)),
             ("read_s".into(), Value::Num(self.read_s)),
             ("extract_s".into(), Value::Num(self.extract_s)),
+            ("close_s".into(), Value::Num(self.close_s)),
         ])
     }
 }
 
 /// Profile the d/streams path phase by phase (simulated seconds, slowest
-/// rank per phase).
+/// rank per phase): the calls of [`IoMethod::DStreams`]'s cell, with a
+/// barrier after each.
 pub fn profile_dstreams_phases(
     platform: Platform,
     nprocs: usize,
@@ -171,7 +184,7 @@ pub fn profile_dstreams_phases(
     let pfs = Pfs::new(nprocs, platform.disk(), Backend::Memory);
     let times = Machine::run(
         platform.machine(nprocs),
-        |ctx| -> Result<[VTime; 4], ScfError> {
+        |ctx| -> Result<[VTime; 6], ScfError> {
             let cfg = ScfConfig::paper(n_segments);
             let layout = Layout::dense(cfg.n_segments, nprocs, DistKind::Block)?;
             let grid = Collection::new(ctx, layout.clone(), |g| cfg.make_segment(g))?;
@@ -180,51 +193,54 @@ pub fn profile_dstreams_phases(
                 meta_policy: MetaPolicy::Force(dstreams_core::MetaMode::Parallel),
                 ..Default::default()
             };
-            let mut s = OStream::create_with(ctx, &pfs, &layout, "phase", opts)?;
 
-            let lap = |ctx: &dstreams_machine::NodeCtx, t0: &mut VTime| {
+            // Time since the last lap, ending at a barrier.
+            let mut t0 = VTime::ZERO;
+            let mut lap = || -> Result<VTime, ScfError> {
+                ctx.barrier()?;
                 let now = ctx.now();
-                let d = now - *t0;
-                *t0 = now;
-                d
+                let d = now - t0;
+                t0 = now;
+                Ok(d)
             };
-            ctx.barrier()?;
-            let mut t0 = ctx.now();
+            lap()?;
+            let mut s = OStream::create_with(ctx, &pfs, &layout, "phase", opts)?;
+            let mut open = lap()?;
             s.insert_collection(&grid)?;
-            ctx.barrier()?;
-            let insert = lap(ctx, &mut t0);
+            let insert = lap()?;
             s.write()?;
-            ctx.barrier()?;
-            let write = lap(ctx, &mut t0);
+            let write = lap()?;
             s.close()?;
+            let mut close = lap()?;
             let mut r = IStream::open(ctx, &pfs, &layout, "phase")?;
-            ctx.barrier()?;
-            t0 = ctx.now();
+            open += lap()?;
             r.unsorted_read()?;
-            ctx.barrier()?;
-            let read = lap(ctx, &mut t0);
+            let read = lap()?;
             r.extract_collection(&mut back)?;
-            ctx.barrier()?;
-            let extract = lap(ctx, &mut t0);
+            let extract = lap()?;
             r.close()?;
-            Ok([insert, write, read, extract])
+            close += lap()?;
+            Ok([open, insert, write, read, extract, close])
         },
     )
     .map_err(ScfError::from)?;
 
-    let mut worst = [VTime::ZERO; 4];
+    let mut worst = [VTime::ZERO; 6];
     for t in times {
         let t = t?;
         for (w, v) in worst.iter_mut().zip(t) {
             *w = (*w).max(v);
         }
     }
+    let [open, insert, write, read, extract, close] = worst.map(VTime::as_secs_f64);
     Ok(PhaseBreakdown {
         n_segments,
-        insert_s: worst[0].as_secs_f64(),
-        write_s: worst[1].as_secs_f64(),
-        read_s: worst[2].as_secs_f64(),
-        extract_s: worst[3].as_secs_f64(),
+        open_s: open,
+        insert_s: insert,
+        write_s: write,
+        read_s: read,
+        extract_s: extract,
+        close_s: close,
     })
 }
 
@@ -356,12 +372,34 @@ mod tests {
     #[test]
     fn phase_breakdown_accounts_for_the_io_dominance() {
         let p = profile_dstreams_phases(Platform::Paragon, 2, 64).unwrap();
-        let total = p.insert_s + p.write_s + p.read_s + p.extract_s;
+        let total = p.total_s();
         assert!(total > 0.0);
         // The parallel file operations dominate; the library's buffer
         // passes are marginal (the paper's design rationale).
         assert!(p.write_s + p.read_s > 0.9 * total, "{p:?}");
         assert!(p.insert_s > 0.0 && p.extract_s > 0.0);
+    }
+
+    #[test]
+    fn phases_account_for_the_whole_table1_streams_cell() {
+        // The phases time every call of the cell, so only the barriers
+        // between them separate their sum from it.
+        for column in crate::tables::table1().columns {
+            let n_segments = column.n_segments;
+            let cell = run_cell(CellSpec {
+                platform: Platform::Paragon,
+                nprocs: 4,
+                n_segments,
+                method: IoMethod::DStreams,
+            })
+            .unwrap();
+            let phases = profile_dstreams_phases(Platform::Paragon, 4, n_segments).unwrap();
+            let total = phases.total_s();
+            assert!(
+                (total - cell).abs() <= 0.01 * cell,
+                "{n_segments} segments: phases sum to {total} s, cell is {cell} s"
+            );
+        }
     }
 
     #[test]
