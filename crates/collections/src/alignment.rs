@@ -50,9 +50,19 @@ impl Alignment {
     }
 
     /// Highest template cell touched by a collection of `n` elements
-    /// (`None` for an empty collection).
-    pub fn max_cell(&self, n: usize) -> Option<usize> {
-        n.checked_sub(1).map(|last| self.template_cell(last))
+    /// (`None` for an empty collection); an error past `usize::MAX`.
+    pub fn max_cell(&self, n: usize) -> Result<Option<usize>, CollectionError> {
+        let cell = |last| self.stride.checked_mul(last)?.checked_add(self.offset);
+        n.checked_sub(1)
+            .map(|last| {
+                cell(last).ok_or_else(|| {
+                    CollectionError::BadDistribution(format!(
+                        "alignment {}*i + {} overflows for {n} elements",
+                        self.stride, self.offset
+                    ))
+                })
+            })
+            .transpose()
     }
 }
 
@@ -96,7 +106,12 @@ mod tests {
     #[test]
     fn max_cell_bounds_template_usage() {
         let a = Alignment::affine(2, 1).unwrap();
-        assert_eq!(a.max_cell(0), None);
-        assert_eq!(a.max_cell(5), Some(9));
+        assert_eq!(a.max_cell(0), Ok(None));
+        assert_eq!(a.max_cell(5), Ok(Some(9)));
+        assert!(Alignment::affine(1, usize::MAX - 1)
+            .unwrap()
+            .max_cell(3)
+            .is_err());
+        assert!(Alignment::affine(1 << 63, 0).unwrap().max_cell(3).is_err());
     }
 }

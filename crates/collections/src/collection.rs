@@ -7,7 +7,7 @@
 //! element — is expressed with [`Collection::apply`]; the ranks genuinely
 //! run in parallel because the machine runs one thread per rank.
 
-use dstreams_machine::wire::{frame_blocks, unframe_blocks};
+use dstreams_machine::wire::{frame_blocks, unframe_id_blocks, ReadError, Reader};
 use dstreams_machine::{NodeCtx, Wire};
 
 use crate::error::CollectionError;
@@ -186,13 +186,14 @@ impl<T> Collection<T> {
         // Phase 2: serve and route responses back.
         let mut replies: Vec<Vec<Vec<u8>>> = vec![Vec::new(); ctx.nprocs()];
         for (from, buf) in incoming.iter().enumerate() {
-            let asks = unframe_blocks(buf).ok_or_else(|| {
-                CollectionError::BadDistribution("fetch_all: malformed request frame".into())
-            })?;
-            for ask in asks {
-                let gid = u64::from_le_bytes(ask.as_slice().try_into().map_err(|_| {
-                    CollectionError::BadDistribution("fetch_all: bad request id".into())
-                })?) as usize;
+            let asks = Reader::parse(buf, |r| {
+                (0..r.count(16)?)
+                    .map(|_| Reader::parse(r.block()?, Reader::u64))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .map_err(malformed("fetch_all: request"))?;
+            for gid in asks {
+                let gid = gid as usize;
                 let elem = self.get(gid)?;
                 replies[from].push((gid as u64).to_le_bytes().to_vec());
                 replies[from].push(serialize(elem));
@@ -205,19 +206,8 @@ impl<T> Collection<T> {
         let mut by_gid: std::collections::HashMap<usize, Vec<u8>> =
             std::collections::HashMap::new();
         for buf in &answers {
-            let blocks = unframe_blocks(buf).ok_or_else(|| {
-                CollectionError::BadDistribution("fetch_all: malformed reply frame".into())
-            })?;
-            for pair in blocks.chunks(2) {
-                let [gid, data] = pair else {
-                    return Err(CollectionError::BadDistribution(
-                        "fetch_all: odd reply frame".into(),
-                    ));
-                };
-                let g = u64::from_le_bytes(gid.as_slice().try_into().map_err(|_| {
-                    CollectionError::BadDistribution("fetch_all: bad reply id".into())
-                })?) as usize;
-                by_gid.insert(g, data.clone());
+            for (g, data) in unframe_id_blocks(buf).map_err(malformed("fetch_all: reply"))? {
+                by_gid.insert(g as usize, data.to_vec());
             }
         }
         requests
@@ -274,19 +264,8 @@ impl<T> Collection<T> {
         let global_ids = new_layout.local_elements(ctx.rank());
         let mut slots: Vec<Option<T>> = (0..global_ids.len()).map(|_| None).collect();
         for buf in received {
-            let blocks = unframe_blocks(&buf).ok_or_else(|| {
-                CollectionError::BadDistribution("redistribute: malformed frame".into())
-            })?;
-            for pair in blocks.chunks(2) {
-                let [gid, data] = pair else {
-                    return Err(CollectionError::BadDistribution(
-                        "redistribute: odd frame".into(),
-                    ));
-                };
-                let g =
-                    u64::from_le_bytes(gid.as_slice().try_into().map_err(|_| {
-                        CollectionError::BadDistribution("redistribute: bad id".into())
-                    })?) as usize;
+            for (g, data) in unframe_id_blocks(&buf).map_err(malformed("redistribute"))? {
+                let g = g as usize;
                 let slot = global_ids
                     .binary_search(&g)
                     .map_err(|_| CollectionError::NotLocal {
@@ -337,19 +316,13 @@ impl<T> Collection<T> {
             Some(per_rank) => {
                 let mut out: Vec<Option<Vec<u8>>> = vec![None; self.layout.len()];
                 for buf in per_rank {
-                    let blocks = unframe_blocks(&buf).ok_or_else(|| {
-                        CollectionError::BadDistribution("gather_to_root: malformed frame".into())
-                    })?;
-                    for pair in blocks.chunks(2) {
-                        let [gid, data] = pair else {
-                            return Err(CollectionError::BadDistribution(
-                                "gather_to_root: odd frame".into(),
-                            ));
-                        };
-                        let g = u64::from_le_bytes(gid.as_slice().try_into().map_err(|_| {
-                            CollectionError::BadDistribution("gather_to_root: bad id".into())
-                        })?) as usize;
-                        out[g] = Some(data.clone());
+                    for (g, data) in unframe_id_blocks(&buf).map_err(malformed("gather_to_root"))? {
+                        let len = out.len();
+                        *out.get_mut(g as usize)
+                            .ok_or(CollectionError::IndexOutOfRange {
+                                index: g as usize,
+                                len,
+                            })? = Some(data.to_vec());
                     }
                 }
                 out.into_iter()
@@ -365,6 +338,11 @@ impl<T> Collection<T> {
             }
         }
     }
+}
+
+/// The error for a malformed `what` frame of a collection collective.
+pub(crate) fn malformed(what: &'static str) -> impl Fn(ReadError) -> CollectionError {
+    move |e| CollectionError::BadDistribution(format!("{what}: malformed frame: {e}"))
 }
 
 #[cfg(test)]

@@ -175,30 +175,32 @@ impl Axis {
     /// Axis cells owned by processor coordinate `p`, increasing (empty for
     /// `p >= procs`). O(count).
     pub fn local_cells(&self, p: usize) -> Vec<usize> {
-        self.local_runs(p)
+        self.local_runs(p, self.cells)
             .into_iter()
             .flat_map(|(c, len)| c..c + len)
             .collect()
     }
 
-    /// [`Axis::local_cells`] as `(first cell, len)` runs of consecutive
-    /// cells, increasing: BLOCK is one run, CYCLIC(k) runs of at most `k`
-    /// every `k * procs` cells. O(runs).
-    fn local_runs(&self, p: usize) -> Vec<(usize, usize)> {
+    /// [`Axis::local_cells`] below cell `below` as `(first cell, len)`
+    /// runs of consecutive cells, increasing: BLOCK is one run, CYCLIC(k)
+    /// runs of at most `k` every `k * procs` cells. O(runs below `below`).
+    fn local_runs(&self, p: usize, below: usize) -> Vec<(usize, usize)> {
         if p >= self.procs {
             return Vec::new();
         }
+        let end = self.cells.min(below);
         if self.k == 0 {
-            let count = self.local_count(p);
+            let first = p * self.block_size();
+            let count = self.local_count(p).min(end.saturating_sub(first));
             return if count == 0 {
                 Vec::new()
             } else {
-                vec![(p * self.block_size(), count)]
+                vec![(first, count)]
             };
         }
-        (p * self.k..self.cells)
+        (p * self.k..end)
             .step_by(self.k * self.procs)
-            .map(|c| (c, self.k.min(self.cells - c)))
+            .map(|c| (c, self.k.min(end - c)))
             .collect()
     }
 
@@ -291,7 +293,7 @@ fn composed_cells_below(axes: &[Axis], mut rank: usize, t: usize) -> usize {
 /// `axes`, as increasing row-major linear indices (empty for a rank off
 /// the grid). O(count).
 pub fn composed_local_cells(axes: &[Axis], rank: usize) -> Vec<usize> {
-    composed_local_runs(axes, rank)
+    composed_local_runs(axes, rank, usize::MAX)
         .into_iter()
         .flat_map(|(t, len)| t..t + len)
         .collect()
@@ -300,8 +302,8 @@ pub fn composed_local_cells(axes: &[Axis], rank: usize) -> Vec<usize> {
 /// [`composed_local_cells`] as `(first cell, len)` runs: the cross
 /// product of the leading axes' owned cells with the last axis's owned
 /// runs, so each run lies within one row of the last axis. O(runs).
-fn composed_local_runs(axes: &[Axis], rank: usize) -> Vec<(usize, usize)> {
-    if rank >= axes.iter().map(|ax| ax.procs).product() {
+fn composed_local_runs(axes: &[Axis], rank: usize, below: usize) -> Vec<(usize, usize)> {
+    if rank >= axes.iter().map(|ax| ax.procs).product() || axes.iter().any(|ax| ax.cells == 0) {
         return Vec::new();
     }
     let mut coords = vec![0usize; axes.len()];
@@ -313,20 +315,31 @@ fn composed_local_runs(axes: &[Axis], rank: usize) -> Vec<(usize, usize)> {
     let Some((last, lead)) = axes.split_last() else {
         return vec![(0, 1)];
     };
+    // Only prefixes below `cap` hold a cell below `below`, where one
+    // prefix unit spans `span` cells.
     let mut prefixes = vec![0usize];
+    let mut span: usize = axes.iter().map(|ax| ax.cells).product();
     for (ax, &p) in lead.iter().zip(&coords) {
-        let owned = ax.local_cells(p);
+        span /= ax.cells;
+        let cap = below.div_ceil(span);
         prefixes = prefixes
             .iter()
-            .flat_map(|&prefix| owned.iter().map(move |&c| prefix * ax.cells + c))
+            .flat_map(|&prefix| {
+                let base = prefix * ax.cells;
+                ax.local_runs(p, cap.saturating_sub(base))
+                    .into_iter()
+                    .flat_map(move |(c, len)| base + c..base + c + len)
+            })
             .collect();
     }
-    let runs = last.local_runs(coords[axes.len() - 1]);
+    let p = coords[axes.len() - 1];
     prefixes
         .iter()
         .flat_map(|&prefix| {
-            runs.iter()
-                .map(move |&(c, len)| (prefix * last.cells + c, len))
+            let base = prefix * last.cells;
+            last.local_runs(p, below.saturating_sub(base))
+                .into_iter()
+                .map(move |(c, len)| (base + c, len))
         })
         .collect()
 }
@@ -351,6 +364,22 @@ impl Distribution {
             return Err(CollectionError::BadDistribution(
                 "BLOCK-CYCLIC block size must be at least 1".into(),
             ));
+        }
+        // A stored header can claim any parameters: the placement
+        // arithmetic (a round of `k * nprocs` cells, `len + nprocs`) must
+        // fit a usize.
+        let k = if let DistKind::BlockCyclic(k) = kind {
+            k
+        } else {
+            1
+        };
+        if k.checked_mul(nprocs)
+            .and_then(|r| r.checked_add(len))
+            .is_none()
+        {
+            return Err(CollectionError::BadDistribution(format!(
+                "{kind:?} over {nprocs} procs and {len} cells overflows"
+            )));
         }
         if let DistKind::Composed2d(c) = kind {
             if c.rows == 0 || c.grid_rows == 0 {
@@ -482,20 +511,21 @@ impl Distribution {
     /// empty for `rank >= nprocs`. Closed-form in O(local count), never a
     /// scan of the template: streams call this per record per rank.
     pub fn local_cells(&self, rank: usize) -> Vec<usize> {
-        self.local_runs(rank)
+        self.local_runs(rank, self.len)
             .into_iter()
             .flat_map(|(t, len)| t..t + len)
             .collect()
     }
 
-    /// [`Distribution::local_cells`] as increasing `(first cell, len)`
-    /// runs of consecutive cells, in O(runs): one run for BLOCK, runs of
-    /// at most `k` for CYCLIC(k) and BLOCK-CYCLIC(k), and the owned column
-    /// runs of each owned row for a composed pattern.
-    pub(crate) fn local_runs(&self, rank: usize) -> Vec<(usize, usize)> {
+    /// [`Distribution::local_cells`] below cell `below` as increasing
+    /// `(first cell, len)` runs of consecutive cells, in O(runs below
+    /// `below`): one run for BLOCK, runs of at most `k` for CYCLIC(k) and
+    /// BLOCK-CYCLIC(k), and the owned column runs of each owned row for a
+    /// composed pattern.
+    pub(crate) fn local_runs(&self, rank: usize, below: usize) -> Vec<(usize, usize)> {
         match self.axes() {
-            Some(axes) => composed_local_runs(&axes, rank),
-            None => self.axis().local_runs(rank),
+            Some(axes) => composed_local_runs(&axes, rank, below),
+            None => self.axis().local_runs(rank, below),
         }
     }
 

@@ -14,9 +14,10 @@
 //! element-decomposition contract via the caller's `StreamData` impl; the
 //! `dstreams-core` crate provides one for primitive cell types).
 
+use dstreams_machine::wire::{ReadError, Reader};
 use dstreams_machine::{NodeCtx, Wire};
 
-use crate::collection::Collection;
+use crate::collection::{malformed, Collection};
 use crate::distribution::DistKind;
 use crate::error::CollectionError;
 use crate::layout::Layout;
@@ -240,21 +241,12 @@ impl<T: Wire + Clone + Default> Grid2d<T> {
         };
         let decode = |buf: &[u8]| -> Result<Vec<T>, CollectionError> {
             let mut out = Vec::new();
-            let mut pos = 0usize;
-            while pos < buf.len() {
-                let len = u32::from_le_bytes(
-                    buf.get(pos..pos + 4)
-                        .ok_or_else(|| {
-                            CollectionError::BadDistribution("halo: truncated frame".into())
-                        })?
-                        .try_into()
-                        .expect("4 bytes"),
-                ) as usize;
-                pos += 4;
-                let raw = buf.get(pos..pos + len).ok_or_else(|| {
-                    CollectionError::BadDistribution("halo: truncated cell".into())
-                })?;
-                pos += len;
+            let mut r = Reader::new(buf);
+            while r.remaining() > 0 {
+                let raw = r
+                    .u32()
+                    .and_then(|len| r.take(len as usize))
+                    .map_err(malformed("halo: cell"))?;
                 out.push(T::from_wire(raw).ok_or_else(|| {
                     CollectionError::BadDistribution("halo: undecodable cell".into())
                 })?);
@@ -297,49 +289,29 @@ impl<T: Wire + Clone + Default> Grid2d<T> {
         let all = ctx.all_gather(mine)?;
 
         // Decode every rank's advertisements, keyed by run boundary ids.
-        struct Adv {
+        struct Adv<'a> {
             first_id: usize,
             last_id: usize,
-            first: Vec<Vec<u8>>,
-            last: Vec<Vec<u8>>,
+            first: Vec<&'a [u8]>,
+            last: Vec<&'a [u8]>,
+        }
+        fn rows<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a [u8]>, ReadError> {
+            (0..r.count32(8)?).map(|_| r.block()).collect()
         }
         let mut advs: Vec<Adv> = Vec::new();
         for buf in &all {
-            let mut pos = 0usize;
-            let u32_at = |pos: &mut usize| -> usize {
-                let v = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4 bytes"));
-                *pos += 4;
-                v as usize
-            };
-            let u64_at = |pos: &mut usize| -> usize {
-                let v = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("8 bytes"));
-                *pos += 8;
-                v as usize
-            };
-            let take_rows = |pos: &mut usize| -> Vec<Vec<u8>> {
-                let n = u32_at(pos);
-                (0..n)
-                    .map(|_| {
-                        let len = u64_at(pos);
-                        let raw = buf[*pos..*pos + len].to_vec();
-                        *pos += len;
-                        raw
-                    })
-                    .collect()
-            };
-            let n_runs = u32_at(&mut pos);
-            for _ in 0..n_runs {
-                let first_id = u64_at(&mut pos);
-                let last_id = u64_at(&mut pos);
-                let first = take_rows(&mut pos);
-                let last = take_rows(&mut pos);
-                advs.push(Adv {
-                    first_id,
-                    last_id,
-                    first,
-                    last,
-                });
-            }
+            Reader::parse(buf, |r| {
+                for _ in 0..r.count32(24)? {
+                    advs.push(Adv {
+                        first_id: r.u64()? as usize,
+                        last_id: r.u64()? as usize,
+                        first: rows(r)?,
+                        last: rows(r)?,
+                    });
+                }
+                Ok(())
+            })
+            .map_err(malformed("halo: advertisement"))?;
         }
 
         // Assemble each local run's halo. Because width <= quantum and
@@ -355,9 +327,10 @@ impl<T: Wire + Clone + Default> Grid2d<T> {
                 let w = width.min(first_id);
                 let donor = advs
                     .iter()
-                    .find(|a| a.last_id + 1 == first_id)
+                    .find(|a| a.last_id == first_id - 1)
                     .ok_or_else(missing)?;
-                for raw in &donor.last[donor.last.len() - w..] {
+                let rows = donor.last.len().checked_sub(w).ok_or_else(missing)?;
+                for raw in &donor.last[rows..] {
                     above.push(decode(raw)?);
                 }
             }
@@ -368,7 +341,7 @@ impl<T: Wire + Clone + Default> Grid2d<T> {
                     .iter()
                     .find(|a| a.first_id == last_id + 1)
                     .ok_or_else(missing)?;
-                for raw in &donor.first[..w] {
+                for raw in donor.first.get(..w).ok_or_else(missing)? {
                     below.push(decode(raw)?);
                 }
             }

@@ -2,6 +2,10 @@
 //! to know which rank owns which element of a collection, and everything a
 //! d/stream must record in its self-describing file header.
 
+use std::collections::BTreeMap;
+
+use dstreams_machine::wire::{ReadError, Reader};
+
 use crate::alignment::Alignment;
 use crate::distribution::{DistKind, Distribution};
 use crate::error::CollectionError;
@@ -22,7 +26,7 @@ impl Layout {
         dist: Distribution,
         align: Alignment,
     ) -> Result<Self, CollectionError> {
-        if let Some(max) = align.max_cell(n_elements) {
+        if let Some(max) = align.max_cell(n_elements)? {
             if max >= dist.len() {
                 return Err(CollectionError::TemplateOverflow {
                     template_index: max,
@@ -123,13 +127,7 @@ impl Layout {
     fn local_runs(&self, rank: usize) -> Vec<(usize, usize)> {
         let n = self.n_elements;
         if self.align == Alignment::identity() {
-            return self
-                .dist
-                .local_runs(rank)
-                .into_iter()
-                .take_while(|&(i, _)| i < n)
-                .map(|(i, len)| (i, len.min(n - i)))
-                .collect();
+            return self.dist.local_runs(rank, n);
         }
         let mut runs: Vec<(usize, usize)> = Vec::new();
         for i in self.local_elements(rank) {
@@ -148,7 +146,18 @@ impl Layout {
     /// owned row for a composed 2-D pattern, in O(runs) under the
     /// identity alignment.
     pub fn file_runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.nprocs()).flat_map(move |w| self.local_runs(w))
+        // Writer ranks past the one holding the last element own nothing:
+        // stop there, however many ranks the layout claims.
+        let mut left = self.n_elements;
+        (0..self.nprocs())
+            .map_while(move |w| {
+                (left > 0).then(|| {
+                    let runs = self.local_runs(w);
+                    left -= runs.iter().map(|&(_, len)| len).sum::<usize>();
+                    runs
+                })
+            })
+            .flatten()
     }
 
     /// Every element in d/stream file order: writer rank 0's local
@@ -198,21 +207,28 @@ impl Layout {
     /// ([`Pieces::piece`]), and a cursor over each rank's local elements
     /// ([`Pieces::local_run`], [`Pieces::count_below`]). Free under the
     /// identity alignment, where all three are closed-form; other
-    /// alignments first coalesce one [`Layout::local_elements`] per rank
-    /// into a per-rank run table.
+    /// alignments first coalesce the elements, in O(n log P), into a run
+    /// table for each owning rank (a stored layout may claim any number
+    /// of ranks; only the owning ones get a table).
     pub fn pieces(&self) -> Pieces<'_> {
         let runs = (self.align != Alignment::identity()).then(|| {
-            (0..self.nprocs())
-                .map(|rank| {
-                    let mut slot = 0;
-                    let mut runs = Vec::new();
-                    for (first, len) in self.local_runs(rank) {
-                        runs.push(LocalRun { first, slot, len });
-                        slot += len;
+            let mut tables = BTreeMap::<usize, Vec<LocalRun>>::new();
+            for i in 0..self.n_elements {
+                let Ok(rank) = self.owner(i) else { continue };
+                let runs = tables.entry(rank).or_default();
+                match runs.last_mut() {
+                    Some(run) if run.first + run.len == i => run.len += 1,
+                    last => {
+                        let slot = last.map_or(0, |r| r.slot + r.len);
+                        runs.push(LocalRun {
+                            first: i,
+                            slot,
+                            len: 1,
+                        });
                     }
-                    runs
-                })
-                .collect()
+                }
+            }
+            tables
         });
         Pieces { layout: self, runs }
     }
@@ -273,7 +289,7 @@ pub struct Pieces<'a> {
     layout: &'a Layout,
     /// Each rank's local elements as increasing runs of consecutive ids,
     /// for non-identity alignments only.
-    runs: Option<Vec<Vec<LocalRun>>>,
+    runs: Option<BTreeMap<usize, Vec<LocalRun>>>,
 }
 
 /// Local elements `first..first + len` of one rank, at slots `slot..`.
@@ -303,7 +319,7 @@ impl Pieces<'_> {
             return self.layout.dist.piece(i, len);
         };
         let owner = self.layout.owner(i)?;
-        let runs = &runs[owner];
+        let runs = &runs[&owner];
         let run = runs[runs.partition_point(|r| r.first <= i) - 1];
         Ok((
             owner,
@@ -327,7 +343,7 @@ impl Pieces<'_> {
         let Some(runs) = &self.runs else {
             return self.layout.dist.local_run(rank, k, max);
         };
-        let runs = &runs[rank];
+        let runs = &runs[&rank];
         let run = runs[runs.partition_point(|r| r.slot <= k) - 1];
         let skip = k - run.slot;
         Ok((run.first + skip, (run.len - skip).min(max)))
@@ -342,7 +358,7 @@ impl Pieces<'_> {
             // an element.
             return self.layout.dist.cells_below(rank, i);
         };
-        let Some(runs) = runs.get(rank) else {
+        let Some(runs) = runs.get(&rank) else {
             return 0;
         };
         match runs.partition_point(|r| r.first < i) {
@@ -392,20 +408,20 @@ impl LayoutDescriptor {
     }
 
     /// Decode from bytes produced by [`LayoutDescriptor::encode`].
-    pub fn decode(b: &[u8]) -> Option<LayoutDescriptor> {
-        if b.len() != Self::WIRE_LEN {
-            return None;
-        }
-        let u64_at = |o: usize| u64::from_le_bytes(b[o..o + 8].try_into().unwrap());
-        let u32_at = |o: usize| u32::from_le_bytes(b[o..o + 4].try_into().unwrap());
-        Some(LayoutDescriptor {
-            n_elements: u64_at(0),
-            template_len: u64_at(8),
-            nprocs: u32_at(16),
-            dist_code: u32_at(20),
-            dist_param: u64_at(24),
-            align_stride: u64_at(32),
-            align_offset: u64_at(40),
+    pub fn decode(b: &[u8]) -> Result<LayoutDescriptor, ReadError> {
+        Reader::parse(b, Self::read)
+    }
+
+    /// Read an encoded descriptor at `r`'s cursor.
+    pub fn read(r: &mut Reader<'_>) -> Result<LayoutDescriptor, ReadError> {
+        Ok(LayoutDescriptor {
+            n_elements: r.u64()?,
+            template_len: r.u64()?,
+            nprocs: r.u32()?,
+            dist_code: r.u32()?,
+            dist_param: r.u64()?,
+            align_stride: r.u64()?,
+            align_offset: r.u64()?,
         })
     }
 }
@@ -480,7 +496,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_wrong_length() {
-        assert!(LayoutDescriptor::decode(&[0u8; 10]).is_none());
+        assert!(LayoutDescriptor::decode(&[0u8; 10]).is_err());
     }
 
     #[test]

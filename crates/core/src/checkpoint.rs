@@ -27,6 +27,7 @@
 //! prefix — one tenant's recovery never touches another's files.
 
 use dstreams_collections::{Collection, Layout};
+use dstreams_machine::wire::Reader;
 use dstreams_machine::{Local, NodeCtx, RankIo};
 use dstreams_pfs::{OpenMode, Pfs};
 
@@ -209,10 +210,9 @@ impl CheckpointManager {
             gens.dedup();
             Ok::<_, StreamError>(gens.iter().flat_map(|g| g.to_le_bytes()).collect())
         })?;
-        Ok(blob
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
+        Reader::parse(&blob, |r| Ok(r.u64s(r.remaining() / 8)?.collect())).map_err(|e| {
+            StreamError::CorruptRecord(format!("checkpoint generations: malformed list: {e}"))
+        })
     }
 
     /// Root-only namespace scan for `<prefix>.<number>` checkpoint files.
@@ -231,12 +231,13 @@ impl CheckpointManager {
         let fh = pfs
             .open(false, &self.manifest_name(), OpenMode::Read)
             .ok()?;
-        let mut head = vec![0u8; MANIFEST_MAGIC.len() + 8];
+        let mut head = [0u8; MANIFEST_MAGIC.len() + 8];
         fh.read_at(io, 0, &mut head).ok()?;
-        if &head[..8] != MANIFEST_MAGIC {
+        let mut r = Reader::new(&head);
+        if r.array().ok()? != *MANIFEST_MAGIC {
             return None;
         }
-        let count = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes"));
+        let count = r.u64().ok()?;
         // A count the file cannot hold is unreadable. Reading one entry
         // more than fits fails at the storage exactly as reading all of
         // them would, without allocating them.
@@ -244,11 +245,8 @@ impl CheckpointManager {
         let entries = count.min(fits + 1);
         let mut body = vec![0u8; usize::try_from(entries * 8).ok()?];
         fh.read_at(io, head.len() as u64, &mut body).ok()?;
-        (entries == count).then(|| {
-            body.chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect()
-        })
+        let listed = Reader::parse(&body, |r| r.u64s(r.remaining() / 8)).ok()?;
+        (entries == count).then(|| listed.collect())
     }
 
     /// Remove the `pruned` generation files, then rewrite the manifest

@@ -19,6 +19,8 @@
 //! by default (matching the paper's overhead profile) and recorded in the
 //! file so reader and writer cannot disagree silently.
 
+use dstreams_machine::wire::Reader;
+
 use crate::error::StreamError;
 
 /// A primitive type that d/streams can move: fixed-width, little-endian.
@@ -146,48 +148,44 @@ impl<'a> Inserter<'a> {
 
 /// Supplies the decomposition of one element during extraction.
 pub struct Extractor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    r: Reader<'a>,
     element: usize,
     checked: bool,
 }
 
 impl<'a> Extractor<'a> {
-    pub(crate) fn new(buf: &'a [u8], pos: usize, element: usize, checked: bool) -> Self {
+    /// Extract element `element` from its unread bytes `buf`.
+    pub(crate) fn new(buf: &'a [u8], element: usize, checked: bool) -> Self {
         Extractor {
-            buf,
-            pos,
+            r: Reader::new(buf),
             element,
             checked,
         }
     }
 
-    /// Cursor position (consumed by the stream to persist progress).
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
+    /// Bytes consumed so far (the stream persists progress).
+    pub(crate) fn consumed(&self) -> usize {
+        self.r.pos()
+    }
+
+    fn overrun(&self, wanted: usize) -> StreamError {
+        StreamError::ExtractOverrun {
+            element: self.element,
+            wanted,
+            available: self.r.remaining(),
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], StreamError> {
-        let available = self.buf.len() - self.pos;
-        if n > available {
-            return Err(StreamError::ExtractOverrun {
-                element: self.element,
-                wanted: n,
-                available,
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        self.r.take(n).map_err(|_| self.overrun(n))
     }
 
     fn check_mark<T: Prim>(&mut self, count: usize) -> Result<(), StreamError> {
         if !self.checked {
             return Ok(());
         }
-        let hdr = self.take(5)?;
-        let tag = hdr[0];
-        let wrote = u32::from_le_bytes(hdr[1..5].try_into().expect("4 bytes")) as usize;
+        let [tag, w @ ..] = self.r.array::<5>().map_err(|_| self.overrun(5))?;
+        let wrote = u32::from_le_bytes(w) as usize;
         if tag != T::TAG {
             return Err(StreamError::TypeMismatch {
                 wrote: tag_name(tag),
@@ -225,13 +223,9 @@ impl<'a> Extractor<'a> {
         let n = self.prim::<u64>()? as usize;
         // Sanity bound: a corrupt length cannot exceed the element's data
         // (checked before any allocation; saturating to survive absurd n).
-        let available = self.buf.len() - self.pos;
-        if n.saturating_mul(T::WIDTH) > available + 5 {
-            return Err(StreamError::ExtractOverrun {
-                element: self.element,
-                wanted: n.saturating_mul(T::WIDTH),
-                available,
-            });
+        let wanted = n.saturating_mul(T::WIDTH);
+        if wanted > self.r.remaining() + 5 {
+            return Err(self.overrun(wanted));
         }
         let mut out = Vec::new();
         self.slice_into(&mut out, n)?;
@@ -251,7 +245,7 @@ impl<'a> Extractor<'a> {
 
     /// Bytes remaining in this element's data.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.r.remaining()
     }
 }
 
@@ -282,7 +276,7 @@ pub fn from_bytes<T: StreamData>(
     bytes: &[u8],
     checked: bool,
 ) -> Result<(), StreamError> {
-    let mut ext = Extractor::new(bytes, 0, 0, checked);
+    let mut ext = Extractor::new(bytes, 0, checked);
     v.extract(&mut ext)?;
     if ext.remaining() != 0 {
         return Err(StreamError::CorruptRecord(format!(
@@ -436,7 +430,7 @@ mod tests {
         let mut buf = Vec::new();
         v.insert(&mut Inserter::new(&mut buf, checked));
         let mut out = T::default();
-        let mut ext = Extractor::new(&buf, 0, 0, checked);
+        let mut ext = Extractor::new(&buf, 0, checked);
         out.extract(&mut ext).unwrap();
         assert_eq!(&out, v);
         assert_eq!(ext.remaining(), 0, "extract must consume everything");
@@ -469,7 +463,7 @@ mod tests {
         let mut buf = Vec::new();
         Inserter::new(&mut buf, true).prim(1.5f64);
         // Extracting as i64 must be caught.
-        let err = Extractor::new(&buf, 0, 0, true).prim::<i64>().unwrap_err();
+        let err = Extractor::new(&buf, 0, true).prim::<i64>().unwrap_err();
         assert!(matches!(
             err,
             StreamError::TypeMismatch {
@@ -484,7 +478,7 @@ mod tests {
         let mut buf = Vec::new();
         Inserter::new(&mut buf, true).slice(&[1u32, 2, 3]);
         let mut out = Vec::new();
-        let err = Extractor::new(&buf, 0, 0, true)
+        let err = Extractor::new(&buf, 0, true)
             .slice_into::<u32>(&mut out, 2)
             .unwrap_err();
         assert!(matches!(
@@ -497,9 +491,7 @@ mod tests {
     fn overrun_is_reported_with_element_context() {
         let mut buf = Vec::new();
         Inserter::new(&mut buf, false).prim(7u8);
-        let err = Extractor::new(&buf, 0, 42, false)
-            .prim::<u64>()
-            .unwrap_err();
+        let err = Extractor::new(&buf, 42, false).prim::<u64>().unwrap_err();
         assert!(matches!(
             err,
             StreamError::ExtractOverrun {
@@ -537,7 +529,7 @@ mod tests {
                 assert_eq!(buf, want, "{ctx}: bulk slice != per-value put");
 
                 let mut out = vec![values[1]];
-                let mut ext = Extractor::new(&buf, 1, 0, checked);
+                let mut ext = Extractor::new(&buf[1..], 0, checked);
                 ext.slice_into(&mut out, n).unwrap();
                 assert_eq!(out, s, "{ctx}: slice_into round trip");
                 assert_eq!(ext.remaining(), 0, "{ctx}");
@@ -545,7 +537,7 @@ mod tests {
                 // Cut inside the data, and inside the checked header.
                 let cuts = [buf.len() - 1, 3];
                 for cut in cuts.into_iter().filter(|&c| c > 1 && c < buf.len()) {
-                    let err = Extractor::new(&buf[..cut], 1, 5, checked)
+                    let err = Extractor::new(&buf[1..cut], 5, checked)
                         .slice_into(&mut out, n)
                         .unwrap_err();
                     assert!(
@@ -556,7 +548,7 @@ mod tests {
             }
             // An absurd count overruns instead of overflowing the length.
             let mut out = Vec::new();
-            let err = Extractor::new(&[0u8; 8], 0, 0, false)
+            let err = Extractor::new(&[0u8; 8], 0, false)
                 .slice_into::<T>(&mut out, usize::MAX)
                 .unwrap_err();
             assert!(matches!(err, StreamError::ExtractOverrun { .. }));
@@ -582,7 +574,7 @@ mod tests {
     fn corrupt_vec_length_is_rejected_not_allocated() {
         let mut buf = Vec::new();
         Inserter::new(&mut buf, false).prim(u64::MAX); // absurd length
-        let err = Extractor::new(&buf, 0, 0, false).vec::<f64>().unwrap_err();
+        let err = Extractor::new(&buf, 0, false).vec::<f64>().unwrap_err();
         assert!(matches!(err, StreamError::ExtractOverrun { .. }));
     }
 

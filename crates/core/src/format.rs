@@ -30,6 +30,7 @@
 //! verification); version-2 writers refuse to append to version-1 files.
 
 use dstreams_collections::LayoutDescriptor;
+use dstreams_machine::wire::{ReadError, Reader};
 
 use crate::error::StreamError;
 
@@ -82,14 +83,14 @@ impl FileHeader {
 
     /// Decode and validate.
     pub fn decode(b: &[u8]) -> Result<FileHeader, StreamError> {
-        if b.len() < Self::LEN || b[..8] != FILE_MAGIC {
+        let mut r = Reader::new(b);
+        let mut fields = || -> Result<_, ReadError> { Ok((r.array()?, r.u32()?, r.u32()?)) };
+        let Ok((FILE_MAGIC, version, flags)) = fields() else {
             return Err(StreamError::BadMagic);
-        }
-        let version = u32::from_le_bytes(b[8..12].try_into().expect("4 bytes"));
+        };
         if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
             return Err(StreamError::UnsupportedVersion(version));
         }
-        let flags = u32::from_le_bytes(b[12..16].try_into().expect("4 bytes"));
         Ok(FileHeader { version, flags })
     }
 
@@ -140,21 +141,23 @@ impl RecordSeal {
 
     /// Decode and validate.
     pub fn decode(b: &[u8]) -> Result<RecordSeal, StreamError> {
-        if b.len() < Self::LEN {
+        let mut r = Reader::new(b);
+        let mut fields = || -> Result<_, ReadError> { Ok((r.array()?, r.u64()?, r.u64()?)) };
+        let Ok((magic, record_len, checksum)) = fields() else {
             return Err(StreamError::CorruptRecord(format!(
                 "record seal truncated: {} of {} bytes",
                 b.len(),
                 Self::LEN
             )));
-        }
-        if b[..4] != SEAL_MAGIC {
+        };
+        if magic != SEAL_MAGIC {
             return Err(StreamError::CorruptRecord(
                 "record seal magic missing".into(),
             ));
         }
         Ok(RecordSeal {
-            record_len: u64::from_le_bytes(b[4..12].try_into().expect("8 bytes")),
-            checksum: u64::from_le_bytes(b[12..20].try_into().expect("8 bytes")),
+            record_len,
+            checksum,
         })
     }
 }
@@ -246,28 +249,25 @@ impl RecordHeader {
 
     /// Decode and validate.
     pub fn decode(b: &[u8]) -> Result<RecordHeader, StreamError> {
-        if b.len() < Self::LEN {
+        let mut r = Reader::new(b);
+        let mut fields = || -> Result<_, ReadError> {
+            let head = (r.array()?, r.u64()?, r.u32()?, r.u32()?, r.u32()?);
+            Ok((head, LayoutDescriptor::read(&mut r)?, r.u64()?))
+        };
+        let Ok(((magic, n_elements, n_inserts, flags, mode), layout, data_len)) = fields() else {
             return Err(StreamError::CorruptRecord(format!(
                 "record header truncated: {} of {} bytes",
                 b.len(),
                 Self::LEN
             )));
-        }
-        if b[..4] != RECORD_MAGIC {
+        };
+        if magic != RECORD_MAGIC {
             return Err(StreamError::CorruptRecord(
                 "record magic missing (file position desynchronized?)".into(),
             ));
         }
-        let u64_at = |o: usize| u64::from_le_bytes(b[o..o + 8].try_into().expect("8 bytes"));
-        let u32_at = |o: usize| u32::from_le_bytes(b[o..o + 4].try_into().expect("4 bytes"));
-        let n_elements = u64_at(4);
-        let n_inserts = u32_at(12);
-        let flags = u32_at(16);
-        let meta_mode = MetaMode::from_code(u32_at(20))
+        let meta_mode = MetaMode::from_code(mode)
             .ok_or_else(|| StreamError::CorruptRecord("unknown metadata mode".into()))?;
-        let layout = LayoutDescriptor::decode(&b[24..24 + LayoutDescriptor::WIRE_LEN])
-            .ok_or_else(|| StreamError::CorruptRecord("bad layout descriptor".into()))?;
-        let data_len = u64_at(24 + LayoutDescriptor::WIRE_LEN);
         Ok(RecordHeader {
             n_elements,
             n_inserts,
@@ -291,20 +291,6 @@ pub fn encode_sizes(sizes: &[u64]) -> Vec<u8> {
         v.extend_from_slice(&s.to_le_bytes());
     }
     v
-}
-
-/// Decode a size table of exactly `n` entries.
-pub fn decode_sizes(b: &[u8], n: usize) -> Result<Vec<u64>, StreamError> {
-    if b.len() != n * 8 {
-        return Err(StreamError::CorruptRecord(format!(
-            "size table is {} bytes, expected {}",
-            b.len(),
-            n * 8
-        )));
-    }
-    Ok(b.chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect())
 }
 
 #[cfg(test)]
@@ -425,8 +411,9 @@ mod tests {
     fn size_table_roundtrips_and_validates_length() {
         let sizes = vec![0u64, 17, 5600, u64::from(u32::MAX) + 7];
         let b = encode_sizes(&sizes);
-        assert_eq!(decode_sizes(&b, 4).unwrap(), sizes);
-        assert!(decode_sizes(&b, 5).is_err());
-        assert!(decode_sizes(&b[1..], 4).is_err());
+        let decode = |b, n| Reader::parse(b, |r| Ok(r.u64s(n)?.collect::<Vec<_>>()));
+        assert_eq!(decode(&b, 4).unwrap(), sizes);
+        assert!(decode(&b, 5).is_err());
+        assert!(decode(&b[1..], 4).is_err());
     }
 }

@@ -14,10 +14,11 @@
 //! applies.
 
 use dstreams_collections::Layout;
+use dstreams_machine::wire::Reader;
 use dstreams_pfs::ChunkSum;
 
 use crate::error::StreamError;
-use crate::format::{decode_sizes, FileHeader, MetaMode, RecordHeader, RecordSeal};
+use crate::format::{FileHeader, MetaMode, RecordHeader, RecordSeal};
 
 /// Summary of one write record.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,45 +58,33 @@ pub struct FileSummary {
     pub total_bytes: u64,
 }
 
-/// A bounds-checked sub-slice: `None` when `[start, start + len)` is not
-/// entirely inside `bytes`, with all arithmetic overflow-safe (a damaged
-/// header can claim any lengths).
-fn get_span(bytes: &[u8], start: u64, len: u64) -> Option<&[u8]> {
-    let end = start.checked_add(len)?;
-    if end > bytes.len() as u64 {
-        return None;
-    }
-    Some(&bytes[start as usize..end as usize])
-}
-
-/// Parse one record at `pos`; returns the summary and the offset of the
-/// next record. `sealed` selects version-2 handling: a seal must follow
-/// the data, its recorded length must match and its checksum must equal
-/// the digest of the record's bytes.
+/// Parse the record at `r`'s cursor and move `r` past it. `sealed`
+/// selects version-2 handling: a seal must follow the data, its recorded
+/// length must match and its checksum must equal the digest of the
+/// record's bytes.
 fn parse_record(
-    bytes: &[u8],
-    pos: u64,
+    r: &mut Reader<'_>,
     index: usize,
     sealed: bool,
-) -> Result<(RecordSummary, u64), StreamError> {
-    let rh_bytes = get_span(bytes, pos, RecordHeader::LEN as u64).ok_or_else(|| {
+) -> Result<RecordSummary, StreamError> {
+    let offset = r.pos() as u64;
+    let mut body = *r;
+    let rh_bytes = body.take(RecordHeader::LEN).map_err(|_| {
         StreamError::CorruptRecord(format!(
-            "file ends mid-record-header at offset {pos} (of {})",
-            bytes.len()
+            "file ends mid-record-header at offset {offset} (of {})",
+            offset as usize + r.remaining()
         ))
     })?;
     let rh = RecordHeader::decode(rh_bytes)?;
     let span = rh.span()?;
+    let table_start = body.pos();
     // Cannot overflow: the table is part of the checked span.
-    let table_len = rh.n_elements * 8;
-    let table_start = pos + RecordHeader::LEN as u64;
-    let table = get_span(bytes, table_start, table_len).ok_or_else(|| {
+    let sizes = body.u64s(rh.n_elements as usize).map_err(|_| {
         StreamError::CorruptRecord(format!(
             "file ends mid-size-table in record {index} at offset {table_start}"
         ))
     })?;
-    let sizes = decode_sizes(table, rh.n_elements as usize)?;
-    let total = sizes.iter().try_fold(0u64, |acc, &s| acc.checked_add(s));
+    let total = sizes.clone().try_fold(0u64, |acc, s| acc.checked_add(s));
     if total != Some(rh.data_len) {
         return Err(StreamError::CorruptRecord(format!(
             "record {index}: size table sums to {}, header claims {}",
@@ -103,13 +92,11 @@ fn parse_record(
             rh.data_len
         )));
     }
-    let Some(data_end) = pos.checked_add(span).filter(|e| *e <= bytes.len() as u64) else {
-        return Err(StreamError::CorruptRecord(format!(
-            "file ends mid-data in record {index}"
-        )));
-    };
-    let next = if sealed {
-        let seal_bytes = get_span(bytes, data_end, RecordSeal::LEN as u64).ok_or_else(|| {
+    let image = r
+        .take(span as usize)
+        .map_err(|_| StreamError::CorruptRecord(format!("file ends mid-data in record {index}")))?;
+    if sealed {
+        let seal_bytes = r.take(RecordSeal::LEN).map_err(|_| {
             StreamError::CorruptRecord(format!("file ends mid-seal in record {index}"))
         })?;
         let seal = RecordSeal::decode(seal_bytes)?;
@@ -119,43 +106,36 @@ fn parse_record(
                 seal.record_len
             )));
         }
-        let digest = ChunkSum::of(&bytes[pos as usize..data_end as usize]);
-        if digest.hash() != seal.checksum {
+        if ChunkSum::of(image).hash() != seal.checksum {
             return Err(StreamError::CorruptRecord(format!(
                 "record {index}: commit-seal checksum mismatch (torn or corrupted)"
             )));
         }
-        data_end + RecordSeal::LEN as u64
-    } else {
-        data_end
-    };
+    }
     let layout = Layout::from_descriptor(&rh.layout)?;
-    Ok((
-        RecordSummary {
-            index,
-            offset: pos,
-            n_elements: rh.n_elements as usize,
-            n_inserts: rh.n_inserts,
-            checked: rh.checked(),
-            meta_mode: rh.meta_mode,
-            layout,
-            data_len: rh.data_len,
-            min_element: sizes.iter().copied().min().unwrap_or(0),
-            max_element: sizes.iter().copied().max().unwrap_or(0),
-            sealed,
-        },
-        next,
-    ))
+    Ok(RecordSummary {
+        index,
+        offset,
+        n_elements: rh.n_elements as usize,
+        n_inserts: rh.n_inserts,
+        checked: rh.checked(),
+        meta_mode: rh.meta_mode,
+        layout,
+        data_len: rh.data_len,
+        min_element: sizes.clone().min().unwrap_or(0),
+        max_element: sizes.max().unwrap_or(0),
+        sealed,
+    })
 }
 
 /// Parse a complete d/stream file image.
 pub fn inspect_bytes(bytes: &[u8]) -> Result<FileSummary, StreamError> {
-    let header = FileHeader::decode(bytes.get(..FileHeader::LEN).ok_or(StreamError::BadMagic)?)?;
+    let mut r = Reader::new(bytes);
+    let header = FileHeader::decode(r.take(FileHeader::LEN).unwrap_or_default())?;
     let sealed = header.sealed();
     let mut records = Vec::new();
-    let mut pos = FileHeader::LEN as u64;
-    while pos < bytes.len() as u64 {
-        let (summary, next) = parse_record(bytes, pos, records.len(), sealed)?;
+    while r.remaining() > 0 {
+        let summary = parse_record(&mut r, records.len(), sealed)?;
         // The stored placement must describe this record. Checked here
         // rather than in `parse_record` so that `recovery_scan` still
         // counts such a record as sealed: its data and seal are intact,
@@ -171,7 +151,6 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<FileSummary, StreamError> {
             )));
         }
         records.push(summary);
-        pos = next;
     }
     Ok(FileSummary {
         header,
@@ -208,7 +187,8 @@ pub struct RecoveryReport {
 /// the segment (or let the producer's recovery path clear the flag)
 /// before recovering.
 pub fn recovery_scan(bytes: &[u8]) -> Result<RecoveryReport, StreamError> {
-    let header = FileHeader::decode(bytes.get(..FileHeader::LEN).ok_or(StreamError::BadMagic)?)?;
+    let mut r = Reader::new(bytes);
+    let header = FileHeader::decode(r.take(FileHeader::LEN).unwrap_or_default())?;
     if !header.sealed() {
         return Err(StreamError::UnsupportedVersion(header.version));
     }
@@ -217,21 +197,19 @@ pub fn recovery_scan(bytes: &[u8]) -> Result<RecoveryReport, StreamError> {
             file: "<image>".to_string(),
         });
     }
-    let mut pos = FileHeader::LEN as u64;
     let mut sealed_records = 0usize;
-    while pos < bytes.len() as u64 {
-        match parse_record(bytes, pos, sealed_records, true) {
-            Ok((_, next)) => {
-                pos = next;
-                sealed_records += 1;
-            }
-            Err(_) => break,
+    while r.remaining() > 0 {
+        let mut next = r;
+        if parse_record(&mut next, sealed_records, true).is_err() {
+            break;
         }
+        r = next;
+        sealed_records += 1;
     }
     Ok(RecoveryReport {
-        sealed_bytes: pos,
+        sealed_bytes: r.pos() as u64,
         sealed_records,
-        torn: pos < bytes.len() as u64,
+        torn: r.remaining() > 0,
     })
 }
 

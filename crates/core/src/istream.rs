@@ -16,7 +16,7 @@
 //!   in all of the paper's measurements).
 
 use dstreams_collections::{Collection, CollectionError, Layout};
-use dstreams_machine::wire::{frame_blocks, unframe_blocks};
+use dstreams_machine::wire::{frame_blocks, unframe_id_blocks, ReadError, Reader};
 use dstreams_machine::NodeCtx;
 use dstreams_pfs::{ChunkSum, FileHandle, IoHandle, OpenMode, Pfs};
 use dstreams_redist::{DistView, Piece, RedistPlan};
@@ -199,25 +199,22 @@ impl<'a> IStream<'a> {
             Vec::new()
         };
         let verdict = ctx.broadcast(0, verdict)?;
-        let version = match verdict.first() {
-            Some(0) if verdict.len() == 5 => {
-                u32::from_le_bytes(verdict[1..5].try_into().expect("4 bytes"))
-            }
-            Some(2) if verdict.len() == 5 => {
-                let v = u32::from_le_bytes(verdict[1..5].try_into().expect("4 bytes"));
-                return Err(StreamError::UnsupportedVersion(v));
-            }
-            Some(3) if verdict.len() == 9 => {
-                let sealed_bytes = u64::from_le_bytes(verdict[1..9].try_into().expect("8 bytes"));
-                return Err(StreamError::TornTail { sealed_bytes });
-            }
+        let mut r = Reader::new(&verdict);
+        let outcome = match r.u8() {
+            Ok(0) => r.u32().map(Ok),
+            Ok(2) => r.u32().map(|v| Err(StreamError::UnsupportedVersion(v))),
+            Ok(3) => r
+                .u64()
+                .map(|sealed_bytes| Err(StreamError::TornTail { sealed_bytes })),
             // The file is an open append-stream segment: a producer may
             // still be writing it, so a read here would tear a snapshot.
-            Some(4) => {
-                return Err(StreamError::ActiveAppend {
-                    file: name.to_string(),
-                })
-            }
+            Ok(4) => Ok(Err(StreamError::ActiveAppend {
+                file: name.to_string(),
+            })),
+            _ => Ok(Err(StreamError::BadMagic)),
+        };
+        let version = match (outcome, r.finish()) {
+            (Ok(verdict), Ok(())) => verdict?,
             _ => return Err(StreamError::BadMagic),
         };
         Ok(IStream {
@@ -457,6 +454,21 @@ impl<'a> IStream<'a> {
                 stream: self.layout.len(),
             });
         }
+        // Unsealed files have no open-time chain scan to vouch for the
+        // record's span: every rank rejects one that passes the file end
+        // before any rank reads its table or sizes a buffer from it.
+        let file_len = self.fh.len();
+        let data_base = self.cursor + RecordHeader::LEN as u64 + (n as u64) * 8;
+        if self
+            .cursor
+            .checked_add(header.span()?)
+            .is_none_or(|end| end > file_len)
+        {
+            return Err(StreamError::CorruptRecord(format!(
+                "record data [{data_base}, +{}) passes the file end {file_len}",
+                header.data_len
+            )));
+        }
         let (sizes, table_digests) = self.read_size_table(n)?;
         let writer = Layout::from_descriptor(&header.layout)?;
         if writer.len() != n {
@@ -470,20 +482,6 @@ impl<'a> IStream<'a> {
             return Err(StreamError::CorruptRecord(format!(
                 "size table sums to {}, header claims {}",
                 total.map_or("more than 2^64".to_string(), |t| t.to_string()),
-                header.data_len
-            )));
-        }
-        let data_base = self.cursor + RecordHeader::LEN as u64 + (n as u64) * 8;
-        // Unsealed files have no open-time chain scan to vouch for the
-        // data span: every rank rejects one that passes the file end
-        // before any rank sizes a buffer from it.
-        let file_len = self.fh.len();
-        if data_base
-            .checked_add(header.data_len)
-            .is_none_or(|end| end > file_len)
-        {
-            return Err(StreamError::CorruptRecord(format!(
-                "record data [{data_base}, +{}) passes the file end {file_len}",
                 header.data_len
             )));
         }
@@ -669,7 +667,9 @@ impl<'a> IStream<'a> {
         }
         let header = RecordHeader::decode(&blob)?;
         let seal = if self.sealed {
-            Some(RecordSeal::decode(&blob[RecordHeader::LEN..])?)
+            Some(RecordSeal::decode(
+                blob.get(RecordHeader::LEN..).unwrap_or_default(),
+            )?)
         } else {
             None
         };
@@ -702,22 +702,21 @@ impl<'a> IStream<'a> {
             self.fh
                 .read_ordered_summed(self.ctx, table_base + lo as u64 * 8, (hi - lo) * 8)?;
         let slices = self.ctx.all_gather(my)?;
-        let bytes: usize = slices.iter().map(Vec::len).sum();
-        let mut sizes = Vec::with_capacity(n);
-        for slice in &slices {
-            sizes.extend(
-                slice
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
-            );
-        }
-        if bytes != n * 8 || sizes.len() != n {
-            return Err(StreamError::CorruptRecord(format!(
-                "size table is {bytes} bytes, expected {}",
+        let table = || -> Result<Vec<u64>, ReadError> {
+            let mut sizes = Vec::with_capacity(n);
+            for slice in &slices {
+                sizes.extend(Reader::parse(slice, |r| r.u64s(r.remaining() / 8))?);
+            }
+            Ok(sizes)
+        };
+        match table() {
+            Ok(sizes) if sizes.len() == n => Ok((sizes, digests)),
+            _ => Err(StreamError::CorruptRecord(format!(
+                "size table is {} bytes, expected {}",
+                slices.iter().map(Vec::len).sum::<usize>(),
                 n * 8
-            )));
+            ))),
         }
-        Ok((sizes, digests))
     }
 
     /// Phase 2 of a planned sorted read: run the redistribution schedule,
@@ -813,24 +812,17 @@ impl<'a> IStream<'a> {
         let local_ids = self.layout.local_elements(rank);
         let mut element_data: Vec<Option<Vec<u8>>> = vec![None; local_ids.len()];
         for buf in received {
-            let blocks = unframe_blocks(&buf).ok_or_else(|| {
-                StreamError::CorruptRecord("sorted read: malformed routing frame".into())
+            let pairs = unframe_id_blocks(&buf).map_err(|e| {
+                StreamError::CorruptRecord(format!("sorted read: malformed routing frame: {e}"))
             })?;
-            for pair in blocks.chunks(2) {
-                let [gid, data] = pair else {
-                    return Err(StreamError::CorruptRecord(
-                        "sorted read: odd routing frame".into(),
-                    ));
-                };
-                let g = u64::from_le_bytes(gid.as_slice().try_into().map_err(|_| {
-                    StreamError::CorruptRecord("sorted read: bad element id".into())
-                })?) as usize;
+            for (g, data) in pairs {
+                let g = g as usize;
                 let slot = local_ids.binary_search(&g).map_err(|_| {
                     StreamError::CorruptRecord(format!(
                         "sorted read: element {g} routed to non-owner rank {rank}"
                     ))
                 })?;
-                element_data[slot] = Some(data.clone());
+                element_data[slot] = Some(data.to_vec());
             }
         }
         let mut data = Vec::new();
@@ -947,15 +939,11 @@ impl<'a> IStream<'a> {
         for (slot, (_gid, elem)) in c.iter_mut().enumerate() {
             let id = rec.element_ids[slot];
             let (off, len) = rec.segs[slot];
-            let mut ext = Extractor::new(
-                &rec.data[off..off + len],
-                rec.element_pos[slot],
-                id,
-                checked,
-            );
+            let pos = &mut rec.element_pos[slot];
+            let mut ext = Extractor::new(&rec.data[off + *pos..off + len], id, checked);
             f(elem, &mut ext)?;
-            moved += ext.pos() - rec.element_pos[slot];
-            rec.element_pos[slot] = ext.pos();
+            moved += ext.consumed();
+            *pos += ext.consumed();
         }
         self.ctx.charge_memcpy(moved);
         rec.extracts_done += 1;

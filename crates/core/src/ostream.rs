@@ -12,6 +12,7 @@ use std::borrow::Cow;
 
 use dstreams_collections::Collection;
 use dstreams_collections::Layout;
+use dstreams_machine::wire::Reader;
 use dstreams_machine::{MemoryModel, NodeCtx, SharedBuffer};
 use dstreams_pfs::{ChunkSum, FileHandle, IoHandle, OpenMode, Pfs};
 use dstreams_redist::DistView;
@@ -632,11 +633,14 @@ impl<'a> OStream<'a> {
             Vec::new()
         };
         let verdict = self.ctx.broadcast(0, verdict)?;
-        match verdict.first() {
-            Some(0) => Ok(()),
-            Some(2) if verdict.len() == 5 => Err(StreamError::UnsupportedVersion(
-                u32::from_le_bytes(verdict[1..5].try_into().expect("4 bytes")),
-            )),
+        let mut r = Reader::new(&verdict);
+        let outcome = match r.u8() {
+            Ok(0) => Ok(Ok(())),
+            Ok(2) => r.u32().map(|v| Err(StreamError::UnsupportedVersion(v))),
+            _ => Ok(Err(StreamError::BadMagic)),
+        };
+        match (outcome, r.finish()) {
+            (Ok(verdict), Ok(())) => verdict,
             _ => Err(StreamError::BadMagic),
         }
     }
@@ -813,12 +817,9 @@ impl<'a> OStream<'a> {
         let framed = ctx.all_gather((data.len() as u64).to_le_bytes().to_vec())?;
         let data_lens: Vec<u64> = framed
             .iter()
-            .map(|b| {
-                Ok(u64::from_le_bytes(b.as_slice().try_into().map_err(
-                    |_| StreamError::CorruptRecord("smp write: bad length frame".into()),
-                )?))
-            })
-            .collect::<Result<_, StreamError>>()?;
+            .map(|b| Reader::parse(b, Reader::u64))
+            .collect::<Result<_, _>>()
+            .map_err(|e| StreamError::CorruptRecord(format!("smp write: bad length frame: {e}")))?;
         // Size tables travel to rank 0, which assembles the metadata and
         // reserves the whole record in the shared buffer.
         let gathered = ctx.gather(0, encode_sizes(local_sizes))?;
@@ -839,10 +840,9 @@ impl<'a> OStream<'a> {
         };
         // The broadcast doubles as the "buffer is reserved" signal.
         let meta_len = ctx.broadcast(0, meta_len)?;
-        let meta_len =
-            u64::from_le_bytes(meta_len.as_slice().try_into().map_err(|_| {
-                StreamError::CorruptRecord("smp write: bad metadata length".into())
-            })?);
+        let meta_len = Reader::parse(&meta_len, Reader::u64).map_err(|e| {
+            StreamError::CorruptRecord(format!("smp write: bad metadata length: {e}"))
+        })?;
         drop(meta_span);
         let _data_span = crate::phase::span(ctx, StreamPhase::Data);
         let my_off = meta_len + data_lens[..ctx.rank()].iter().sum::<u64>();

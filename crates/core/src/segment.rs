@@ -15,6 +15,8 @@
 //! so offline tools (`dsdump --tail`) can summarize a stream without a
 //! machine.
 
+use dstreams_machine::wire::{ReadError, Reader};
+
 use crate::error::StreamError;
 
 /// Magic bytes opening every stream manifest.
@@ -147,47 +149,45 @@ impl StreamManifest {
 
     /// Decode the on-file binary form.
     pub fn decode(b: &[u8]) -> Result<StreamManifest, StreamError> {
-        let corrupt = |why: &str| StreamError::CorruptRecord(format!("stream manifest: {why}"));
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> Result<&[u8], StreamError> {
-            let end = pos.checked_add(n).ok_or_else(|| corrupt("overflow"))?;
-            let s = b.get(pos..end).ok_or_else(|| corrupt("truncated"))?;
-            pos = end;
-            Ok(s)
-        };
-        if take(MANIFEST_MAGIC.len())? != MANIFEST_MAGIC {
+        let corrupt = |e: ReadError| StreamError::CorruptRecord(format!("stream manifest: {e}"));
+        let mut r = Reader::new(b);
+        if r.array().map_err(corrupt)? != MANIFEST_MAGIC {
             return Err(StreamError::BadMagic);
         }
-        let version = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes"));
+        let version = r.u32().map_err(corrupt)?;
         if version != MANIFEST_VERSION {
             return Err(StreamError::UnsupportedVersion(version));
         }
-        let compacted_before = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-        let open_raw = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
+        let mut body = || -> Result<_, ReadError> {
+            let compacted_before = r.u64()?;
+            let open_raw = r.u64()?;
+            let sealed = (0..r.count32(24)?)
+                .map(|_| {
+                    Ok(SegmentEntry {
+                        index: r.u64()?,
+                        records: r.u64()?,
+                        bytes: r.u64()?,
+                    })
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let readers = (0..r.count32(13)?)
+                .map(|_| {
+                    Ok(ReaderEntry {
+                        id: r.u32()?,
+                        next_segment: r.u64()?,
+                        detached: r.u8()? != 0,
+                    })
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            r.finish()?;
+            Ok((compacted_before, open_raw, sealed, readers))
+        };
+        let (compacted_before, open_raw, sealed, readers) = body().map_err(corrupt)?;
         let open_segment = (open_raw != u64::MAX).then_some(open_raw);
-        let n_sealed = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-        let mut sealed = Vec::with_capacity(n_sealed.min(1 << 16));
-        for _ in 0..n_sealed {
-            sealed.push(SegmentEntry {
-                index: u64::from_le_bytes(take(8)?.try_into().expect("8 bytes")),
-                records: u64::from_le_bytes(take(8)?.try_into().expect("8 bytes")),
-                bytes: u64::from_le_bytes(take(8)?.try_into().expect("8 bytes")),
-            });
-        }
-        let n_readers = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-        let mut readers = Vec::with_capacity(n_readers.min(1 << 16));
-        for _ in 0..n_readers {
-            readers.push(ReaderEntry {
-                id: u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")),
-                next_segment: u64::from_le_bytes(take(8)?.try_into().expect("8 bytes")),
-                detached: take(1)?[0] != 0,
-            });
-        }
-        if pos != b.len() {
-            return Err(corrupt("trailing bytes"));
-        }
         if sealed.windows(2).any(|w| w[0].index >= w[1].index) {
-            return Err(corrupt("sealed segments out of order"));
+            return Err(StreamError::CorruptRecord(
+                "stream manifest: sealed segments out of order".into(),
+            ));
         }
         Ok(StreamManifest {
             compacted_before,

@@ -4,7 +4,7 @@
 use std::process::Command;
 
 use dstreams_collections::{Collection, DistKind, Layout};
-use dstreams_core::{FileHeader, OStream, RecordSeal};
+use dstreams_core::{FileHeader, MetaMode, OStream, RecordHeader, RecordSeal};
 use dstreams_machine::{Machine, MachineConfig};
 use dstreams_pfs::{Backend, ChunkSum, DiskModel, Pfs};
 
@@ -509,4 +509,49 @@ fn dsdump_usage_exits_2() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// A stored alignment whose last template cell passes 2^64 (offset
+/// 2^64 - 2, or stride 2^63) makes `dsdump` exit 1 with a message, not
+/// panic on the overflow.
+#[test]
+fn dsdump_rejects_an_overflowing_stored_alignment() {
+    let dir = std::env::temp_dir().join(format!("dsdump-align-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (stride, offset) in [(1, u64::MAX - 1), (1 << 63, 0)] {
+        let mut layout = Layout::dense(8, 2, DistKind::Block).unwrap().descriptor();
+        layout.align_stride = stride;
+        layout.align_offset = offset;
+        let mut image = FileHeader {
+            version: 1,
+            flags: 0,
+        }
+        .encode();
+        image.extend_from_slice(
+            &RecordHeader {
+                n_elements: 8,
+                n_inserts: 1,
+                flags: 0,
+                meta_mode: MetaMode::Parallel,
+                layout,
+                data_len: 8,
+            }
+            .encode(),
+        );
+        for _ in 0..8 {
+            image.extend_from_slice(&1u64.to_le_bytes());
+        }
+        image.extend_from_slice(&[7; 8]);
+        let path = dir.join(format!("align-{stride}-{offset}.dstream"));
+        std::fs::write(&path, &image).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_dsdump"))
+            .arg(&path)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "({stride}, {offset}): {err}");
+        assert!(err.contains("overflows"), "({stride}, {offset}): {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -491,3 +491,64 @@ fn reads_reject_a_v1_data_span_past_the_file_end_on_every_rank() {
         assert_eq!(errors[0], errors[1], "ranks disagree on the error");
     }
 }
+
+/// A version-1 image of one 8-element BLOCK record over 2 ranks whose
+/// stored alignment is `(stride, offset)`, one byte per element.
+fn v1_image_with_alignment(stride: u64, offset: u64) -> Vec<u8> {
+    let mut layout = Layout::dense(8, 2, DistKind::Block).unwrap().descriptor();
+    layout.align_stride = stride;
+    layout.align_offset = offset;
+    let mut image = FileHeader {
+        version: 1,
+        flags: 0,
+    }
+    .encode();
+    image.extend_from_slice(
+        &RecordHeader {
+            n_elements: 8,
+            n_inserts: 1,
+            flags: 0,
+            meta_mode: MetaMode::Parallel,
+            layout,
+            data_len: 8,
+        }
+        .encode(),
+    );
+    for _ in 0..8 {
+        image.extend_from_slice(&1u64.to_le_bytes());
+    }
+    image.extend_from_slice(&[7; 8]);
+    image
+}
+
+/// A stored alignment whose last template cell passes 2^64 (offset
+/// 2^64 - 2, or stride 2^63) is a typed error on every rank, never an
+/// arithmetic overflow while rebuilding the writer's layout.
+#[test]
+fn reads_reject_an_overflowing_stored_alignment_on_every_rank() {
+    let layout = Layout::dense(8, 2, DistKind::Block).unwrap();
+    for (stride, offset) in [(1, u64::MAX - 1), (1 << 63, 0)] {
+        let image = v1_image_with_alignment(stride, offset);
+        let pfs = Pfs::in_memory(2);
+        let p = pfs.clone();
+        Machine::run(MachineConfig::functional(1), move |ctx| {
+            let fh = p.open(true, "v1", OpenMode::Create).unwrap();
+            fh.write_at(ctx, 0, &image).unwrap();
+        })
+        .unwrap();
+        let l = layout.clone();
+        let errors = Machine::run(MachineConfig::functional(2), move |ctx| {
+            let mut s = IStream::open(ctx, &pfs, &l, "v1").unwrap();
+            match s.read() {
+                Err(e) => e.to_string(),
+                Ok(()) => panic!(
+                    "rank {}: accepted alignment ({stride}, {offset})",
+                    ctx.rank()
+                ),
+            }
+        })
+        .unwrap();
+        assert_eq!(errors[0], errors[1], "ranks disagree on the error");
+        assert!(errors[0].contains("overflows"), "{}", errors[0]);
+    }
+}

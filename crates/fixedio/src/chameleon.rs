@@ -17,6 +17,7 @@
 //! `tests/baseline_comparison.rs` at the workspace root).
 
 use dstreams_collections::{Collection, DistKind, Layout};
+use dstreams_machine::wire::Reader;
 use dstreams_machine::NodeCtx;
 use dstreams_pfs::{OpenMode, Pfs};
 
@@ -94,11 +95,12 @@ pub fn read_block_array<T>(
         Vec::new()
     };
     let head = ctx.broadcast(0, head)?;
-    if head.len() != HEADER_LEN || head[..8] != MAGIC {
+    let Ok((MAGIC, file_elem, file_count)) =
+        Reader::parse(&head, |r| Ok((r.array()?, r.u64()?, r.u64()?)))
+    else {
         return Err(FixedIoError::NotAnArrayFile(file.to_string()));
-    }
-    let file_elem = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes")) as usize;
-    let file_count = u64::from_le_bytes(head[16..24].try_into().expect("8 bytes")) as usize;
+    };
+    let (file_elem, file_count) = (file_elem as usize, file_count as usize);
     if file_elem != elem_size {
         return Err(FixedIoError::SizeViolation {
             element: 0,

@@ -18,6 +18,7 @@
 //! them with positioned reads (coalescing contiguous runs).
 
 use dstreams_collections::{Collection, Layout, LayoutDescriptor};
+use dstreams_machine::wire::{ReadError, Reader};
 use dstreams_machine::NodeCtx;
 use dstreams_pfs::{OpenMode, Pfs};
 
@@ -64,21 +65,23 @@ impl Schema {
         v
     }
 
-    fn decode(b: &[u8]) -> Option<(Schema, usize)> {
-        let mut pos = 0usize;
-        let nf = u32::from_le_bytes(b.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let mut fields = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            let nl = u32::from_le_bytes(b.get(pos..pos + 4)?.try_into().ok()?) as usize;
-            pos += 4;
-            let name = String::from_utf8(b.get(pos..pos + nl)?.to_vec()).ok()?;
-            pos += nl;
-            let elem_size = u64::from_le_bytes(b.get(pos..pos + 8)?.try_into().ok()?) as usize;
-            pos += 8;
-            fields.push(SchemaField { name, elem_size });
-        }
-        Some((Schema { fields }, pos))
+    /// Read an encoded schema at `r`'s cursor; `None` when malformed.
+    fn read(r: &mut Reader<'_>) -> Option<Schema> {
+        let count = r.count32(12).ok()?;
+        let mut field = || -> Result<_, ReadError> {
+            let name = r.u32().and_then(|n| r.take(n as usize))?;
+            Ok((name, r.u64()?))
+        };
+        let fields = (0..count)
+            .map(|_| {
+                let (name, elem_size) = field().ok()?;
+                Some(SchemaField {
+                    name: String::from_utf8(name.to_vec()).ok()?,
+                    elem_size: usize::try_from(elem_size).ok()?,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(Schema { fields })
     }
 }
 
@@ -143,18 +146,29 @@ fn read_header(ctx: &NodeCtx, pfs: &Pfs, file: &str) -> Result<FileInfo, FixedIo
         Vec::new()
     };
     let head = ctx.broadcast(0, head)?;
-    if head.len() < 8 + LayoutDescriptor::WIRE_LEN || head[..8] != MAGIC {
-        return Err(FixedIoError::NotAnArrayFile(file.to_string()));
+    let not_array = || FixedIoError::NotAnArrayFile(file.to_string());
+    let mut r = Reader::new(&head);
+    if r.array() != Ok(MAGIC) {
+        return Err(not_array());
     }
-    let desc = LayoutDescriptor::decode(&head[8..8 + LayoutDescriptor::WIRE_LEN])
-        .ok_or_else(|| FixedIoError::NotAnArrayFile(file.to_string()))?;
+    let desc = LayoutDescriptor::read(&mut r).map_err(|_| not_array())?;
+    let schema = Schema::read(&mut r).ok_or_else(not_array)?;
     let writer_layout = Layout::from_descriptor(&desc)?;
-    let (schema, schema_len) = Schema::decode(&head[8 + LayoutDescriptor::WIRE_LEN..])
-        .ok_or_else(|| FixedIoError::NotAnArrayFile(file.to_string()))?;
+    // The data region the header implies must lie inside the file.
+    let data_base = r.pos();
+    let data_end = schema
+        .fields
+        .iter()
+        .try_fold(0usize, |acc, f| acc.checked_add(f.elem_size))
+        .and_then(|b| b.checked_mul(writer_layout.len()))
+        .and_then(|b| b.checked_add(data_base));
+    if data_end.is_none_or(|end| end as u64 > fh.len()) {
+        return Err(not_array());
+    }
     Ok(FileInfo {
         writer_layout,
         schema,
-        data_base: (8 + LayoutDescriptor::WIRE_LEN + schema_len) as u64,
+        data_base: data_base as u64,
     })
 }
 

@@ -1,10 +1,10 @@
 //! Property tests for the fixed-size baselines: roundtrip identity over
 //! arbitrary shapes, and the structural fixed-size constraint.
 
-use dstreams_collections::{Collection, DistKind, Layout};
+use dstreams_collections::{Collection, DistKind, Layout, LayoutDescriptor};
 use dstreams_fixedio::{chameleon, panda};
 use dstreams_machine::{Machine, MachineConfig};
-use dstreams_pfs::Pfs;
+use dstreams_pfs::{OpenMode, Pfs};
 use proptest::prelude::*;
 
 fn dist_strategy() -> impl Strategy<Value = DistKind> {
@@ -112,4 +112,34 @@ proptest! {
         })
         .unwrap();
     }
+}
+
+/// A Panda header whose schema claims `u32::MAX` fields is not an array
+/// file: the count is capped by the header bytes before anything is
+/// allocated for it.
+#[test]
+fn panda_rejects_a_field_count_the_header_cannot_hold() {
+    let pfs = Pfs::in_memory(1);
+    let p = pfs.clone();
+    Machine::run(MachineConfig::functional(1), move |ctx| {
+        let schema = panda::Schema {
+            fields: vec![panda::SchemaField {
+                name: "v".into(),
+                elem_size: 4,
+            }],
+        };
+        let layout = Layout::dense(6, 1, DistKind::Block).unwrap();
+        let mut c = Collection::new(ctx, layout, |i| i as u32).unwrap();
+        panda::write_array(ctx, &p, "f", &c, &schema, |_, v| v.to_le_bytes().to_vec()).unwrap();
+        // Magic, then the layout descriptor, then the field count.
+        let count_at = 8 + LayoutDescriptor::WIRE_LEN as u64;
+        let fh = p.open(false, "f", OpenMode::Create).unwrap();
+        fh.write_at(ctx, count_at, &u32::MAX.to_le_bytes()).unwrap();
+        let err = panda::read_field(ctx, &p, "f", &mut c, "v", |_, _| {}).unwrap_err();
+        assert!(
+            matches!(err, dstreams_fixedio::FixedIoError::NotAnArrayFile(_)),
+            "{err:?}"
+        );
+    })
+    .unwrap();
 }

@@ -1010,8 +1010,8 @@ impl NodeCtx {
         if me == 0 {
             return Ok(parts);
         }
-        unframe_blocks(framed.as_ref()).ok_or_else(|| {
-            MachineError::CollectiveMismatch("all_gather: malformed framed payload".into())
+        unframe_blocks(framed.as_ref()).map_err(|e| {
+            MachineError::CollectiveMismatch(format!("all_gather: malformed framed payload: {e}"))
         })
     }
 

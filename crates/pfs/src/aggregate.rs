@@ -40,6 +40,7 @@
 
 use std::borrow::Cow;
 
+use dstreams_machine::wire::Reader;
 use dstreams_machine::{
     CollectiveConfig, FaultDecision, MachineError, NodeCtx, VTime, AGG_SHUTTLE_RETRY_BASE,
     AGG_SHUTTLE_TAG,
@@ -49,8 +50,8 @@ use dstreams_trace::{EventKind, FaultKind, PfsOp};
 use crate::checksum::ChunkSum;
 use crate::error::PfsError;
 use crate::file::{
-    charge_collective, check_my_size, decode_size_digests, decode_u64, deferred_crash,
-    rank_crashed, size_digest_frame, FileHandle, ReadOutcome, WriteOutcome,
+    charge_collective, check_my_size, decode_size_digests, deferred_crash, rank_crashed,
+    size_digest_frame, FileHandle, ReadOutcome, WriteOutcome,
 };
 use crate::nonblocking::IoHandle;
 
@@ -232,8 +233,7 @@ impl FileHandle {
         };
         let frame = size_digest_frame(block.len(), my_sum, &[my_crash as u8]);
         let (base, frames) = self.exchange_write_plan(ctx, false, frame)?;
-        let (sizes, digests) = decode_size_digests(&frames, 1)?;
-        let crashed: Vec<bool> = frames.iter().map(|frame| frame[24] != 0).collect();
+        let (sizes, digests, crashed) = decode_size_digests(&frames, true)?;
         check_my_size(ctx, &sizes, block.len())?;
         let nprocs = ctx.nprocs();
         let mut offsets = Vec::with_capacity(nprocs);
@@ -497,14 +497,15 @@ impl FileHandle {
         let mut lens = Vec::with_capacity(nprocs);
         let mut crashed = Vec::with_capacity(nprocs);
         for frame in &frames {
-            if frame.len() != 17 {
-                return Err(PfsError::CollectiveMismatch(
-                    "aggregated read: malformed span frame".into(),
-                ));
-            }
-            offs.push(decode_u64(&frame[..8], "aggregated read span offset")?);
-            lens.push(decode_u64(&frame[8..16], "aggregated read span len")?);
-            crashed.push(frame[16] != 0);
+            Reader::parse(frame, |r| {
+                offs.push(r.u64()?);
+                lens.push(r.u64()?);
+                crashed.push(r.u8()? != 0);
+                Ok(())
+            })
+            .map_err(|e| {
+                PfsError::CollectiveMismatch(format!("aggregated read: malformed span frame: {e}"))
+            })?;
         }
         let file_len = self.file.len();
         // A span past EOF fails like the direct read: the rank keeps
@@ -626,15 +627,12 @@ impl FileHandle {
         let dig_frames = ctx.all_gather(dig)?;
         let mut digests = Vec::with_capacity(nprocs);
         for frame in &dig_frames {
-            if frame.len() != 16 {
-                return Err(PfsError::CollectiveMismatch(
-                    "aggregated read: malformed digest frame".into(),
-                ));
-            }
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[..8], "aggregated read digest hash")?,
-                decode_u64(&frame[8..16], "aggregated read digest rpow")?,
-            ));
+            let (hash, rpow) = Reader::parse(frame, |r| Ok((r.u64()?, r.u64()?))).map_err(|e| {
+                PfsError::CollectiveMismatch(format!(
+                    "aggregated read: malformed digest frame: {e}"
+                ))
+            })?;
+            digests.push(ChunkSum::from_parts(hash, rpow));
         }
         if my_fail {
             return Err(PfsError::OutOfBounds {

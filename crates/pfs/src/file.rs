@@ -17,7 +17,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dstreams_machine::wire::{frame_blocks, unframe_blocks};
+use dstreams_machine::wire::{frame_blocks, unframe_blocks, Reader};
 use dstreams_machine::{AsyncOp, FaultDecision, Gathered, MachineError, NodeCtx, RankIo, VTime};
 use dstreams_trace::{CollectiveRegime, EventKind, FaultKind, IndependentRegime, PfsOp};
 
@@ -585,7 +585,7 @@ impl FileHandle {
         // the append base.
         let frame = size_digest_frame(block.len(), my_sum, &[]);
         let (base, frames) = self.exchange_write_plan(ctx, true, frame)?;
-        let (sizes, digests) = decode_size_digests(&frames, 0)?;
+        let (sizes, digests, _) = decode_size_digests(&frames, false)?;
         check_my_size(ctx, &sizes, block.len())?;
         let my_off = base + sizes[..ctx.rank()].iter().sum::<u64>();
         let total: u64 = sizes.iter().sum();
@@ -712,7 +712,7 @@ impl FileHandle {
         // Everyone learns the collective's total and max block for costing,
         // and every rank's data digest for seal verification.
         let frames = ctx.all_gather(size_digest_frame(len, my_sum, &[]))?;
-        let (sizes, digests) = decode_size_digests(&frames, 0)?;
+        let (sizes, digests, _) = decode_size_digests(&frames, false)?;
         let buf = read_res?;
         let total: u64 = sizes.iter().sum();
         let max_block = sizes.iter().copied().max().unwrap_or(0);
@@ -767,11 +767,13 @@ impl FileHandle {
         } else {
             ctx.gather_plan_broadcast(0, frame, plan)?
         };
-        let mut parts = unframe_blocks(&plan).ok_or_else(|| mismatch("write plan: malformed"))?;
+        let mut parts =
+            unframe_blocks(&plan).map_err(|e| mismatch(&format!("write plan: malformed: {e}")))?;
         if parts.len() != ctx.nprocs() + 1 {
             return Err(mismatch("write plan: size mismatch"));
         }
-        let base = decode_u64(&parts.remove(0), "write plan base")?;
+        let base = Reader::parse(&parts.remove(0), Reader::u64)
+            .map_err(|e| mismatch(&format!("write plan: malformed base: {e}")))?;
         Ok((base, parts))
     }
 
@@ -840,25 +842,31 @@ pub(crate) fn size_digest_frame(len: usize, sum: ChunkSum, extra: &[u8]) -> Vec<
     frame
 }
 
-/// Decode every rank's [`size_digest_frame`] (each with `extra`
-/// trailing bytes): the per-rank sizes and digests, in node order.
+/// Per-rank sizes, digests and crash flags of a size/digest exchange.
+pub(crate) type SizeDigests = (Vec<u64>, Vec<ChunkSum>, Vec<bool>);
+
+/// Decode every rank's [`size_digest_frame`], each with one trailing
+/// crash-flag byte when `flagged`: the per-rank sizes, digests and
+/// (when `flagged`) crash flags, in node order.
 pub(crate) fn decode_size_digests(
     frames: &[Vec<u8>],
-    extra: usize,
-) -> Result<(Vec<u64>, Vec<ChunkSum>), PfsError> {
+    flagged: bool,
+) -> Result<SizeDigests, PfsError> {
     let mut sizes = Vec::with_capacity(frames.len());
     let mut digests = Vec::with_capacity(frames.len());
+    let mut crashed = Vec::new();
     for frame in frames {
-        if frame.len() != 24 + extra {
-            return Err(mismatch("malformed size/digest frame"));
-        }
-        sizes.push(decode_u64(&frame[..8], "size frame")?);
-        digests.push(ChunkSum::from_parts(
-            decode_u64(&frame[8..16], "digest hash")?,
-            decode_u64(&frame[16..24], "digest rpow")?,
-        ));
+        Reader::parse(frame, |r| {
+            sizes.push(r.u64()?);
+            digests.push(ChunkSum::from_parts(r.u64()?, r.u64()?));
+            if flagged {
+                crashed.push(r.u8()? != 0);
+            }
+            Ok(())
+        })
+        .map_err(|e| mismatch(&format!("malformed size/digest frame: {e}")))?;
     }
-    Ok((sizes, digests))
+    Ok((sizes, digests, crashed))
 }
 
 /// A collective write's plan must give this rank the size it sent.
@@ -905,13 +913,6 @@ pub(crate) fn rank_crashed<C: RankIo + ?Sized>(ctx: &C) -> PfsError {
 /// dies now and surfaces `RankCrashed` when its handle is waited.
 pub(crate) fn deferred_crash(ctx: &NodeCtx, my_crash: bool) -> Option<PfsError> {
     my_crash.then(|| rank_crashed(ctx))
-}
-
-/// Decode a little-endian u64 exchanged during a collective plan.
-pub(crate) fn decode_u64(b: &[u8], what: &str) -> Result<u64, PfsError> {
-    Ok(u64::from_le_bytes(b.try_into().map_err(|_| {
-        PfsError::CollectiveMismatch(format!("malformed {what}"))
-    })?))
 }
 
 /// Aggregate operation counters for a PFS instance.

@@ -81,6 +81,11 @@ pub fn plan_for_layouts(
     // File position of writer `w`'s element at local slot `pos`.
     let mut e = 0usize;
     for w in 0..writer.nprocs() {
+        // Writer ranks past the one holding the last element own nothing:
+        // a stored processor count, however large, costs no more.
+        if e == n {
+            break;
+        }
         let count = src.count_below(w, n);
         let mut pos = 0;
         // The rest of the writer's current run of consecutive ids.

@@ -13,11 +13,12 @@
 //! an output followed by an input (`unsortedRead` on the streams path).
 
 use dstreams_collections::Collection;
-use dstreams_core::{IStream, MetaMode, MetaPolicy, OStream, StreamOptions};
+use dstreams_core::{IStream, MetaMode, MetaPolicy, OStream, StreamError, StreamOptions};
+use dstreams_machine::wire::{ReadError, Reader};
 use dstreams_machine::NodeCtx;
 use dstreams_pfs::{OpenMode, Pfs};
 
-use crate::segment::Segment;
+use crate::segment::{Segment, ARRAYS_PER_SEGMENT};
 use crate::ScfError;
 
 /// Which I/O implementation to run.
@@ -84,11 +85,17 @@ fn pack_f64s(out: &mut Vec<u8>, vals: &[f64]) {
     }
 }
 
-fn unpack_f64s(raw: &[u8], pos: &mut usize, out: &mut [f64]) {
-    for v in out.iter_mut() {
-        *v = f64::from_le_bytes(raw[*pos..*pos + 8].try_into().expect("8 bytes"));
-        *pos += 8;
+fn unpack_f64s(r: &mut Reader<'_>, out: &mut [f64]) -> Result<(), ScfError> {
+    let words = r.u64s(out.len()).map_err(short)?;
+    for (v, w) in out.iter_mut().zip(words) {
+        *v = f64::from_bits(w);
     }
+    Ok(())
+}
+
+/// The error for a segment buffer shorter than its counts claim.
+fn short(e: ReadError) -> ScfError {
+    ScfError::Stream(StreamError::CorruptRecord(format!("segment buffer: {e}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -130,14 +137,24 @@ pub fn input_unbuffered(
     for slot in 0..grid.local_len() {
         let mut count_buf = [0u8; 8];
         fh.read(ctx, &mut count_buf)?;
-        let n = i64::from_le_bytes(count_buf) as usize;
+        // A count the rest of the file cannot hold is damage: refuse it
+        // before allocating its arrays.
+        let n = u64::from_le_bytes(count_buf);
+        let left = fh.len().saturating_sub(fh.pos());
+        if n.checked_mul(8 * ARRAYS_PER_SEGMENT as u64)
+            .is_none_or(|b| b > left)
+        {
+            return Err(ScfError::Stream(StreamError::CorruptRecord(format!(
+                "unbuffered segment claims {n} particles, {left} bytes remain"
+            ))));
+        }
+        let n = n as usize;
         let s = &mut grid.local_mut()[slot];
         *s = Segment::zeroed(n);
         for arr in s.arrays_mut() {
             let mut raw = vec![0u8; n * 8];
             fh.read(ctx, &mut raw)?;
-            let mut pos = 0;
-            unpack_f64s(&raw, &mut pos, arr);
+            unpack_f64s(&mut Reader::new(&raw), arr)?;
         }
     }
     ctx.barrier()?;
@@ -192,10 +209,9 @@ pub fn input_manual(
     let raw = fh.read_ordered(ctx, my_off as u64, my_len)?;
     ctx.charge_memcpy(raw.len());
 
-    let mut pos = 0usize;
+    let mut r = Reader::new(&raw);
     for slot in 0..grid.local_len() {
-        let n = i64::from_le_bytes(raw[pos..pos + 8].try_into().expect("8 bytes")) as usize;
-        pos += 8;
+        let n = r.u64().map_err(short)? as usize;
         if n != particles_per_segment {
             return Err(ScfError::ManualSizeMismatch {
                 expected: particles_per_segment,
@@ -205,7 +221,7 @@ pub fn input_manual(
         let s = &mut grid.local_mut()[slot];
         *s = Segment::zeroed(n);
         for arr in s.arrays_mut() {
-            unpack_f64s(&raw, &mut pos, arr);
+            unpack_f64s(&mut r, arr)?;
         }
     }
     Ok(())

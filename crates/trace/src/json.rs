@@ -224,21 +224,27 @@ impl std::error::Error for ParseError {}
 /// Parse a complete JSON document.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts (no stack
+/// overflow on a hostile document).
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -250,7 +256,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -269,7 +275,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -283,8 +289,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(c @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let v = if c == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -363,11 +380,13 @@ impl<'a> Parser<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
+                            if self.pos + 4 >= self.text.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates degrade to the replacement char;
@@ -380,10 +399,9 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
+                    // Consume one full UTF-8 scalar: the cursor only ever
+                    // moves by whole scalars, so it sits on a boundary.
+                    let c = self.text[self.pos..].chars().next().unwrap_or_default();
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -417,8 +435,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii digits are valid UTF-8");
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::Int(i));
@@ -470,6 +487,16 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("1 2").is_err());
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(parse(&format!(
+            "{}{}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        ))
+        .is_ok());
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

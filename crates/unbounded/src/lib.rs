@@ -42,6 +42,7 @@ use dstreams_core::{
     manifest_file_name, segment_file_name, IStream, Inserter, ReaderEntry, SegmentEntry,
     StreamData, StreamError, StreamManifest, StreamOptions,
 };
+use dstreams_machine::wire::Reader;
 use dstreams_machine::NodeCtx;
 use dstreams_pfs::{OpenMode, Pfs};
 use dstreams_pipeline::WriteWindow;
@@ -301,13 +302,8 @@ impl<'a> AppendStream<'a> {
         } else {
             Vec::new()
         };
-        let bytes = u64::from_le_bytes(
-            self.ctx
-                .broadcast(0, bytes)?
-                .as_slice()
-                .try_into()
-                .map_err(|_| StreamError::CorruptRecord("seal: bad size frame".into()))?,
-        );
+        let bytes = Reader::parse(&self.ctx.broadcast(0, bytes)?, Reader::u64)
+            .map_err(|e| StreamError::CorruptRecord(format!("seal: bad size frame: {e}")))?;
 
         let mut manifest = load_manifest(self.ctx, &self.pfs, &self.name)?;
         manifest.open_segment = None;

@@ -16,6 +16,7 @@
 
 use dstreams::prelude::*;
 use dstreams_core::impl_stream_data;
+use dstreams_machine::wire::Reader;
 
 const N: usize = 18;
 const STEPS: usize = 4;
@@ -54,9 +55,10 @@ fn step(ctx: &NodeCtx, grid: &mut Collection<Cell>, inject_bug: bool) {
     let all = ctx.all_gather(mine).unwrap();
     let mut values = [0.0f64; N];
     for buf in &all {
-        for rec in buf.chunks_exact(16) {
-            let g = u64::from_le_bytes(rec[..8].try_into().unwrap()) as usize;
-            values[g] = f64::from_le_bytes(rec[8..].try_into().unwrap());
+        let mut r = Reader::new(buf);
+        while r.remaining() > 0 {
+            let g = r.u64().unwrap() as usize;
+            values[g] = f64::from_bits(r.u64().unwrap());
         }
     }
     grid.apply_indexed(|g, c| {
