@@ -28,7 +28,7 @@
 
 use dstreams_collections::{Collection, Layout};
 use dstreams_machine::wire::Reader;
-use dstreams_machine::{Local, NodeCtx, RankIo};
+use dstreams_machine::{NodeCtx, RankIo, Step};
 use dstreams_pfs::{OpenMode, Pfs};
 
 use crate::data::StreamData;
@@ -115,17 +115,17 @@ impl RootAct<'_> {
 /// the separate calls.
 #[derive(Default)]
 struct RootSteps<'a> {
-    program: Vec<Local>,
+    steps: Vec<Step>,
     acts: Vec<RootAct<'a>>,
 }
 
 impl<'a> RootSteps<'a> {
     fn barrier(&mut self) {
-        self.program.push(Local::Barrier);
+        self.steps.push(Step::Barrier);
     }
 
     fn act(&mut self, act: RootAct<'a>) {
-        self.program.push(Local::Act);
+        self.steps.push(Step::Act);
         self.acts.push(act);
     }
 
@@ -145,7 +145,7 @@ impl<'a> RootSteps<'a> {
     fn fresh(&mut self, name: &'a str) {
         self.barrier();
         self.act(RootAct::Probe(name));
-        self.program.extend([Local::Broadcast, Local::IfSet(2)]);
+        self.steps.extend([Step::Broadcast, Step::IfSet(2)]);
         self.act(RootAct::Remove(name));
         self.barrier();
         self.act(RootAct::Create(name));
@@ -162,8 +162,10 @@ impl<'a> RootSteps<'a> {
     }
 
     fn run(&self, ctx: &NodeCtx, pfs: &Pfs) -> Result<(), StreamError> {
-        ctx.replicated_local(&self.program, |io, k| self.acts[k].run(io, pfs))
-            .map(drop)
+        ctx.program(&self.steps, Vec::new(), |k, io, _| {
+            self.acts[k].run(io, pfs)
+        })
+        .map(drop)
     }
 }
 
@@ -200,8 +202,8 @@ impl CheckpointManager {
     /// files, unions the two views, and broadcasts the result — every rank
     /// sees the same list even when the manifest is missing or torn.
     pub fn generations(&self, ctx: &NodeCtx, pfs: &Pfs) -> Result<Vec<u64>, StreamError> {
-        let program = [Local::Barrier, Local::Act, Local::Broadcast];
-        let blob = ctx.replicated_local(&program, |io, _| {
+        let steps = [Step::Barrier, Step::Act, Step::Broadcast];
+        let blob = ctx.program(&steps, Vec::new(), |_, io, _| {
             let mut gens = self.scan_generations(pfs);
             if let Some(listed) = self.read_manifest_root(io, pfs) {
                 gens.extend(listed);

@@ -7,19 +7,16 @@
 //! accounting transparent.
 //!
 //! **Step programs.** Every collective runs as a short program of
-//! [`Step`]s: phases (one message pattern each), root-side steps, and,
-//! in a fused program, the `Collective` trace events of the API-level
-//! calls it stands for. `barrier` is a gather then a release scatter,
-//! `all_reduce` a gather, a fold and a broadcast, `all_gather` a gather,
-//! a framing and a broadcast, the scans a gather, a prefix pass and a
-//! scatter. A fused program runs API-level collectives back to back
-//! where no caller work sits between them:
-//! [`NodeCtx::barrier_gather_plan_broadcast`] and
-//! [`NodeCtx::gather_plan_broadcast`] (the plan exchange of a PFS
-//! collective write), and [`NodeCtx::replicated_local`], a program of
-//! barriers and broadcasts around rank 0's own acts (paper §4.2), whose
-//! later steps may depend on a broadcast verdict. Its legs, tags, clocks
-//! and trace events are those of the separate calls.
+//! private `Instr`s: phases (one message pattern each), root-side steps,
+//! and, in a fused program, the `Collective` trace events of the
+//! API-level calls it stands for. `barrier` is a gather then a release
+//! scatter, `all_reduce` a gather, a fold and a broadcast, `all_gather` a
+//! gather, a framing and a broadcast. A caller writes a fused program in
+//! the public [`Step`] vocabulary (barrier, gather, rank 0's plan or act,
+//! broadcast, and a guard on a broadcast verdict) and runs it with
+//! [`NodeCtx::program`]: the plan exchange of a PFS collective write,
+//! and the replicated-local steps of a checkpoint (paper §4.2). Its legs,
+//! tags, clocks and trace events are those of the separate calls.
 //!
 //! **One hop schedule, two executors.** [`Pattern::hop`] lists, per rank,
 //! the legs of each phase in program order: whom to send which slot to,
@@ -44,24 +41,23 @@
 //!   hand-offs is gone. Lanes and replay scratch are reused from round
 //!   to round, and scalars travel inline, so a round allocates nothing.
 //!
-//! A root-side step runs on the root on the wire. In the cell a *pure*
-//! step runs on the combiner, with the combiner's own closure: SPMD
-//! programs pass every rank the same step, which must therefore be a
-//! pure function of the root's slots and of state every rank shares.
-//! `Wire` encodings round-trip exactly, so folding decoded operands on
-//! either thread gives the same value. If a pure step fails, its error is
-//! every rank's result: the cell hands it to all ranks at once; on the
-//! wire the root sends an abort marker carrying it down its remaining
-//! legs, and each rank that receives one forwards it on its own remaining
-//! send legs. (A `reduce` has no phase after its fold, so on the wire
-//! only its root fails.) A *charged* step (a replicated-local act) may
-//! mutate shared state and charge the root's clock, trace and PFS
-//! counters. It reaches them through a [`RankIo`]: on the wire the root's
-//! own context, in the cell the root's lane, whose clock, events and PFS
-//! operation count the root takes back at exit, so the combiner can act
-//! for the root without waking it. A failing charged step fails like the
-//! separate call it stands for: on the wire the root returns its error at
-//! once, and its peers learn of it when it departs.
+//! A root-side step runs on the root on the wire. In the cell it runs on
+//! the combiner, with the combiner's own closure: SPMD programs pass
+//! every rank the same step. It reaches the root through a [`RankIo`]:
+//! on the wire the root's own context, in the cell the root's lane, whose
+//! clock, events and PFS operation count the root takes back at exit, so
+//! the combiner can act for the root without waking it. A *pure* step (a
+//! fold, a framing, a [`Step::Plan`]) is a function of the root's slots
+//! and of state every rank shares. `Wire` encodings round-trip exactly,
+//! so folding decoded operands on either thread gives the same value. If
+//! a pure step fails, its error is every rank's result: the cell hands it
+//! to all ranks at once; on the wire the root sends an abort marker
+//! carrying it down its remaining legs, and each rank that receives one
+//! forwards it on its own remaining send legs. A *charged* step (a
+//! [`Step::Act`]) may mutate shared state and charge the root's clock,
+//! trace and PFS counters. A failing charged step fails like the separate
+//! call it stands for: on the wire the root returns its error at once,
+//! and its peers learn of it when it departs.
 //!
 //! Mismatched collectives are errors, never garbage. On the wire each
 //! message carries a one-byte opcode, trailing the payload so a sender
@@ -77,7 +73,9 @@
 //! workloads never call it, while `service_mix` runs tens of thousands
 //! of barriers and clock syncs per round.
 
+use std::any::Any;
 use std::cell::{Cell, RefCell};
+use std::fmt::Display;
 use std::sync::Arc;
 
 use dstreams_trace::{CollOp, EventKind};
@@ -99,7 +97,6 @@ enum Op {
     Barrier = 1,
     Broadcast = 2,
     Gather = 3,
-    Scatter = 4,
     AllToAll = 5,
     Reduce = 6,
     /// Stands in for a leg's payload once the program failed at the root;
@@ -113,7 +110,6 @@ impl Op {
             1 => Op::Barrier,
             2 => Op::Broadcast,
             3 => Op::Gather,
-            4 => Op::Scatter,
             5 => Op::AllToAll,
             6 => Op::Reduce,
             7 => Op::Abort,
@@ -288,8 +284,8 @@ impl Slots {
     }
 }
 
-/// The buffers a gather delivered to its root, in rank order: what the
-/// `plan` of [`NodeCtx::gather_plan_broadcast`] reads.
+/// The buffers a gather delivered to its root, in rank order: what a
+/// [`Step::Plan`] reads.
 #[derive(Debug, Clone, Copy)]
 pub struct Gathered<'a>(&'a [Payload]);
 
@@ -310,15 +306,23 @@ impl<'a> Gathered<'a> {
     }
 }
 
-/// One step of a [`NodeCtx::replicated_local`] program, as every rank
-/// calls it.
+/// One step of a fused program ([`NodeCtx::program`]), as every rank
+/// calls it. Its root is rank 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Local {
+pub enum Step {
     /// A barrier, as [`NodeCtx::barrier`].
     Barrier,
-    /// Rank 0 runs the program's next act.
+    /// A gather of every rank's `data` to rank 0, as [`NodeCtx::gather`].
+    Gather,
+    /// A pure root step: rank 0's next bytes, computed from the gathered
+    /// buffers and from state every rank shares. If it fails, every rank
+    /// returns its error.
+    Plan,
+    /// A charged root step: rank 0 acts on state every rank shares (the
+    /// PFS namespace, a file) and returns its next bytes. If it fails, it
+    /// fails like the separate call it stands for.
     Act,
-    /// A broadcast from rank 0 of what its last act returned, as
+    /// A broadcast from rank 0 of what its last root step returned, as
     /// [`NodeCtx::broadcast`] with the other ranks passing nothing.
     Broadcast,
     /// Run the next `n` steps only if the broadcast just before delivered
@@ -326,13 +330,13 @@ pub enum Local {
     IfSet(usize),
 }
 
-impl Local {
-    /// How many executor steps this step expands to.
-    fn len(&self) -> usize {
+impl Step {
+    /// How many instructions this step expands to.
+    fn len(self) -> usize {
         match self {
-            Local::Barrier => 3,
-            Local::Broadcast => 2,
-            Local::Act | Local::IfSet(_) => 1,
+            Step::Barrier => 3,
+            Step::Gather | Step::Broadcast => 2,
+            Step::Plan | Step::Act | Step::IfSet(_) => 1,
         }
     }
 }
@@ -459,27 +463,37 @@ impl Phase {
     }
 }
 
-/// One step of a collective program.
+/// One instruction of a collective program.
 #[derive(Debug, Clone, Copy)]
-enum Step {
+enum Instr {
     /// Record the `Collective` event of API-level collective `op` (with
     /// its root) where a separate call would have recorded it.
     Announce(CollOp, Option<usize>),
     /// Run the legs of a phase.
     Phase(Phase),
-    /// Run the program's `k`-th root-side step on the root's slots.
+    /// Run the program's `k`-th root-side step on the root's slots, as a
+    /// pure step that does not use its `RankIo` (in the cell it gets the
+    /// combining rank's context).
     AtRoot(usize),
-    /// Run the next `n` steps only if the whole slot holds the verdict
-    /// `[1]` (every rank has it once a broadcast delivered it).
+    /// [`Instr::AtRoot`] for a caller's [`Step::Plan`], which gets the
+    /// root's `RankIo` as an act does.
+    Plan(usize),
+    /// Run the program's `k`-th root-side step as a charged step: on the
+    /// wire a failing one fails the program the way the separate call
+    /// fails (the root returns its error at once and its peers learn of
+    /// it when it departs, with no abort marker).
+    Act(usize),
+    /// Run the next `n` instructions only if the whole slot holds the
+    /// verdict `[1]` (every rank has it once a broadcast delivered it).
     IfSet(usize),
 }
 
 /// A barrier's two phases: gather tiny messages to rank 0, then scatter
 /// the release. Clock synchronization falls out of the arrival-time max
 /// rule.
-const BARRIER: [Step; 2] = [
-    Step::Phase(Phase::new(Pattern::Gather(0), Op::Barrier)),
-    Step::Phase(Phase::new(Pattern::Scatter(0), Op::Barrier)),
+const BARRIER: [Instr; 2] = [
+    Instr::Phase(Phase::new(Pattern::Gather(0), Op::Barrier)),
+    Instr::Phase(Phase::new(Pattern::Scatter(0), Op::Barrier)),
 ];
 
 /// A collective program as each rank calls it.
@@ -488,26 +502,19 @@ struct Program<'a> {
     /// every rank agrees on.
     ops: &'static [CollOp],
     root: usize,
-    steps: &'a [Step],
+    instrs: &'a [Instr],
     /// Fingerprint of a program built at run time (0 for a fixed one).
     shape: u64,
-    /// Whether its root steps charge the root's clock, trace and PFS
-    /// counters. In the cell such a step acts on the root's lane through
-    /// a [`LaneIo`]; on the wire a failing one fails the program the way
-    /// the separate call fails: the root returns its error at once and
-    /// its peers learn of it when it departs (no abort marker).
-    charged: bool,
 }
 
 impl<'a> Program<'a> {
-    /// A fixed program with pure root steps.
-    const fn new(ops: &'static [CollOp], root: usize, steps: &'a [Step]) -> Self {
+    /// A fixed program.
+    const fn new(ops: &'static [CollOp], root: usize, instrs: &'a [Instr]) -> Self {
         Program {
             ops,
             root,
-            steps,
+            instrs,
             shape: 0,
-            charged: false,
         }
     }
 }
@@ -517,7 +524,7 @@ fn no_root_step(_: &dyn RankIo, _: usize, _: &mut Slots) -> Result<(), MachineEr
     Ok(())
 }
 
-/// Whether `slots` hold the verdict `[1]`, which `Step::IfSet` tests.
+/// Whether `slots` hold the verdict `[1]`, which `Instr::IfSet` tests.
 fn verdict_set(slots: &Slots) -> bool {
     slots.whole.as_ref() == [1]
 }
@@ -675,7 +682,7 @@ fn replay_phase(
     }
 }
 
-/// Rank `rank`'s lane as the rank a charged root step acts for, on the
+/// Rank `rank`'s lane as the rank a root step acts for, on the
 /// thread that combines the round: the step's charges go to the lane's
 /// clock, its events to the lane's (which the rank records at exit, in
 /// order) and its PFS operation numbers continue the rank's count. The
@@ -738,8 +745,8 @@ impl NodeCtx {
     /// slots, `at_root(io, k, slots)` is the program's `k`-th root-side
     /// step, and `extract` takes this rank's results out of its slots at
     /// exit. `io` is the root's own context on the wire and the root's
-    /// lane (a [`LaneIo`]) in the cell of a charged program; a pure step
-    /// gets the combining rank's context and must not use it.
+    /// lane (a [`LaneIo`]) in the cell, but the combining rank's context
+    /// for an [`Instr::AtRoot`], which must not use it.
     fn run_program<F, R>(
         &self,
         program: Program<'_>,
@@ -753,9 +760,8 @@ impl NodeCtx {
         let Program {
             ops,
             root,
-            steps,
+            instrs,
             shape,
-            charged,
         } = program;
         let (rank, announce) = (self.rank(), self.announces_collectives());
         let Some(cell) = self.cell() else {
@@ -763,24 +769,27 @@ impl NodeCtx {
             deposit(&mut slots);
             let mut failed = None;
             let mut next = 0;
-            while let Some(&step) = steps.get(next) {
+            while let Some(&instr) = instrs.get(next) {
                 next += 1;
-                match step {
-                    Step::Announce(op, r) if announce => {
+                let on_root = rank == root && failed.is_none();
+                match instr {
+                    Instr::Announce(op, r) if announce => {
                         self.emit_at(self.now(), announced(op, r, rank, &slots));
                     }
-                    Step::Phase(phase) => {
+                    Instr::Phase(phase) => {
                         let tag = self.next_coll_tag();
                         self.wire_phase(phase, tag, &mut slots, &mut failed)?;
                     }
-                    Step::AtRoot(k) if rank == root && failed.is_none() => {
-                        match at_root(self, k, &mut slots) {
-                            Err(e) if charged => return Err(e),
-                            res => failed = res.err(),
-                        }
+                    Instr::AtRoot(k) | Instr::Plan(k) if on_root => {
+                        failed = at_root(self, k, &mut slots).err();
                     }
-                    Step::IfSet(n) if !verdict_set(&slots) => next += n,
-                    Step::Announce(..) | Step::AtRoot(_) | Step::IfSet(_) => {}
+                    Instr::Act(k) if on_root => at_root(self, k, &mut slots)?,
+                    Instr::IfSet(n) if !verdict_set(&slots) => next += n,
+                    Instr::Announce(..)
+                    | Instr::AtRoot(_)
+                    | Instr::Plan(_)
+                    | Instr::Act(_)
+                    | Instr::IfSet(_) => {}
                 }
             }
             return match failed {
@@ -807,10 +816,10 @@ impl NodeCtx {
                 }
                 let mut tags = 0;
                 let mut next = 0;
-                while let Some(&step) = steps.get(next) {
+                while let Some(&instr) = instrs.get(next) {
                     next += 1;
-                    match step {
-                        Step::Announce(op, r) => {
+                    match instr {
+                        Instr::Announce(op, r) => {
                             for (me, lane) in lanes.iter_mut().enumerate() {
                                 if lane.announce {
                                     let event = announced(op, r, me, &lane.slots);
@@ -818,12 +827,13 @@ impl NodeCtx {
                                 }
                             }
                         }
-                        Step::Phase(phase) => {
+                        Instr::Phase(phase) => {
                             let tag = self.coll_tag(tags);
                             replay_phase(phase, tag, net, tracing, lanes, replay);
                             tags += 1;
                         }
-                        Step::AtRoot(k) if charged => {
+                        Instr::AtRoot(k) => at_root(self, k, &mut lanes[root].slots)?,
+                        Instr::Plan(k) | Instr::Act(k) => {
                             let Lane {
                                 clock,
                                 slots,
@@ -843,9 +853,8 @@ impl NodeCtx {
                             (*clock, *pfs_ops) = (io.clock.get(), io.pfs_ops.get());
                             res?;
                         }
-                        Step::AtRoot(k) => at_root(self, k, &mut lanes[root].slots)?,
-                        Step::IfSet(n) if !verdict_set(&lanes[root].slots) => next += n,
-                        Step::IfSet(_) => {}
+                        Instr::IfSet(n) if !verdict_set(&lanes[root].slots) => next += n,
+                        Instr::IfSet(_) => {}
                     }
                 }
                 for lane in lanes.iter_mut() {
@@ -864,7 +873,7 @@ impl NodeCtx {
             Err(e) => {
                 // The wire runs every phase of a failed program, carrying
                 // abort markers.
-                let phases = steps.iter().filter(|s| matches!(s, Step::Phase(_)));
+                let phases = instrs.iter().filter(|i| matches!(i, Instr::Phase(_)));
                 self.skip_coll_tags(phases.count() as u32);
                 return Err(e);
             }
@@ -946,11 +955,11 @@ impl NodeCtx {
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let steps = [Step::Phase(Phase::new(
+        let instrs = [Instr::Phase(Phase::new(
             Pattern::Broadcast(root),
             Op::Broadcast,
         ))];
-        let program = Program::new(&[CollOp::Broadcast], root, &steps);
+        let program = Program::new(&[CollOp::Broadcast], root, &instrs);
         let deposit = |s: &mut Slots| s.whole = Payload::Owned(data);
         let out = self.run_program(program, no_root_step, deposit, Slots::take_whole)?;
         Ok(out.into_vec())
@@ -966,8 +975,8 @@ impl NodeCtx {
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let steps = [Step::Phase(Phase::new(Pattern::Gather(root), Op::Gather))];
-        let program = Program::new(&[CollOp::Gather], root, &steps);
+        let instrs = [Instr::Phase(Phase::new(Pattern::Gather(root), Op::Gather))];
+        let program = Program::new(&[CollOp::Gather], root, &instrs);
         let me = self.rank();
         self.run_program(
             program,
@@ -986,12 +995,12 @@ impl NodeCtx {
             bytes: data.len() as u64,
         });
         let _scope = self.collective_scope();
-        let steps = [
-            Step::Phase(Phase::new(Pattern::Gather(0), Op::Gather)),
-            Step::AtRoot(0),
-            Step::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
+        let instrs = [
+            Instr::Phase(Phase::new(Pattern::Gather(0), Op::Gather)),
+            Instr::AtRoot(0),
+            Instr::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
         ];
-        let program = Program::new(&[CollOp::AllGather], 0, &steps);
+        let program = Program::new(&[CollOp::AllGather], 0, &instrs);
         let me = self.rank();
         let frame = |_: &dyn RankIo, _, s: &mut Slots| {
             s.whole = Payload::Owned(frame_blocks(&s.parts));
@@ -1013,61 +1022,6 @@ impl NodeCtx {
         unframe_blocks(framed.as_ref()).map_err(|e| {
             MachineError::CollectiveMismatch(format!("all_gather: malformed framed payload: {e}"))
         })
-    }
-
-    /// Scatter one buffer to each rank from `root`. On the root, `parts`
-    /// must be `Some` with exactly `nprocs` entries; elsewhere it must be
-    /// `None`. Returns this rank's part.
-    pub fn scatter(
-        &self,
-        root: usize,
-        parts: Option<Vec<Vec<u8>>>,
-    ) -> Result<Vec<u8>, MachineError> {
-        self.check_root(root)?;
-        let n = self.nprocs();
-        self.emit_collective_with(|| EventKind::Collective {
-            op: CollOp::Scatter,
-            root: Some(root),
-            bytes: parts
-                .as_ref()
-                .map_or(0, |ps| ps.iter().map(|p| p.len() as u64).sum()),
-        });
-        let _scope = self.collective_scope();
-        let parts = match parts {
-            Some(parts) if self.rank() == root && parts.len() == n => parts,
-            Some(parts) if self.rank() == root => {
-                return Err(MachineError::CollectiveMismatch(format!(
-                    "scatter: {} parts for {} ranks",
-                    parts.len(),
-                    n
-                )));
-            }
-            None if self.rank() == root => {
-                return Err(MachineError::CollectiveMismatch(
-                    "scatter: root must supply parts".into(),
-                ));
-            }
-            None => Vec::new(),
-            Some(_) => {
-                return Err(MachineError::CollectiveMismatch(
-                    "scatter: non-root rank supplied parts".into(),
-                ));
-            }
-        };
-        let steps = [Step::Phase(Phase::new(Pattern::Scatter(root), Op::Scatter))];
-        let program = Program::new(&[CollOp::Scatter], root, &steps);
-        let me = self.rank();
-        let out = self.run_program(
-            program,
-            no_root_step,
-            |s| {
-                for (slot, part) in s.parts.iter_mut().zip(parts) {
-                    *slot = Payload::Owned(part);
-                }
-            },
-            |s| std::mem::take(&mut s.parts[me]),
-        )?;
-        Ok(out.into_vec())
     }
 
     /// Personalized all-to-all: `parts[to]` is sent to rank `to`; the
@@ -1109,59 +1063,26 @@ impl NodeCtx {
         Ok(out)
     }
 
-    /// Fold the root's gathered operands in the wire order (the root's
-    /// own first, then every other rank's in rank order) into
-    /// `slots.whole`.
-    fn fold_at_root<T, F>(root: usize, op: &F, slots: &mut Slots) -> Result<(), MachineError>
+    /// Fold rank 0's gathered operands in the wire order (its own first,
+    /// then every other rank's in rank order) into `slots.whole`.
+    fn fold_at_root<T, F>(op: &F, slots: &mut Slots) -> Result<(), MachineError>
     where
         T: Wire,
         F: Fn(T, T) -> T,
     {
         const WHAT: &str = "reduce: undecodable operand";
-        let mut acc: T = decode(slots.parts[root].as_ref(), WHAT)?;
-        for (from, raw) in slots.parts.iter().enumerate() {
-            if from != root {
-                acc = op(acc, decode(raw.as_ref(), WHAT)?);
-            }
+        let (own, others) = slots.parts.split_first().expect("a rank");
+        let mut acc: T = decode(own.as_ref(), WHAT)?;
+        for raw in others {
+            acc = op(acc, decode(raw.as_ref(), WHAT)?);
         }
         slots.whole = acc.with_wire(Payload::copy_of);
         Ok(())
     }
 
-    /// Reduce `value` across all ranks with `op`, result on `root` only.
-    pub fn reduce<T, F>(&self, root: usize, value: T, op: F) -> Result<Option<T>, MachineError>
-    where
-        T: Wire,
-        F: Fn(T, T) -> T,
-    {
-        self.check_root(root)?;
-        let mine = value.with_wire(Payload::copy_of);
-        self.emit_collective_with(|| EventKind::Collective {
-            op: CollOp::Reduce,
-            root: Some(root),
-            bytes: mine.len() as u64,
-        });
-        let _scope = self.collective_scope();
-        let steps = [
-            Step::Phase(Phase::new(Pattern::Gather(root), Op::Reduce)),
-            Step::AtRoot(0),
-        ];
-        let program = Program::new(&[CollOp::Reduce], root, &steps);
-        let me = self.rank();
-        let out = self.run_program(
-            program,
-            |_, _, s| Self::fold_at_root(root, &op, s),
-            |s| s.parts[me] = mine,
-            Slots::take_whole,
-        )?;
-        if me != root {
-            return Ok(None);
-        }
-        decode(out.as_ref(), "reduce: undecodable result").map(Some)
-    }
-
-    /// Reduce with the result delivered to every rank: a reduce to rank 0
-    /// followed by a broadcast of the result.
+    /// Reduce `value` across all ranks with `op`, the result delivered to
+    /// every rank: a gather to rank 0, the fold there, and a broadcast of
+    /// the result.
     pub fn all_reduce<T, F>(&self, value: T, op: F) -> Result<T, MachineError>
     where
         T: Wire,
@@ -1174,285 +1095,145 @@ impl NodeCtx {
             bytes: mine.len() as u64,
         });
         let _scope = self.collective_scope();
-        let steps = [
-            Step::Phase(Phase::new(Pattern::Gather(0), Op::Reduce)),
-            Step::AtRoot(0),
-            Step::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
+        let instrs = [
+            Instr::Phase(Phase::new(Pattern::Gather(0), Op::Reduce)),
+            Instr::AtRoot(0),
+            Instr::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
         ];
-        let program = Program::new(&[CollOp::AllReduce], 0, &steps);
+        let program = Program::new(&[CollOp::AllReduce], 0, &instrs);
         let me = self.rank();
         let out = self.run_program(
             program,
-            |_, _, s| Self::fold_at_root(0, &op, s),
+            |_, _, s| Self::fold_at_root(&op, s),
             |s| s.parts[me] = mine,
             Slots::take_whole,
         )?;
         decode(out.as_ref(), "all_reduce: undecodable result")
     }
 
-    /// Gather every rank's operand to rank 0, let `prefixes` turn them
-    /// in place into per-rank results there, and scatter those back.
-    fn prefix_collective<T, P>(
-        &self,
-        ops: &'static [CollOp],
-        value: T,
-        what: &str,
-        mut prefixes: P,
-    ) -> Result<T, MachineError>
-    where
-        T: Wire,
-        P: FnMut(&mut [Payload]) -> Result<(), MachineError>,
-    {
-        let steps = [
-            Step::Phase(Phase::new(Pattern::Gather(0), Op::Gather)),
-            Step::AtRoot(0),
-            Step::Phase(Phase::new(Pattern::Scatter(0), Op::Scatter)),
-        ];
-        let program = Program::new(ops, 0, &steps);
-        let me = self.rank();
-        let out = self.run_program(
-            program,
-            |_, _, s| prefixes(&mut s.parts),
-            |s| s.parts[me] = value.with_wire(Payload::copy_of),
-            |s| std::mem::take(&mut s.parts[me]),
-        )?;
-        decode(out.as_ref(), what)
-    }
-
-    /// Inclusive prefix reduction ("scan"): rank r receives
-    /// `op(v_0, op(v_1, … v_r))`. Useful for computing per-rank offsets
-    /// into a shared resource (e.g. file regions) in one collective.
-    pub fn scan<T, F>(&self, value: T, op: F) -> Result<T, MachineError>
-    where
-        T: Wire,
-        F: Fn(&T, &T) -> T,
-    {
-        self.emit_collective_with(|| EventKind::Collective {
-            op: CollOp::Scan,
-            root: None,
-            bytes: value.with_wire(<[u8]>::len) as u64,
-        });
-        let _scope = self.collective_scope();
-        self.prefix_collective(
-            &[CollOp::Scan],
-            value,
-            "scan: undecodable result",
-            |parts| {
-                let mut acc: Option<T> = None;
-                for part in parts {
-                    let v: T = decode(part.as_ref(), "scan: undecodable operand")?;
-                    let next = match &acc {
-                        None => v,
-                        Some(a) => op(a, &v),
-                    };
-                    *part = next.with_wire(Payload::copy_of);
-                    acc = Some(decode(part.as_ref(), "scan: roundtrip failure")?);
-                }
-                Ok(())
-            },
-        )
-    }
-
-    /// Exclusive prefix reduction: rank 0 receives `identity`, rank r > 0
-    /// receives `op(v_0, … v_{r-1})`.
-    pub fn exclusive_scan<T, F>(&self, value: T, identity: T, op: F) -> Result<T, MachineError>
-    where
-        T: Wire,
-        F: Fn(&T, &T) -> T,
-    {
-        self.emit_collective_with(|| EventKind::Collective {
-            op: CollOp::ExclusiveScan,
-            root: None,
-            bytes: value.with_wire(<[u8]>::len) as u64,
-        });
-        let _scope = self.collective_scope();
-        let mut identity = Some(identity);
-        let what = "exclusive_scan: undecodable result";
-        self.prefix_collective(&[CollOp::ExclusiveScan], value, what, |parts| {
-            let mut acc = identity.take().expect("the root step runs once");
-            for part in parts {
-                let v: T = decode(part.as_ref(), "exclusive_scan: undecodable operand")?;
-                *part = acc.with_wire(Payload::copy_of);
-                acc = op(&acc, &v);
-            }
-            Ok(())
-        })
-    }
-
-    /// A barrier, then a gather of every rank's `data` to `root`, `plan`
-    /// over the gathered buffers there, and a broadcast of its result
-    /// from `root`: four collectives in one rendezvous. Returns the
-    /// plan on every rank. Legs, tags, clocks and trace events are those
-    /// of the separate calls ([`NodeCtx::barrier`], [`NodeCtx::gather`],
-    /// the root's own step, [`NodeCtx::broadcast`]).
+    /// Run a fused program of `steps` rooted at rank 0 in one rendezvous:
+    /// the plan exchange of a collective write (barrier, gather, plan,
+    /// broadcast), or a replicated-local step (paper §4.2) in which rank
+    /// 0 acts on state every rank shares (the PFS namespace, a file) and
+    /// the others learn the outcome through the program's barriers and
+    /// broadcasts. Legs, tags, clocks and trace events are those of the
+    /// separate calls, with rank 0 running its root steps between them.
     ///
-    /// `plan` runs once, on the root or on the thread that combines the
-    /// round, so it must be a pure function of the buffers and of state
-    /// every rank shares (all ranks pass the same `plan`). If it fails,
-    /// every rank returns its error.
-    pub fn barrier_gather_plan_broadcast<F>(
-        &self,
-        root: usize,
-        data: Vec<u8>,
-        plan: F,
-    ) -> Result<Vec<u8>, MachineError>
-    where
-        F: FnMut(Gathered<'_>) -> Result<Vec<u8>, MachineError>,
-    {
-        self.plan_exchange(true, root, data, plan)
-    }
-
-    /// [`NodeCtx::barrier_gather_plan_broadcast`] without the barrier:
-    /// gather, `plan` on the root, broadcast, in one rendezvous.
-    pub fn gather_plan_broadcast<F>(
-        &self,
-        root: usize,
-        data: Vec<u8>,
-        plan: F,
-    ) -> Result<Vec<u8>, MachineError>
-    where
-        F: FnMut(Gathered<'_>) -> Result<Vec<u8>, MachineError>,
-    {
-        self.plan_exchange(false, root, data, plan)
-    }
-
-    fn plan_exchange<F>(
-        &self,
-        barrier: bool,
-        root: usize,
-        data: Vec<u8>,
-        mut plan: F,
-    ) -> Result<Vec<u8>, MachineError>
-    where
-        F: FnMut(Gathered<'_>) -> Result<Vec<u8>, MachineError>,
-    {
-        self.check_root(root)?;
-        let steps = [
-            Step::Announce(CollOp::Barrier, None),
-            BARRIER[0],
-            BARRIER[1],
-            Step::Announce(CollOp::Gather, Some(root)),
-            Step::Phase(Phase::new(Pattern::Gather(root), Op::Gather)),
-            Step::AtRoot(0),
-            Step::Announce(CollOp::Broadcast, Some(root)),
-            Step::Phase(Phase::new(Pattern::Broadcast(root), Op::Broadcast)),
-        ];
-        let program = if barrier {
-            Program::new(
-                &[CollOp::Barrier, CollOp::Gather, CollOp::Broadcast],
-                root,
-                &steps,
-            )
-        } else {
-            Program::new(&[CollOp::Gather, CollOp::Broadcast], root, &steps[3..])
-        };
-        let me = self.rank();
-        let out = self.run_program(
-            program,
-            |_, _, s| {
-                s.whole = Payload::Owned(plan(Gathered(&s.parts))?);
-                Ok(())
-            },
-            |s| s.parts[me] = Payload::Owned(data),
-            Slots::take_whole,
-        )?;
-        Ok(out.into_vec())
-    }
-
-    /// Run a replicated-local program (paper §4.2) in one rendezvous:
-    /// rank 0 acts on state every rank shares (the PFS namespace, a
-    /// file), and the others learn the outcome through the program's
-    /// barriers and broadcasts. Legs, tags, clocks and trace events are
-    /// those of the separate calls, with rank 0 acting between them.
+    /// `data` is what this rank's [`Step::Gather`] sends.
+    /// `root_step(k, io, gathered)` runs the program's `k`-th
+    /// [`Step::Plan`] or [`Step::Act`] (counting those an
+    /// [`Step::IfSet`] skipped) once, for rank 0: on the wire on rank 0
+    /// with `io` its own context, in the cell on the rank that completes
+    /// the round with `io` rank 0's lane. Either way, PFS reads and writes
+    /// made through `io` are charged to rank 0's clock, trace and
+    /// operation count exactly as a separate call would charge them; so a
+    /// root step must reach rank 0's state through `io` and `gathered`
+    /// only, and otherwise only state every rank shares. Its bytes are
+    /// what the next [`Step::Broadcast`] sends. Returns the bytes of the
+    /// last broadcast on every rank (on rank 0, those of its last root
+    /// step).
     ///
-    /// `act(io, k)` runs the program's `k`-th [`Local::Act`] (counting
-    /// the acts a [`Local::IfSet`] skipped) once, for rank 0: on the wire
-    /// on rank 0 with `io` its own context, in the cell on the rank that
-    /// completes the round with `io` rank 0's lane. Either way, PFS reads
-    /// and writes made through `io` are charged to rank 0's clock, trace
-    /// and operation count exactly as a separate call would charge them;
-    /// so an act must reach rank 0's state through `io` only, and
-    /// otherwise only state every rank shares. Its bytes are what the
-    /// next [`Local::Broadcast`] sends. Returns the bytes of the last
-    /// broadcast on every rank (on rank 0, those of its last act).
-    ///
-    /// A failing act fails the program the way the separate calls fail.
-    /// On the wire rank 0 returns the act's error at once and its peers
-    /// learn of it when rank 0 departs, as [`MachineError::PeerGone`]
-    /// (that is what a power cut inside an act's write looks like). The
-    /// cell, which runs fault-free, hands every rank the error's text as
-    /// a [`MachineError::CollectiveMismatch`].
+    /// A failing root step hands the other ranks its error (a
+    /// [`MachineError`] as it is, any other error as a
+    /// [`MachineError::CollectiveMismatch`] with its text). A failing
+    /// `Plan` fails every rank at once; on the wire rank 0 returns its own
+    /// error. A failing `Act` fails the way the separate calls fail: on
+    /// the wire rank 0 returns its own error at once and its peers learn
+    /// of it when rank 0 departs, as [`MachineError::PeerGone`] (that is
+    /// what a power cut inside an act's write looks like); the cell,
+    /// which runs fault-free, hands it to every rank at once.
     ///
     /// # Panics
     ///
     /// If an `IfSet` does not directly follow a `Broadcast` or reaches
     /// past the end of the program.
-    pub fn replicated_local<E, F>(&self, program: &[Local], mut act: F) -> Result<Vec<u8>, E>
+    pub fn program<E, F>(
+        &self,
+        steps: &[Step],
+        data: Vec<u8>,
+        mut root_step: F,
+    ) -> Result<Vec<u8>, E>
     where
-        E: From<MachineError> + std::fmt::Display,
-        F: FnMut(&dyn RankIo, usize) -> Result<Vec<u8>, E>,
+        E: From<MachineError> + Display + 'static,
+        F: FnMut(usize, &dyn RankIo, Gathered<'_>) -> Result<Vec<u8>, E>,
     {
-        let mut steps = Vec::with_capacity(3 * program.len());
+        let mut instrs = Vec::with_capacity(3 * steps.len());
         // FNV-1a over the step codes: ranks that built different programs
         // fail the rendezvous instead of replaying one of them.
         let mut shape: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut acts = 0;
-        for (i, &local) in program.iter().enumerate() {
-            let code = match local {
-                Local::Barrier => {
-                    steps.extend([
-                        Step::Announce(CollOp::Barrier, None),
+        let mut roots = 0;
+        for (i, &step) in steps.iter().enumerate() {
+            let code = match step {
+                Step::Barrier => {
+                    instrs.extend([
+                        Instr::Announce(CollOp::Barrier, None),
                         BARRIER[0],
                         BARRIER[1],
                     ]);
                     1
                 }
-                Local::Act => {
-                    steps.push(Step::AtRoot(acts));
-                    acts += 1;
+                Step::Gather => {
+                    instrs.extend([
+                        Instr::Announce(CollOp::Gather, Some(0)),
+                        Instr::Phase(Phase::new(Pattern::Gather(0), Op::Gather)),
+                    ]);
                     2
                 }
-                Local::Broadcast => {
-                    steps.extend([
-                        Step::Announce(CollOp::Broadcast, Some(0)),
-                        Step::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
-                    ]);
+                Step::Plan => {
+                    instrs.push(Instr::Plan(roots));
+                    roots += 1;
                     3
                 }
-                Local::IfSet(n) => {
+                Step::Act => {
+                    instrs.push(Instr::Act(roots));
+                    roots += 1;
+                    4
+                }
+                Step::Broadcast => {
+                    instrs.extend([
+                        Instr::Announce(CollOp::Broadcast, Some(0)),
+                        Instr::Phase(Phase::new(Pattern::Broadcast(0), Op::Broadcast)),
+                    ]);
+                    5
+                }
+                Step::IfSet(n) => {
                     assert!(
-                        i > 0 && program[i - 1] == Local::Broadcast,
+                        i > 0 && steps[i - 1] == Step::Broadcast,
                         "IfSet must follow a Broadcast"
                     );
-                    let guarded = program
+                    let guarded = steps
                         .get(i + 1..i + 1 + n)
                         .expect("IfSet reaches past the program's end");
-                    steps.push(Step::IfSet(guarded.iter().map(Local::len).sum()));
-                    4 + n as u64
+                    instrs.push(Instr::IfSet(guarded.iter().map(|s| s.len()).sum()));
+                    6 + n as u64
                 }
             };
             shape = (shape ^ code).wrapping_mul(0x0100_0000_01b3);
         }
         let program = Program {
-            ops: &[CollOp::Barrier, CollOp::Broadcast],
+            ops: &[CollOp::Barrier, CollOp::Gather, CollOp::Broadcast],
             root: 0,
-            steps: &steps,
+            instrs: &instrs,
             shape,
-            charged: true,
         };
         let mut failure = None;
-        let run = |io: &dyn RankIo, k, s: &mut Slots| match act(io, k) {
+        let run = |io: &dyn RankIo, k, s: &mut Slots| match root_step(k, io, Gathered(&s.parts)) {
             Ok(bytes) => {
                 s.whole = Payload::Owned(bytes);
                 Ok(())
             }
             Err(e) => {
-                let text = MachineError::CollectiveMismatch(e.to_string());
+                let shared = match (&e as &dyn Any).downcast_ref::<MachineError>() {
+                    Some(e) => e.clone(),
+                    None => MachineError::CollectiveMismatch(e.to_string()),
+                };
                 failure = Some(e);
-                Err(text)
+                Err(shared)
             }
         };
-        match self.run_program(program, run, |_| {}, Slots::take_whole) {
+        let me = self.rank();
+        let deposit = |s: &mut Slots| s.parts[me] = Payload::Owned(data);
+        match self.run_program(program, run, deposit, Slots::take_whole) {
             Ok(out) => Ok(out.into_vec()),
             Err(e) => Err(match failure {
                 Some(own) if self.cell().is_none() => own,
@@ -1579,31 +1360,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_delivers_by_rank() {
-        let out = Machine::run(MachineConfig::functional(4), |ctx| {
-            let parts = ctx
-                .is_root()
-                .then(|| (0..4).map(|r| vec![r as u8; r + 1]).collect());
-            ctx.scatter(0, parts).unwrap()
-        })
-        .unwrap();
-        for (r, part) in out.iter().enumerate() {
-            assert_eq!(part, &vec![r as u8; r + 1]);
-        }
-    }
-
-    #[test]
-    fn scatter_rejects_wrong_part_count() {
-        Machine::run(MachineConfig::functional(2), |ctx| {
-            if ctx.is_root() {
-                let err = ctx.scatter(0, Some(vec![vec![]; 3])).unwrap_err();
-                assert!(matches!(err, MachineError::CollectiveMismatch(_)));
-            }
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn all_to_all_transposes() {
         for nprocs in [1usize, 2, 3, 4, 7] {
             let out = Machine::run(MachineConfig::functional(nprocs), move |ctx| {
@@ -1622,22 +1378,13 @@ mod tests {
     }
 
     #[test]
-    fn reduce_and_all_reduce_sum() {
+    fn all_reduce_sums() {
         let out = Machine::run(MachineConfig::functional(6), |ctx| {
-            let local = (ctx.rank() + 1) as u64;
-            let r = ctx.reduce(0, local, |a, b| a + b).unwrap();
-            let ar = ctx.all_reduce(local, |a: u64, b| a + b).unwrap();
-            (r, ar)
+            ctx.all_reduce((ctx.rank() + 1) as u64, |a, b| a + b)
+                .unwrap()
         })
         .unwrap();
-        let expect: u64 = (1..=6).sum();
-        assert_eq!(out[0].0, Some(expect));
-        for (r, (red, allred)) in out.iter().enumerate() {
-            assert_eq!(*allred, expect);
-            if r != 0 {
-                assert!(red.is_none());
-            }
-        }
+        assert_eq!(out, vec![(1..=6).sum::<u64>(); 6]);
     }
 
     #[test]
@@ -1650,38 +1397,6 @@ mod tests {
         for t in out {
             assert!(t >= VTime::from_millis(30));
         }
-    }
-
-    #[test]
-    fn scan_computes_inclusive_prefixes() {
-        let out = Machine::run(MachineConfig::functional(5), |ctx| {
-            ctx.scan((ctx.rank() + 1) as u64, |a, b| a + b).unwrap()
-        })
-        .unwrap();
-        assert_eq!(out, vec![1, 3, 6, 10, 15]);
-    }
-
-    #[test]
-    fn exclusive_scan_computes_offsets() {
-        // The classic use: per-rank byte offsets from per-rank lengths.
-        let out = Machine::run(MachineConfig::functional(4), |ctx| {
-            let my_len = (ctx.rank() as u64 + 1) * 10;
-            ctx.exclusive_scan(my_len, 0u64, |a, b| a + b).unwrap()
-        })
-        .unwrap();
-        assert_eq!(out, vec![0, 10, 30, 60]);
-    }
-
-    #[test]
-    fn scans_work_on_one_rank() {
-        let out = Machine::run(MachineConfig::functional(1), |ctx| {
-            (
-                ctx.scan(7u64, |a, b| a + b).unwrap(),
-                ctx.exclusive_scan(7u64, 0u64, |a, b| a + b).unwrap(),
-            )
-        })
-        .unwrap();
-        assert_eq!(out[0], (7, 0));
     }
 
     #[test]

@@ -13,8 +13,8 @@ use crate::time::VTime;
 pub enum MemoryModel {
     /// One address space per rank; all sharing via messages.
     Distributed,
-    /// Single address space; messages model bus traffic, and shared
-    /// regions (`SharedRegion`) are legal.
+    /// Single address space; messages model bus traffic, and a shared
+    /// buffer (`SharedBuffer`) is legal.
     Shared,
 }
 

@@ -14,9 +14,10 @@
 //!   reproduced tables are simulated platform seconds, reproducible on any
 //!   host;
 //! * the **collective operations** an I/O runtime needs: barrier,
-//!   broadcast, gather, all-gather, scatter, all-to-all, reduce;
-//! * [`SharedRegion`]/[`SharedBuffer`] for the shared-memory (SGI
-//!   Challenge) machine variant.
+//!   broadcast, gather, all-gather, all-to-all, all-reduce, and fused
+//!   programs of [`Step`]s rooted at rank 0 ([`NodeCtx::program`]);
+//! * [`SharedBuffer`] for the shared-memory (SGI Challenge) machine
+//!   variant.
 //!
 //! ## Example
 //!
@@ -48,13 +49,13 @@ pub mod shared;
 pub mod time;
 pub mod wire;
 
-pub use collectives::{Gathered, Local};
+pub use collectives::{Gathered, Step};
 pub use config::{CollectiveConfig, CpuModel, MachineConfig, MemoryModel, NetModel};
 pub use error::MachineError;
 pub use fault::{EdgeCut, FaultDecision, FaultPlan, FaultSpec, MsgFate, MsgFaultPlan};
 pub use machine::Machine;
 pub use message::{Tag, AGG_SHUTTLE_RETRY_BASE, AGG_SHUTTLE_TAG, REDIST_SHUTTLE_TAG};
 pub use node::{AsyncOp, CollectiveScope, NodeCtx, RankIo};
-pub use shared::{SharedBuffer, SharedRegion};
+pub use shared::SharedBuffer;
 pub use time::{VTime, VirtualClock};
 pub use wire::Wire;

@@ -104,10 +104,10 @@ struct AsyncQueue {
 
 /// What an independent PFS access touches of the rank it is charged to:
 /// its identity, clock, trace, PFS operation counter and fault plan. A
-/// rank's own [`NodeCtx`] is one. The collective cell lends a
-/// replicated-local act another, standing for rank 0's lane, so the rank
+/// rank's own [`NodeCtx`] is one. The collective cell lends a fused
+/// program's root step another, standing for rank 0's lane, so the rank
 /// that completes a round can act for rank 0 with the same charges,
-/// events and operation numbers (see [`NodeCtx::replicated_local`]).
+/// events and operation numbers (see [`NodeCtx::program`]).
 pub trait RankIo {
     /// The rank charged.
     fn rank(&self) -> usize;
@@ -767,22 +767,6 @@ impl NodeCtx {
         Ok(env.payload)
     }
 
-    /// Send a typed value (any [`crate::Wire`] type) to rank `to`.
-    pub fn send_val<T: crate::Wire>(&self, to: usize, tag: Tag, v: &T) -> Result<(), MachineError> {
-        self.send(to, tag, &v.to_wire())
-    }
-
-    /// Receive a typed value from rank `from`.
-    pub fn recv_val<T: crate::Wire>(&self, from: usize, tag: Tag) -> Result<T, MachineError> {
-        let raw = self.recv(from, tag)?;
-        T::from_wire(&raw).ok_or_else(|| {
-            MachineError::CollectiveMismatch(format!(
-                "typed receive from rank {from} tag {tag:#x}: undecodable payload of {} bytes",
-                raw.len()
-            ))
-        })
-    }
-
     /// Next collective sequence number (wraps in the reserved tag space).
     pub(crate) fn next_coll_tag(&self) -> Tag {
         let tag = self.coll_tag(0);
@@ -852,6 +836,7 @@ impl Drop for CollectiveScope<'_> {
 mod tests {
     use super::*;
     use crate::machine::Machine;
+    use crate::Wire;
 
     #[test]
     fn ranks_and_sizes_are_consistent() {
@@ -910,25 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_send_recv_roundtrips() {
-        Machine::run(MachineConfig::functional(2), |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send_val(1, 3, &1.5f64).unwrap();
-                ctx.send_val(1, 4, &u64::MAX).unwrap();
-            } else {
-                assert_eq!(ctx.recv_val::<f64>(0, 3).unwrap(), 1.5);
-                assert_eq!(ctx.recv_val::<u64>(0, 4).unwrap(), u64::MAX);
-                // Wrong width is caught.
-                ctx.send_val(0, 5, &1u32).unwrap();
-            }
-            if ctx.rank() == 0 {
-                assert!(ctx.recv_val::<u64>(1, 5).is_err());
-            }
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn chaos_soup_delivers_exactly_once_in_order() {
         use crate::fault::{FaultPlan, MsgFaultPlan};
         let mut cfg = MachineConfig::functional(2);
@@ -945,13 +911,13 @@ mod tests {
         Machine::run(cfg, |ctx| {
             if ctx.rank() == 0 {
                 for i in 0..n {
-                    ctx.send_val(1, 7, &i).unwrap();
+                    ctx.send(1, 7, &i.to_wire()).unwrap();
                 }
             } else {
                 // Exactly once, in per-edge order, despite drops, dups,
                 // delays and reorders on the wire.
                 for i in 0..n {
-                    assert_eq!(ctx.recv_val::<u64>(0, 7).unwrap(), i);
+                    assert_eq!(u64::from_wire(&ctx.recv(0, 7).unwrap()), Some(i));
                 }
             }
         })
@@ -972,8 +938,9 @@ mod tests {
                 for round in 0..20u64 {
                     let peer = (ctx.rank() + 1) % ctx.nprocs();
                     let prev = (ctx.rank() + ctx.nprocs() - 1) % ctx.nprocs();
-                    ctx.send_val(peer, 3, &acc).unwrap();
-                    acc = acc.wrapping_mul(31) ^ ctx.recv_val::<u64>(prev, 3).unwrap() ^ round;
+                    ctx.send(peer, 3, &acc.to_wire()).unwrap();
+                    let got = u64::from_wire(&ctx.recv(prev, 3).unwrap()).unwrap();
+                    acc = acc.wrapping_mul(31) ^ got ^ round;
                 }
                 (acc, ctx.now())
             })

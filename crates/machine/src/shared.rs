@@ -1,61 +1,19 @@
-//! Shared-memory regions for `MemoryModel::Shared` machines.
+//! The shared buffer of `MemoryModel::Shared` machines.
 //!
 //! On the SGI Challenge the pC++ runtime places collections and the
 //! d/stream buffer in a single address space; pC++/streams then collapses
-//! its per-node buffers "to one or eliminated" (paper §4). `SharedRegion`
-//! is the substrate for that variant: a region allocated *before* the
+//! its per-node buffers "to one or eliminated" (paper §4). `SharedBuffer`
+//! is the substrate for that variant: a buffer allocated *before* the
 //! machine run and cloned into every rank's closure.
 //!
-//! The region does not advance virtual clocks by itself — the cost of
+//! The buffer does not advance virtual clocks by itself — the cost of
 //! shared accesses is the caller's to charge (typically via
 //! [`crate::NodeCtx::charge_memcpy`] plus a lock-handoff latency), because
 //! only the caller knows how many bytes moved.
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
-/// A value shared by all ranks of a shared-memory machine run.
-///
-/// Cloning is cheap (reference count); all clones view the same value.
-#[derive(Debug)]
-pub struct SharedRegion<T> {
-    inner: Arc<RwLock<T>>,
-}
-
-impl<T> Clone for SharedRegion<T> {
-    fn clone(&self) -> Self {
-        SharedRegion {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<T> SharedRegion<T> {
-    /// Allocate a region holding `value`.
-    pub fn new(value: T) -> Self {
-        SharedRegion {
-            inner: Arc::new(RwLock::new(value)),
-        }
-    }
-
-    /// Read access through a closure.
-    pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.inner.read())
-    }
-
-    /// Exclusive access through a closure.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.inner.write())
-    }
-
-    /// Unwrap the value if this is the last clone, else return `self`.
-    pub fn try_unwrap(self) -> Result<T, Self> {
-        Arc::try_unwrap(self.inner)
-            .map(|l| l.into_inner())
-            .map_err(|inner| SharedRegion { inner })
-    }
-}
+use parking_lot::Mutex;
 
 /// A shared, growable byte buffer with offset reservation — the "single
 /// buffer" that a shared-memory d/stream packs into. Ranks reserve disjoint
@@ -132,27 +90,6 @@ mod tests {
     use super::*;
     use crate::config::MachineConfig;
     use crate::machine::Machine;
-
-    #[test]
-    fn region_is_shared_across_ranks() {
-        let region = SharedRegion::new(0u64);
-        let r2 = region.clone();
-        Machine::run(MachineConfig::sgi_challenge(4), move |ctx| {
-            r2.with_mut(|v| *v += ctx.rank() as u64 + 1);
-            ctx.barrier().unwrap();
-        })
-        .unwrap();
-        assert_eq!(region.with(|v| *v), 1 + 2 + 3 + 4);
-    }
-
-    #[test]
-    fn try_unwrap_returns_value_when_unique() {
-        let region = SharedRegion::new(7);
-        assert_eq!(region.try_unwrap().ok(), Some(7));
-        let region = SharedRegion::new(7);
-        let _clone = region.clone();
-        assert!(region.try_unwrap().is_err());
-    }
 
     #[test]
     fn shared_buffer_reservations_are_disjoint() {

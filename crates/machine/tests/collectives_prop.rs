@@ -5,8 +5,8 @@
 
 use dstreams_machine::wire::frame_blocks;
 use dstreams_machine::{
-    FaultPlan, Gathered, Local, Machine, MachineConfig, MachineError, MsgFaultPlan, NodeCtx,
-    RankIo, VTime, Wire,
+    FaultPlan, Machine, MachineConfig, MachineError, MsgFaultPlan, NodeCtx, RankIo, Step, VTime,
+    Wire,
 };
 use dstreams_trace::{EventKind, IndependentRegime, OpCounts, PfsOp, TraceSink};
 use proptest::prelude::*;
@@ -51,45 +51,36 @@ proptest! {
     }
 
     #[test]
-    fn reduce_equals_the_sequential_fold(
+    fn all_reduce_equals_the_sequential_fold(
         nprocs in 1usize..7,
         values in proptest::collection::vec(any::<u32>(), 7),
-        root_pick in any::<usize>(),
     ) {
-        let root = root_pick % nprocs;
         let vals = values.clone();
         let out = Machine::run(MachineConfig::functional(nprocs), move |ctx| {
             let v = vals[ctx.rank() % vals.len()] as u64;
-            (
-                ctx.reduce(root, v, |a, b| a.wrapping_add(b)).unwrap(),
-                ctx.all_reduce(v, |a: u64, b| a.wrapping_add(b)).unwrap(),
-            )
+            ctx.all_reduce(v, |a: u64, b| a.wrapping_add(b)).unwrap()
         }).unwrap();
         let want: u64 = (0..nprocs)
             .map(|r| values[r % values.len()] as u64)
             .fold(0u64, |a, b| a.wrapping_add(b));
-        for (rank, (red, allred)) in out.iter().enumerate() {
-            prop_assert_eq!(*allred, want);
-            if rank == root {
-                prop_assert_eq!(*red, Some(want));
-            } else {
-                prop_assert!(red.is_none());
-            }
-        }
+        prop_assert_eq!(out, vec![want; nprocs]);
     }
 
     #[test]
-    fn gather_scatter_are_inverses(
+    fn gather_delivers_every_buffer_in_rank_order(
         nprocs in 1usize..7,
+        root_pick in any::<usize>(),
         salt in any::<u8>(),
     ) {
-        Machine::run(MachineConfig::functional(nprocs), move |ctx| {
-            let mine = vec![salt ^ ctx.rank() as u8; ctx.rank() + 1];
-            let gathered = ctx.gather(0, mine.clone()).unwrap();
-            let parts = gathered.map(|g| g.to_vec());
-            let back = ctx.scatter(0, parts).unwrap();
-            assert_eq!(back, mine);
+        let root = root_pick % nprocs;
+        let out = Machine::run(MachineConfig::functional(nprocs), move |ctx| {
+            ctx.gather(root, vec![salt ^ ctx.rank() as u8; ctx.rank() + 1]).unwrap()
         }).unwrap();
+        for (rank, got) in out.into_iter().enumerate() {
+            let want = (rank == root)
+                .then(|| (0..nprocs).map(|r| vec![salt ^ r as u8; r + 1]).collect());
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -113,53 +104,70 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-    #[test]
-    fn scans_match_their_sequential_definitions(
-        nprocs in 1usize..7,
-        values in proptest::collection::vec(any::<u32>(), 7),
-    ) {
-        let vals = values.clone();
-        let out = Machine::run(MachineConfig::functional(nprocs), move |ctx| {
-            let v = vals[ctx.rank() % vals.len()] as u64;
-            (
-                ctx.scan(v, |a, b| a.wrapping_add(*b)).unwrap(),
-                ctx.exclusive_scan(v, 0u64, |a, b| a.wrapping_add(*b)).unwrap(),
-            )
-        })
-        .unwrap();
-        let mut acc = 0u64;
-        for (r, (inc, exc)) in out.iter().enumerate() {
-            let v = values[r % values.len()] as u64;
-            prop_assert_eq!(*exc, acc, "exclusive prefix at rank {}", r);
-            acc = acc.wrapping_add(v);
-            prop_assert_eq!(*inc, acc, "inclusive prefix at rank {}", r);
-        }
-    }
+/// The message seed CI sweeps (`DSTREAMS_MSG_SEED`, 0 when unset). It is
+/// mixed into every generated program and wire seed, so each CI seed runs
+/// different machine programs.
+fn msg_seed() -> u64 {
+    std::env::var("DSTREAMS_MSG_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
 }
 
-/// A replicated-local program whose tail hangs on rank 0's verdict: a
-/// probe, then (if it says yes) an act between barriers, then an act whose
-/// bytes every rank receives.
-const LOCAL_PROGRAM: [Local; 9] = [
-    Local::Barrier,
-    Local::Act,
-    Local::Broadcast,
-    Local::IfSet(2),
-    Local::Act,
-    Local::Barrier,
-    Local::Barrier,
-    Local::Act,
-    Local::Broadcast,
-];
+/// A fused program drawn at random over every public step kind, one
+/// block per pick: a barrier, an act, an act whose bytes are broadcast,
+/// the plan exchange (gather, plan, broadcast, with or without a leading
+/// barrier; at most one per program), or an act whose broadcast verdict
+/// guards the next few steps. A first pick of 7 modulo 8 draws a program
+/// of acts alone.
+fn draw(picks: &[u8]) -> Vec<Step> {
+    use Step::{Act, Barrier, Broadcast, Gather, IfSet, Plan};
+    if picks[0] % 8 == 7 {
+        return vec![Act; picks.len()];
+    }
+    let mut steps = Vec::new();
+    let mut gathered = false;
+    for &pick in picks {
+        match pick % 6 {
+            0 => steps.push(Barrier),
+            1 => steps.push(Act),
+            2 => steps.extend([Act, Broadcast]),
+            3 | 4 if !gathered => {
+                gathered = true;
+                if pick % 6 == 3 {
+                    steps.push(Barrier);
+                }
+                steps.extend([Gather, Plan, Broadcast]);
+            }
+            _ => {
+                let guarded: &[Step] = match pick / 6 % 5 {
+                    0 => &[Barrier],
+                    1 => &[Act],
+                    2 => &[Act, Barrier],
+                    3 => &[Act, Broadcast],
+                    _ => &[Barrier, Act, Barrier],
+                };
+                steps.extend([Act, Broadcast, IfSet(guarded.len())]);
+                steps.extend_from_slice(guarded);
+            }
+        }
+    }
+    steps
+}
 
-/// Rank 0's `k`-th act of [`LOCAL_PROGRAM`] under `code`: it charges rank
-/// 0's clock and records an event on its trace, as a PFS access would.
-/// Act 0 is the verdict (bit 20 of `code`); the others return bytes.
-fn act(io: &dyn RankIo, code: u64, k: usize) -> Result<Vec<u8>, MachineError> {
-    let cost = VTime::from_nanos((code >> (4 * k)) % 9_000);
+/// Rank 0's `k`-th root step of a program run under `code`. A `Plan`
+/// frames the gathered buffers behind a code-dependent header: a pure
+/// function of its inputs. An `Act` charges rank 0's clock and records an
+/// event on its trace, as a PFS access would, and returns the verdict `[1]`
+/// or `[0]`, or bytes.
+fn root_step(code: u64, k: usize, step: Step, io: &dyn RankIo, frames: Vec<&[u8]>) -> Vec<u8> {
+    if step == Step::Plan {
+        let mut blocks = vec![code.to_le_bytes().to_vec()];
+        blocks.extend(frames.iter().map(|f| f.to_vec()));
+        return frame_blocks(&blocks);
+    }
+    let bits = code.rotate_right(5 * k as u32);
+    let cost = VTime::from_nanos(bits % 9_000);
     io.advance(cost);
     let op = io.next_pfs_op();
     if io.tracing() {
@@ -172,36 +180,70 @@ fn act(io: &dyn RankIo, code: u64, k: usize) -> Result<Vec<u8>, MachineError> {
             cost_ns: cost.as_nanos(),
         });
     }
-    Ok(match k {
-        0 => vec![u8::from(code >> 20 & 1 == 1)],
-        k => vec![k as u8; (code >> 24) as usize % 20 + k],
-    })
+    match bits >> 20 & 3 {
+        0 => vec![1],
+        1 => vec![0],
+        _ => vec![k as u8; (bits >> 24) as usize % 20 + k],
+    }
 }
 
-/// The calls [`LOCAL_PROGRAM`] stands for, made separately.
-fn local_separately(ctx: &NodeCtx, code: u64) -> Vec<u8> {
-    let root = ctx.is_root();
-    let on_root = |k| {
-        if root {
-            act(ctx, code, k).unwrap()
-        } else {
-            Vec::new()
+/// Run `steps` as one fused program ([`NodeCtx::program`]) under `code`.
+fn fused(ctx: &NodeCtx, steps: &[Step], code: u64, data: Vec<u8>) -> Vec<u8> {
+    let roots: Vec<Step> = steps
+        .iter()
+        .copied()
+        .filter(|s| matches!(s, Step::Plan | Step::Act))
+        .collect();
+    ctx.program::<MachineError, _>(steps, data, |k, io, g| {
+        Ok(root_step(code, k, roots[k], io, g.iter().collect()))
+    })
+    .unwrap()
+}
+
+/// The interpreter: run `steps` as the separate calls the fused program
+/// stands for, with rank 0 running each root step between them on its own
+/// context.
+fn separately(ctx: &NodeCtx, steps: &[Step], code: u64, data: Vec<u8>) -> Vec<u8> {
+    let (root, mut data) = (ctx.is_root(), Some(data));
+    let (mut gathered, mut last) = (Vec::new(), Vec::new());
+    let mut k = 0;
+    let mut i = 0;
+    while let Some(&step) = steps.get(i) {
+        i += 1;
+        match step {
+            Step::Barrier => ctx.barrier().unwrap(),
+            Step::Gather => {
+                let mine = data.take().expect("one gather per program");
+                gathered = ctx.gather(0, mine).unwrap().unwrap_or_default();
+            }
+            Step::Plan | Step::Act => {
+                if root {
+                    let frames = gathered.iter().map(Vec::as_slice).collect();
+                    last = root_step(code, k, step, ctx, frames);
+                }
+                k += 1;
+            }
+            Step::Broadcast => {
+                let mine = if root { last.clone() } else { Vec::new() };
+                last = ctx.broadcast(0, mine).unwrap();
+            }
+            Step::IfSet(n) if last != [1] => {
+                k += steps[i..i + n]
+                    .iter()
+                    .filter(|s| matches!(s, Step::Plan | Step::Act))
+                    .count();
+                i += n;
+            }
+            Step::IfSet(_) => {}
         }
-    };
-    ctx.barrier().unwrap();
-    let verdict = on_root(0);
-    if ctx.broadcast(0, verdict).unwrap() == [1] {
-        on_root(1);
-        ctx.barrier().unwrap();
     }
-    ctx.barrier().unwrap();
-    let last = on_root(2);
-    ctx.broadcast(0, last).unwrap()
+    last
 }
 
 /// One generated SPMD program: a sequence of call codes (each picks a
-/// collective or a point-to-point ring and derives its root, payload
-/// length and operand from the code) and one clock skew per rank.
+/// collective, a fused program or a point-to-point ring and derives its
+/// root, payload length and operand from the code) and one clock skew
+/// per rank.
 struct Program {
     nprocs: usize,
     paragon: bool,
@@ -212,22 +254,29 @@ struct Program {
 /// A rank's results, one entry per call, and its final clock.
 type RankOut = (Vec<Vec<Vec<u8>>>, VTime);
 
-/// Run `prog` traced, on the collective cell (no fault plan) or on the
-/// wire (an inert message plan seeded with `wire_seed`). Returns every
-/// rank's results and clock, the merged trace and its operation counts.
-fn run_program(prog: &Program, wire_seed: Option<u64>) -> (Vec<RankOut>, String, OpCounts) {
-    let n = prog.nprocs;
-    let sink = TraceSink::new(n);
-    let mut config = if prog.paragon {
+/// A machine of `n` ranks, traced into `sink`: the collective cell (no
+/// fault plan), or the wire (an inert message plan seeded with
+/// `wire_seed`).
+fn machine(n: usize, paragon: bool, sink: &TraceSink, wire_seed: Option<u64>) -> MachineConfig {
+    let config = if paragon {
         MachineConfig::paragon(n)
     } else {
         MachineConfig::functional(n)
     }
     .traced(sink.clone());
-    if let Some(seed) = wire_seed {
-        config = config.with_faults(FaultPlan::default().with_msg(MsgFaultPlan::seeded(seed)));
+    match wire_seed {
+        Some(seed) => config.with_faults(FaultPlan::default().with_msg(MsgFaultPlan::seeded(seed))),
+        None => config,
     }
-    let outs = Machine::run(config, |ctx| {
+}
+
+/// Run `prog` traced, on the collective cell or on the wire. Returns
+/// every rank's results and clock, the merged trace and its operation
+/// counts.
+fn run_program(prog: &Program, wire_seed: Option<u64>) -> (Vec<RankOut>, String, OpCounts) {
+    let n = prog.nprocs;
+    let sink = TraceSink::new(n);
+    let outs = Machine::run(machine(n, prog.paragon, &sink, wire_seed), |ctx| {
         let me = ctx.rank();
         let mut results = Vec::new();
         for (i, &code) in prog.calls.iter().enumerate() {
@@ -240,18 +289,10 @@ fn run_program(prog: &Program, wire_seed: Option<u64>) -> (Vec<RankOut>, String,
                     .collect()
             };
             let operand_of = |r: usize| code.rotate_left(r as u32 * 7);
-            let operand = operand_of(me);
-            // Order-sensitive operators, so a fold in the wrong order shows.
+            // An order-sensitive operator, so a fold in the wrong order
+            // shows.
             let fold = |a: u64, b: u64| a.wrapping_mul(31).wrapping_add(b);
-            let prefix = |a: &u64, b: &u64| a.wrapping_mul(7) ^ *b;
-            // A root step that frames the gathered buffers behind a
-            // code-dependent header: a pure function of its inputs.
-            let plan = |frames: Gathered<'_>| {
-                let mut blocks = vec![code.to_le_bytes().to_vec()];
-                blocks.extend(frames.iter().map(<[u8]>::to_vec));
-                Ok(frame_blocks(&blocks))
-            };
-            let res: Vec<Vec<u8>> = match code % 16 {
+            let res: Vec<Vec<u8>> = match code % 10 {
                 0 => {
                     ctx.barrier().unwrap();
                     Vec::new()
@@ -259,21 +300,11 @@ fn run_program(prog: &Program, wire_seed: Option<u64>) -> (Vec<RankOut>, String,
                 1 => vec![ctx.broadcast(root, payload(me)).unwrap()],
                 2 => ctx.gather(root, payload(me)).unwrap().unwrap_or_default(),
                 3 => ctx.all_gather(payload(me)).unwrap(),
-                4 => {
-                    let parts = (me == root).then(|| (0..n).map(payload).collect());
-                    vec![ctx.scatter(root, parts).unwrap()]
-                }
-                5 => ctx
+                4 => ctx
                     .all_to_all((0..n).map(|to| payload(me * n + to)).collect())
                     .unwrap(),
-                6 => ctx
-                    .reduce(root, operand, fold)
-                    .unwrap()
-                    .iter()
-                    .map(Wire::to_wire)
-                    .collect(),
-                7 => {
-                    let got = ctx.all_reduce(operand, fold).unwrap();
+                5 => {
+                    let got = ctx.all_reduce(operand_of(me), fold).unwrap();
                     // Rank 0's operand first, then the others in rank order.
                     assert_eq!(
                         got,
@@ -281,17 +312,12 @@ fn run_program(prog: &Program, wire_seed: Option<u64>) -> (Vec<RankOut>, String,
                     );
                     vec![got.to_wire()]
                 }
-                8 => vec![ctx.scan(operand, prefix).unwrap().to_wire()],
-                9 => vec![ctx.exclusive_scan(operand, 5, prefix).unwrap().to_wire()],
-                10 => vec![ctx.max_time().unwrap().to_wire()],
-                11 => vec![ctx.sync_clocks().unwrap().to_wire()],
-                12 => vec![ctx
-                    .barrier_gather_plan_broadcast(root, payload(me), plan)
-                    .unwrap()],
-                13 => vec![ctx
-                    .replicated_local(&LOCAL_PROGRAM, |io, k| act(io, code, k))
-                    .unwrap()],
-                14 => vec![ctx.gather_plan_broadcast(root, payload(me), plan).unwrap()],
+                6 => vec![ctx.max_time().unwrap().to_wire()],
+                7 => vec![ctx.sync_clocks().unwrap().to_wire()],
+                8 => {
+                    let picks = &code.to_le_bytes()[3..4 + (code >> 61) as usize % 5];
+                    vec![fused(ctx, &draw(picks), code, payload(me))]
+                }
                 _ => {
                     // Point-to-point ring traffic between collectives.
                     if n == 1 {
@@ -304,7 +330,7 @@ fn run_program(prog: &Program, wire_seed: Option<u64>) -> (Vec<RankOut>, String,
             };
             results.push(res);
         }
-        // Replicated-local acts number rank 0's PFS operations.
+        // Root steps number rank 0's PFS operations.
         results.push(vec![ctx.pfs_op_count().to_wire()]);
         (results, ctx.now())
     })
@@ -328,81 +354,93 @@ proptest! {
         skews in proptest::collection::vec(0u64..50_000, 9),
         wire_seed in any::<u64>(),
     ) {
+        let seed = msg_seed();
+        let calls = calls.iter().map(|c| c ^ seed).collect();
         let prog = Program { nprocs, paragon, calls, skews };
         let (cell_out, cell_trace, cell_counts) = run_program(&prog, None);
-        let (wire_out, wire_trace, wire_counts) = run_program(&prog, Some(wire_seed));
+        let (wire_out, wire_trace, wire_counts) = run_program(&prog, Some(wire_seed ^ seed));
         prop_assert_eq!(&cell_out, &wire_out, "results or clocks differ");
         prop_assert_eq!(&cell_trace, &wire_trace, "traces differ");
         prop_assert_eq!(&cell_counts, &wire_counts);
     }
 }
 
-/// Run `calls` fused programs, or the separate collectives each stands
-/// for, traced on `nprocs` ranks (on the wire when `wire`). Returns every
-/// rank's results and clock, and the merged trace.
-fn run_fused(nprocs: usize, calls: &[u64], fused: bool, wire: bool) -> (Vec<RankOut>, String) {
+/// What a run of fused programs (or of their separate calls) shows: every
+/// rank's results and clock, the merged trace, its operation counts, and
+/// every rank's rendezvous per program.
+type Run = (Vec<RankOut>, String, OpCounts, Vec<Vec<u64>>);
+
+/// Run `programs` (each with its code) on `nprocs` ranks, traced, fused
+/// or as their separate calls, on the cell or on the wire.
+fn run_steps(
+    nprocs: usize,
+    programs: &[(Vec<Step>, u64)],
+    fused_: bool,
+    wire_seed: Option<u64>,
+) -> Run {
     let sink = TraceSink::new(nprocs);
-    let mut config = MachineConfig::paragon(nprocs).traced(sink.clone());
-    if wire {
-        config = config.with_faults(FaultPlan::default().with_msg(MsgFaultPlan::seeded(1)));
-    }
-    let outs = Machine::run(config, |ctx| {
+    let outs = Machine::run(machine(nprocs, true, &sink, wire_seed), |ctx| {
         let me = ctx.rank();
-        let mut results = Vec::new();
-        for &code in calls {
+        let (mut results, mut rendezvous) = (Vec::new(), Vec::new());
+        for (steps, code) in programs {
             ctx.advance(VTime::from_nanos(code % 7_000 * me as u64));
-            let root = (code >> 8) as usize % nprocs;
             let data = vec![me as u8; (code >> 16) as usize % 30];
-            let plan = |frames: Vec<&[u8]>| {
-                let mut blocks = vec![code.to_le_bytes().to_vec()];
-                blocks.extend(frames.iter().map(|f| f.to_vec()));
-                frame_blocks(&blocks)
+            let before = ctx.rendezvous_count();
+            let res = if fused_ {
+                fused(ctx, steps, *code, data)
+            } else {
+                separately(ctx, steps, *code, data)
             };
-            let res = match (code % 3, fused) {
-                (0, true) => ctx
-                    .barrier_gather_plan_broadcast(root, data, |g| Ok(plan(g.iter().collect())))
-                    .unwrap(),
-                (1, true) => ctx
-                    .gather_plan_broadcast(root, data, |g| Ok(plan(g.iter().collect())))
-                    .unwrap(),
-                (_, true) => ctx
-                    .replicated_local(&LOCAL_PROGRAM, |io, k| act(io, code, k))
-                    .unwrap(),
-                (2, false) => local_separately(ctx, code),
-                (head, false) => {
-                    if head == 0 {
-                        ctx.barrier().unwrap();
-                    }
-                    let gathered = ctx.gather(root, data).unwrap();
-                    let mine = gathered
-                        .map(|g| plan(g.iter().map(Vec::as_slice).collect()))
-                        .unwrap_or_default();
-                    ctx.broadcast(root, mine).unwrap()
-                }
-            };
+            rendezvous.push(ctx.rendezvous_count() - before);
             results.push(vec![res]);
         }
         results.push(vec![ctx.pfs_op_count().to_wire()]);
-        (results, ctx.now())
+        ((results, ctx.now()), rendezvous)
     })
     .unwrap();
-    (outs, sink.take().to_events_json())
+    let (outs, rendezvous) = outs.into_iter().unzip();
+    let trace = sink.take();
+    (outs, trace.to_events_json(), trace.op_counts(), rendezvous)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// A fused program is its separate collectives in one rendezvous:
-    /// same results, clocks and trace, on either executor.
+    /// A fused program is its separate calls in one rendezvous: programs
+    /// drawn over every step kind give the same results, clocks, traces
+    /// and operation counts as the interpreter's separate calls, on the
+    /// cell and on the wire, and each is exactly 1 rendezvous on the cell.
     #[test]
     fn fused_programs_equal_their_separate_calls(
         nprocs in 1usize..8,
-        calls in proptest::collection::vec(any::<u64>(), 1..10),
-        wire in any::<bool>(),
+        programs in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 1..6), any::<u64>()),
+            1..6,
+        ),
+        wire_seed in any::<u64>(),
     ) {
-        let fused = run_fused(nprocs, &calls, true, wire);
-        let separate = run_fused(nprocs, &calls, false, wire);
-        prop_assert_eq!(&fused.0, &separate.0, "results or clocks differ");
-        prop_assert_eq!(&fused.1, &separate.1, "traces differ");
+        let seed = msg_seed();
+        let programs: Vec<(Vec<Step>, u64)> = programs
+            .iter()
+            .map(|(picks, code)| {
+                let picks: Vec<u8> = picks.iter().map(|p| p ^ seed as u8).collect();
+                (draw(&picks), code ^ seed)
+            })
+            .collect();
+        let mut runs = Vec::new();
+        for wire in [None, Some(wire_seed ^ seed)] {
+            let fused = run_steps(nprocs, &programs, true, wire);
+            let separate = run_steps(nprocs, &programs, false, wire);
+            prop_assert_eq!(&fused.0, &separate.0, "results or clocks differ, wire {:?}", wire);
+            prop_assert_eq!(&fused.1, &separate.1, "traces differ, wire {:?}", wire);
+            prop_assert_eq!(&fused.2, &separate.2, "op counts differ, wire {:?}", wire);
+            let once = if wire.is_some() { 0 } else { 1 };
+            prop_assert_eq!(&fused.3, &vec![vec![once; programs.len()]; nprocs]);
+            runs.push(fused);
+        }
+        let (cell, wire) = (&runs[0], &runs[1]);
+        prop_assert_eq!(&cell.0, &wire.0, "cell and wire results or clocks differ");
+        prop_assert_eq!(&cell.1, &wire.1, "cell and wire traces differ");
+        prop_assert_eq!(&cell.2, &wire.2, "cell and wire op counts differ");
     }
 }

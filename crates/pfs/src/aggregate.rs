@@ -42,7 +42,7 @@ use std::borrow::Cow;
 
 use dstreams_machine::wire::Reader;
 use dstreams_machine::{
-    CollectiveConfig, FaultDecision, MachineError, NodeCtx, VTime, AGG_SHUTTLE_RETRY_BASE,
+    CollectiveConfig, FaultDecision, MachineError, NodeCtx, Step, VTime, AGG_SHUTTLE_RETRY_BASE,
     AGG_SHUTTLE_TAG,
 };
 use dstreams_trace::{EventKind, FaultKind, PfsOp};
@@ -232,7 +232,8 @@ impl FileHandle {
             ChunkSum::EMPTY
         };
         let frame = size_digest_frame(block.len(), my_sum, &[my_crash as u8]);
-        let (base, frames) = self.exchange_write_plan(ctx, false, frame)?;
+        let (base, frames) =
+            self.exchange_write_plan(ctx, &[Step::Gather, Step::Plan, Step::Broadcast], frame)?;
         let (sizes, digests, crashed) = decode_size_digests(&frames, true)?;
         check_my_size(ctx, &sizes, block.len())?;
         let nprocs = ctx.nprocs();

@@ -18,7 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dstreams_machine::wire::{frame_blocks, unframe_blocks, Reader};
-use dstreams_machine::{AsyncOp, FaultDecision, Gathered, MachineError, NodeCtx, RankIo, VTime};
+use dstreams_machine::{
+    AsyncOp, FaultDecision, Gathered, MachineError, NodeCtx, RankIo, Step, VTime,
+};
 use dstreams_trace::{CollectiveRegime, EventKind, FaultKind, IndependentRegime, PfsOp};
 
 use crate::checksum::ChunkSum;
@@ -584,7 +586,11 @@ impl FileHandle {
         // clocks, then exchange block sizes and digests; rank 0 supplies
         // the append base.
         let frame = size_digest_frame(block.len(), my_sum, &[]);
-        let (base, frames) = self.exchange_write_plan(ctx, true, frame)?;
+        let (base, frames) = self.exchange_write_plan(
+            ctx,
+            &[Step::Barrier, Step::Gather, Step::Plan, Step::Broadcast],
+            frame,
+        )?;
         let (sizes, digests, _) = decode_size_digests(&frames, false)?;
         check_my_size(ctx, &sizes, block.len())?;
         let my_off = base + sizes[..ctx.rank()].iter().sum::<u64>();
@@ -734,21 +740,22 @@ impl FileHandle {
         Ok((buf, digests, handle))
     }
 
-    /// The plan exchange of a collective write, after a barrier when
-    /// `barrier`: gather every rank's fixed-size `frame` to root, which
-    /// prepends the file's append base, and broadcast the plan back, all
-    /// in one machine rendezvous. Returns the base and every rank's
-    /// frame, in node order.
+    /// The plan exchange of a collective write, as the fused program
+    /// `steps` (a gather, a plan and a broadcast, after a barrier for a
+    /// direct write): gather every rank's fixed-size `frame` to root,
+    /// which prepends the file's append base, and broadcast the plan
+    /// back, all in one machine rendezvous. Returns the base and every
+    /// rank's frame, in node order.
     pub(crate) fn exchange_write_plan(
         &self,
         ctx: &NodeCtx,
-        barrier: bool,
+        steps: &[Step],
         frame: Vec<u8>,
     ) -> Result<(u64, Vec<Vec<u8>>), PfsError> {
         let frame_len = frame.len();
         // Runs once, on root or on the thread combining the rendezvous:
         // it only reads the frames and the shared file's length.
-        let plan = |frames: Gathered<'_>| {
+        let plan = |_, _: &dyn RankIo, frames: Gathered<'_>| {
             let base = self.file.len().to_le_bytes();
             let mut blocks = Vec::with_capacity(frames.len() + 1);
             blocks.push(&base[..]);
@@ -762,11 +769,7 @@ impl FileHandle {
             }
             Ok(frame_blocks(&blocks))
         };
-        let plan = if barrier {
-            ctx.barrier_gather_plan_broadcast(0, frame, plan)?
-        } else {
-            ctx.gather_plan_broadcast(0, frame, plan)?
-        };
+        let plan = ctx.program(steps, frame, plan)?;
         let mut parts =
             unframe_blocks(&plan).map_err(|e| mismatch(&format!("write plan: malformed: {e}")))?;
         if parts.len() != ctx.nprocs() + 1 {
