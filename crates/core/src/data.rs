@@ -33,10 +33,13 @@ pub trait Prim: Copy {
     const TAG: u8;
     /// Append the little-endian image to `out`.
     fn put(self, out: &mut Vec<u8>);
-    /// Write the little-endian image into exactly `WIDTH` bytes.
-    fn store(self, slot: &mut [u8]);
+    /// Append the little-endian images of all of `s` to `out` in one pass.
+    fn put_slice(s: &[Self], out: &mut Vec<u8>);
     /// Decode from exactly `WIDTH` bytes.
     fn get(b: &[u8]) -> Self;
+    /// Decode every `WIDTH`-byte word of `b` onto the end of `out`
+    /// (`b.len()` must be a multiple of `WIDTH`).
+    fn get_slice(b: &[u8], out: &mut Vec<Self>);
 }
 
 macro_rules! impl_prim {
@@ -48,11 +51,21 @@ macro_rules! impl_prim {
             fn put(self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
-            fn store(self, slot: &mut [u8]) {
-                slot.copy_from_slice(&self.to_le_bytes());
+            fn put_slice(s: &[Self], out: &mut Vec<u8>) {
+                let start = out.len();
+                out.resize(start + std::mem::size_of_val(s), 0);
+                let (words, _) = out[start..].as_chunks_mut::<{ Self::WIDTH }>();
+                for (word, v) in words.iter_mut().zip(s) {
+                    *word = v.to_le_bytes();
+                }
             }
             fn get(b: &[u8]) -> Self {
                 <$t>::from_le_bytes(b.try_into().expect("exact width"))
+            }
+            fn get_slice(b: &[u8], out: &mut Vec<Self>) {
+                let (words, rest) = b.as_chunks::<{ Self::WIDTH }>();
+                debug_assert!(rest.is_empty(), "whole words only");
+                out.extend(words.iter().map(|w| <$t>::from_le_bytes(*w)));
             }
         }
     )*};
@@ -83,9 +96,9 @@ pub(crate) fn tag_name(tag: u8) -> &'static str {
 
 /// Receives the decomposition of one element during insertion.
 ///
-/// An `Inserter` appends to the per-element chunk owned by the output
-/// stream; field order here defines the byte order in the file and must be
-/// mirrored exactly by the extraction function.
+/// An `Inserter` appends the element's chunk to the insert's run buffer
+/// owned by the output stream; field order here defines the byte order in
+/// the file and must be mirrored exactly by the extraction function.
 pub struct Inserter<'a> {
     buf: &'a mut Vec<u8>,
     checked: bool,
@@ -115,11 +128,7 @@ impl<'a> Inserter<'a> {
     /// `s << array(p.mass, p.numberOfParticles)`.
     pub fn slice<T: Prim>(&mut self, s: &[T]) {
         self.mark::<T>(s.len());
-        let start = self.buf.len();
-        self.buf.resize(start + s.len() * T::WIDTH, 0);
-        for (slot, &v) in self.buf[start..].chunks_exact_mut(T::WIDTH).zip(s) {
-            v.store(slot);
-        }
+        T::put_slice(s, self.buf);
     }
 
     /// Insert a length-prefixed vector (u64 count, then elements) — the
@@ -214,7 +223,7 @@ impl<'a> Extractor<'a> {
         self.check_mark::<T>(count)?;
         let raw = self.take(count.saturating_mul(T::WIDTH))?;
         out.clear();
-        out.extend(raw.chunks_exact(T::WIDTH).map(T::get));
+        T::get_slice(raw, out);
         Ok(())
     }
 
@@ -259,6 +268,13 @@ pub trait StreamData {
     fn insert(&self, ins: &mut Inserter<'_>);
     /// Rebuild `self` from primitive extractions, mirroring `insert`.
     fn extract(&mut self, ext: &mut Extractor<'_>) -> Result<(), StreamError>;
+    /// Bytes `insert` appends in unchecked mode, as a capacity hint: it
+    /// never changes what is written, and 0 (the default) means unknown.
+    /// [`impl_stream_data!`](crate::impl_stream_data) and stream-gen
+    /// derive it exactly.
+    fn encoded_len(&self) -> usize {
+        0
+    }
 }
 
 /// Serialize one value with the d/stream element encoding, outside any
@@ -297,11 +313,19 @@ macro_rules! impl_stream_data_prim {
                 *self = ext.prim()?;
                 Ok(())
             }
+            fn encoded_len(&self) -> usize {
+                <$t as Prim>::WIDTH
+            }
         }
     )*};
 }
 
 impl_stream_data_prim!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
+
+/// Unchecked bytes of [`Inserter::vec`]: the u64 count, then the values.
+fn vec_len<T: Prim>(v: &[T]) -> usize {
+    8 + v.len() * T::WIDTH
+}
 
 impl<T: Prim> StreamData for Vec<T> {
     fn insert(&self, ins: &mut Inserter<'_>) {
@@ -310,6 +334,9 @@ impl<T: Prim> StreamData for Vec<T> {
     fn extract(&mut self, ext: &mut Extractor<'_>) -> Result<(), StreamError> {
         *self = ext.vec()?;
         Ok(())
+    }
+    fn encoded_len(&self) -> usize {
+        vec_len(self)
     }
 }
 
@@ -320,6 +347,9 @@ impl<T: Prim> StreamData for dstreams_collections::GridRow<T> {
     fn extract(&mut self, ext: &mut Extractor<'_>) -> Result<(), StreamError> {
         self.cells = ext.vec()?;
         Ok(())
+    }
+    fn encoded_len(&self) -> usize {
+        vec_len(&self.cells)
     }
 }
 
@@ -335,6 +365,9 @@ impl<T: StreamData, const N: usize> StreamData for [T; N] {
         }
         Ok(())
     }
+    fn encoded_len(&self) -> usize {
+        self.iter().map(T::encoded_len).sum()
+    }
 }
 
 /// Derive a [`StreamData`] impl for a struct from a field recipe.
@@ -346,6 +379,9 @@ impl<T: StreamData, const N: usize> StreamData for [T; N] {
 ///   (paper-style `array(ptr, count)`);
 /// * `vec name` — a `Vec<Prim>` stored with a length prefix;
 /// * `nested name` — a field that itself implements `StreamData`.
+///
+/// The derived [`StreamData::encoded_len`] sums the fields' encoded
+/// lengths, so it is exact whenever every nested type's is.
 ///
 /// ```
 /// use dstreams_core::{impl_stream_data, StreamData};
@@ -376,6 +412,9 @@ macro_rules! impl_stream_data {
             ) -> Result<(), $crate::StreamError> {
                 $crate::impl_stream_data!(@extract self, ext, $($body)*);
                 Ok(())
+            }
+            fn encoded_len(&self) -> usize {
+                $crate::impl_stream_data!(@len self, $($body)*)
             }
         }
     };
@@ -420,6 +459,20 @@ macro_rules! impl_stream_data {
         $crate::impl_stream_data!(@extract $self, $ext, $($rest)*);
     };
     (@extract $self:ident, $ext:ident,) => {};
+
+    // ---- encoded_len arms ----
+    (@len $self:ident, slice $f:ident : $t:ty [$len:ident], $($rest:tt)*) => {
+        $self.$f.len() * <$t as $crate::Prim>::WIDTH
+            + $crate::impl_stream_data!(@len $self, $($rest)*)
+    };
+    // `prim`, `vec` and `nested` fields are `StreamData` themselves.
+    (@len $self:ident, $kind:ident $f:ident, $($rest:tt)*) => {
+        $crate::StreamData::encoded_len(&$self.$f)
+            + $crate::impl_stream_data!(@len $self, $($rest)*)
+    };
+    (@len $self:ident,) => {
+        0
+    };
 }
 
 #[cfg(test)]

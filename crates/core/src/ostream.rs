@@ -332,7 +332,8 @@ impl<'a> OStream<'a> {
         &mut self,
         c: &Collection<T>,
     ) -> Result<(), StreamError> {
-        self.insert_with(c, |e, ins| e.insert(ins))
+        let len = c.iter().map(|(_, e)| e.encoded_len()).sum();
+        self.insert_run(c, len, |e, ins| e.insert(ins))
     }
 
     /// Insert a projection of each element: the Rust spelling of
@@ -341,6 +342,17 @@ impl<'a> OStream<'a> {
     pub fn insert_with<T>(
         &mut self,
         c: &Collection<T>,
+        f: impl Fn(&T, &mut Inserter<'_>),
+    ) -> Result<(), StreamError> {
+        self.insert_run(c, 0, f)
+    }
+
+    /// Serialize every local element of `c` with `f` into one run whose
+    /// buffer starts with `capacity` bytes reserved.
+    fn insert_run<T>(
+        &mut self,
+        c: &Collection<T>,
+        capacity: usize,
         f: impl Fn(&T, &mut Inserter<'_>),
     ) -> Result<(), StreamError> {
         if c.layout() != &self.layout {
@@ -356,7 +368,7 @@ impl<'a> OStream<'a> {
                 "inserted collection is not aligned with the stream".into(),
             ));
         }
-        let mut bytes = Vec::new();
+        let mut bytes = Vec::with_capacity(capacity);
         let mut ends = Vec::with_capacity(self.layout.local_count(self.ctx.rank()));
         for (_gid, elem) in c.iter() {
             f(elem, &mut Inserter::new(&mut bytes, self.opts.checked));
@@ -722,33 +734,33 @@ impl<'a> OStream<'a> {
                 // of its per-node buffer: a single parallel operation.
                 let meta = crate::phase::span(self.ctx, StreamPhase::Metadata);
                 let gathered = self.ctx.gather(0, encode_sizes(local_sizes))?;
-                let (block, meta_sum) = if let Some(tables) = gathered {
+                let block = if let Some(tables) = gathered {
                     let mut b = file_prefix;
                     b.extend_from_slice(&header.encode());
                     for t in &tables {
                         b.extend_from_slice(t);
                     }
-                    // Digest of the record's metadata span (header +
-                    // size tables, excluding any file prefix).
-                    let meta_sum = ChunkSum::of(&b[prefix_len..]);
                     b.extend_from_slice(data);
-                    (Cow::Owned(b), meta_sum)
+                    Cow::Owned(b)
                 } else {
-                    (Cow::Borrowed(data), ChunkSum::EMPTY)
+                    Cow::Borrowed(data)
                 };
                 drop(meta);
                 let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
                 let (digests, handle) = self.write_ordered(&block, begin)?;
                 drop(data_span);
-                // Metadata, then rank 0's data (hashed locally — its
-                // collective block includes the metadata), then the other
-                // ranks' blocks.
+                // Rank 0's block is the record's metadata and its own
+                // data, so its collective digest starts the record's —
+                // unless a file prefix precedes the record there, which
+                // the seal must not cover: then hash the record's span
+                // of that block again. The other ranks' blocks follow.
                 let digest = self.ctx.is_root().then(|| {
-                    let mut digest = meta_sum.then(ChunkSum::of(data));
-                    for d in &digests[1..] {
-                        digest = digest.then(*d);
-                    }
-                    digest
+                    let head = if prefix_len == 0 {
+                        digests[0]
+                    } else {
+                        ChunkSum::of(&block[prefix_len..])
+                    };
+                    digests[1..].iter().fold(head, |d, next| d.then(*next))
                 });
                 (digest, None, handle)
             }

@@ -65,3 +65,16 @@ proptest! {
         }
     }
 }
+
+/// One digest pinned outright: every sealed file stores values of this
+/// function, so a change to the multiplier, the `+ 1` or the byte order
+/// must fail here even if the kernel and the loop above change together.
+/// The constants were checked against a bytewise evaluation of the sum
+/// written apart from this crate.
+#[test]
+fn kernel_digest_of_a_fixed_input_is_pinned() {
+    let data: Vec<u8> = (0u16..300).map(|i| (i * 7 % 251) as u8).collect();
+    let sum = ChunkSum::of(&data);
+    assert_eq!(sum.hash(), 0x0742_207f_79dd_cc7c);
+    assert_eq!(sum.rpow(), 0x9323_6d7d_b5f0_8f91);
+}
