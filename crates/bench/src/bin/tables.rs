@@ -3,15 +3,17 @@
 //!
 //! Usage:
 //!   tables [table1|table2|table3|table4|all] [--json [PATH]] [--markdown]
-//!   tables trace [--out PATH] [--segments N]
+//!   tables trace [--out PREFIX] [--segments N]
 //!   tables ablations | realdisk | sweep | phases | table5
 //!
 //! `--json` output includes per-cell trace op counts (messages, collectives,
 //! PFS operations) next to the simulated seconds; without a path it lands
 //! in `assets/tables_results.json`. The `trace` subcommand
 //! re-runs one Table 1 cell (pC++/streams on a 4-node Paragon) with event
-//! tracing on and writes a Chrome `trace_event` JSON file that can be opened
-//! in Perfetto (https://ui.perfetto.dev) or `chrome://tracing`.
+//! tracing on and writes `PREFIX.dstrace.json`, the native trace that
+//! `dsdump --dstrace` and `dsverify` read, and `PREFIX.chrome.json`, its
+//! Chrome `trace_event` export for Perfetto (https://ui.perfetto.dev) or
+//! `chrome://tracing`.
 //!
 //! `ablations` prints the five design ablations to the nanosecond
 //! (pinned in `assets/ablations_output.txt`). `realdisk` runs the three
@@ -156,17 +158,18 @@ fn main() {
 }
 
 /// `tables trace`: capture an event trace of one Table 1 cell — the
-/// pC++/streams method on a 4-node Paragon — and write it as Chrome
-/// `trace_event` JSON for Perfetto. Prints the aggregated op counts.
+/// pC++/streams method on a 4-node Paragon — and write it as
+/// `PREFIX.dstrace.json` for the trace tools and `PREFIX.chrome.json` for
+/// Perfetto. Prints the aggregated op counts.
 fn run_trace(args: &[String]) {
-    let mut out_path = "table1_trace.json".to_string();
+    let mut prefix = "table1_trace".to_string();
     let mut n_segments = 1000usize;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--out" => {
                 if let Some(p) = args.get(i + 1) {
-                    out_path = p.clone();
+                    prefix = p.clone();
                     i += 1;
                 }
             }
@@ -189,13 +192,15 @@ fn run_trace(args: &[String]) {
     eprintln!("tracing Table 1 cell: pC++/streams, Paragon, 4 procs, {n_segments} segments...");
     let (secs, trace) = run_cell_traced(spec).expect("traced cell");
     let counts = trace.op_counts();
-    let mut f = std::fs::File::create(&out_path).expect("create trace output");
-    f.write_all(trace.to_chrome_json().as_bytes())
-        .expect("write trace output");
+    let native = format!("{prefix}.dstrace.json");
+    let chrome = format!("{prefix}.chrome.json");
+    std::fs::write(&native, trace.to_events_json()).expect("write trace output");
+    std::fs::write(&chrome, trace.to_chrome_json()).expect("write trace output");
     println!("simulated seconds (out + in): {secs:.3}");
     println!("events: {}", trace.len());
     println!("op counts:\n{}", counts.to_json().to_json_pretty());
-    eprintln!("wrote {out_path} — open it at https://ui.perfetto.dev");
+    eprintln!("wrote {native} (dsdump --dstrace, dsverify)");
+    eprintln!("wrote {chrome} — open it at https://ui.perfetto.dev");
 }
 
 /// Fine-grained size sweep on the Paragon (4 nodes): the "Figure 5 curve"

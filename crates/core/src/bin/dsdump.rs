@@ -4,7 +4,7 @@
 //! dsdump FILE...
 //! dsdump --layout FILE...
 //! dsdump --recover FILE...
-//! dsdump --dstrace TRACE.json...
+//! dsdump --dstrace TRACE.dstrace.json...
 //! dsdump --tail MANIFEST.stream...
 //! ```
 //!
@@ -18,13 +18,14 @@
 //! its last commit-sealed record and, when the tail record is torn (a
 //! crash landed mid-write), truncated back to the sealed prefix — the
 //! on-disk analogue of the torn-tail detection `IStream::open` performs.
-//! With `--dstrace` the arguments are instead trace captures — either
-//! Chrome `trace_event` JSON (e.g. `tables trace`) or the native
-//! `.dstrace.json` format `DSTREAMS_TRACE_OUT` writes — and dsdump
-//! prints a per-rank summary of the recorded events: message and
-//! collective counts, PFS traffic, and stream-phase virtual time. Traces
-//! captured from the serving layer additionally get a per-tenant session
-//! summary: op counts, shed counts, and the working-set cache hit rate.
+//! With `--dstrace` the arguments are instead native `.dstrace.json`
+//! traces (what `DSTREAMS_TRACE_OUT` and `tables trace` write; a Chrome
+//! export is for viewers and is rejected) and dsdump prints a per-rank
+//! summary of the recorded events, counted by `OpCounts`: message and
+//! collective counts, PFS traffic, the last event's virtual time, and
+//! reliability traffic when there was any. Traces captured from the
+//! serving layer additionally get a per-tenant session summary: op
+//! counts, shed counts, and the working-set cache hit rate.
 //! With `--tail` the arguments are append-stream manifests (the
 //! `<name>.stream` side file an `AppendStream` producer maintains) and
 //! dsdump prints the stream's segment lifecycle at a glance: sealed vs
@@ -38,7 +39,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use dstreams_trace::json::{self, Value};
+use dstreams_trace::{Event, EventKind, OpCounts, QosLevel, Trace, TraceParseError};
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,7 +54,7 @@ fn main() -> ExitCode {
         eprintln!("usage: dsdump FILE...");
         eprintln!("       dsdump --layout FILE...");
         eprintln!("       dsdump --recover FILE...");
-        eprintln!("       dsdump --dstrace TRACE.json...");
+        eprintln!("       dsdump --dstrace TRACE.dstrace.json...");
         eprintln!("       dsdump --tail MANIFEST.stream...");
         return ExitCode::from(2);
     }
@@ -239,187 +240,51 @@ fn tail_file(path: &str) -> Result<(String, bool), String> {
     Ok((out, consistent))
 }
 
-/// Per-rank tallies accumulated over one trace file.
-#[derive(Default, Clone)]
-struct RankStats {
-    events: u64,
-    p2p_sends: u64,
-    p2p_bytes: u64,
-    coll_msgs: u64,
-    collectives: u64,
-    pfs_independent: u64,
-    pfs_collective: u64,
-    pfs_bytes: u64,
-    pfs_time_us: f64,
-    last_ts_us: f64,
-    retransmits: u64,
-    dup_dropped: u64,
-    suspects: u64,
-}
-
-/// Event counts per Chrome-trace event name, in first-seen order.
-type NameCounts = Vec<(String, u64)>;
-
-/// Per-tenant serving-layer tallies for one trace file.
-///
-/// Session and cache events are decision-ledger entries the service
-/// replays identically on every rank, so the summary reads a single
-/// lane (rank 0) rather than multiplying every count by nprocs.
-#[derive(Default, Clone)]
-struct TenantStats {
-    class: String,
-    admitted: u64,
-    done_ok: u64,
-    done_failed: u64,
-    shed: u64,
-    /// Completed-op counts by op name, in first-seen order.
-    ops: Vec<(String, u64)>,
-    cache_hits: u64,
-    cache_misses: u64,
-}
-
-fn summarize_tenants(events: &[Value]) -> BTreeMap<i64, TenantStats> {
-    let mut tenants: BTreeMap<i64, TenantStats> = BTreeMap::new();
-    for ev in events {
-        if ev.get("tid").and_then(Value::as_i64) != Some(0) {
-            continue;
-        }
-        let cat = ev.get("cat").and_then(Value::as_str).unwrap_or("");
-        if cat != "session" && cat != "cache" {
-            continue;
-        }
-        let args = match ev.get("args") {
-            Some(a) => a,
-            None => continue,
-        };
-        let tenant = match args.get("tenant").and_then(Value::as_i64) {
-            Some(t) => t,
-            None => continue,
-        };
-        let name = ev.get("name").and_then(Value::as_str).unwrap_or("");
-        let t = tenants.entry(tenant).or_default();
-        if let Some(class) = args.get("class").and_then(Value::as_str) {
-            t.class = class.to_string();
-        }
-        match name {
-            "session.admit" => t.admitted += 1,
-            "session.shed" => t.shed += 1,
-            "session.done" => {
-                if args.get("ok").and_then(Value::as_bool).unwrap_or(false) {
-                    t.done_ok += 1;
-                } else {
-                    t.done_failed += 1;
-                }
-                let op = args.get("op").and_then(Value::as_str).unwrap_or("?");
-                match t.ops.iter_mut().find(|(n, _)| n == op) {
-                    Some((_, c)) => *c += 1,
-                    None => t.ops.push((op.to_string(), 1)),
-                }
-            }
-            "cache.hit" => t.cache_hits += 1,
-            "cache.miss" => t.cache_misses += 1,
-            _ => {}
-        }
+/// Count `name` in a first-seen-order tally.
+fn bump(tally: &mut Vec<(&'static str, u64)>, name: &'static str) {
+    match tally.iter_mut().find(|(n, _)| *n == name) {
+        Some((_, c)) => *c += 1,
+        None => tally.push((name, 1)),
     }
-    tenants
 }
 
-fn summarize_trace(events: &[Value]) -> Result<(Vec<RankStats>, NameCounts), String> {
-    let mut ranks: Vec<RankStats> = Vec::new();
-    let mut by_name: NameCounts = Vec::new();
-    for (i, ev) in events.iter().enumerate() {
-        let rank = ev
-            .get("tid")
-            .and_then(Value::as_i64)
-            .ok_or_else(|| format!("event {i}: missing tid"))? as usize;
-        let name = ev
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("event {i}: missing name"))?;
-        let ph = ev
-            .get("ph")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("event {i}: missing ph"))?;
-        let cat = ev.get("cat").and_then(Value::as_str).unwrap_or("");
-        let ts = ev.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-        if rank >= ranks.len() {
-            ranks.resize(rank + 1, RankStats::default());
-        }
-        let r = &mut ranks[rank];
-        r.events += 1;
-        r.last_ts_us = r.last_ts_us.max(ts);
-        // Phase ends duplicate their begins in the per-name tally.
-        if ph != "E" {
-            match by_name.iter_mut().find(|(n, _)| n == name) {
-                Some((_, c)) => *c += 1,
-                None => by_name.push((name.to_string(), 1)),
-            }
-        }
-        let bytes = |key: &str| {
-            ev.get("args")
-                .and_then(|a| a.get(key))
-                .and_then(Value::as_i64)
-                .unwrap_or(0) as u64
-        };
-        match cat {
-            "msg" if name.starts_with("send") => {
-                if name.contains("coll") {
-                    r.coll_msgs += 1;
-                } else {
-                    r.p2p_sends += 1;
-                    r.p2p_bytes += bytes("bytes");
-                }
-            }
-            "collective" => r.collectives += 1,
-            "fault" => match name {
-                "msg.retransmit" => r.retransmits += 1,
-                "msg.dup_dropped" => r.dup_dropped += 1,
-                "msg.suspect" => r.suspects += 1,
-                _ => {}
-            },
-            "pfs" => {
-                if name.starts_with("pfs.coll_") {
-                    r.pfs_collective += 1;
-                } else {
-                    r.pfs_independent += 1;
-                }
-                r.pfs_bytes += bytes("bytes");
-                r.pfs_time_us += ev.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
-            }
-            _ => {}
-        }
-    }
-    Ok((ranks, by_name))
-}
-
+/// Summarize a native `.dstrace.json` trace: per-rank [`OpCounts`], the
+/// reliability traffic, the serving layer's per-tenant sessions, and the
+/// events by display name.
 fn render_dstrace(path: &str, text: &str) -> Result<String, String> {
-    let mut doc = json::parse(text).map_err(|e| format!("not a trace JSON file: {e}"))?;
-    if doc.get("traceEvents").is_none()
-        && doc.get("format").and_then(Value::as_str) == Some("dstrace")
-    {
-        // A native `.dstrace.json` capture (DSTREAMS_TRACE_OUT /
-        // dsverify's input format): convert through the Chrome exporter
-        // so both spellings of a trace get the same summary.
-        let trace = dstreams_trace::dstrace::parse_events_json(text).map_err(|e| e.to_string())?;
-        let chrome = dstreams_trace::chrome::to_chrome_json(&trace);
-        doc = json::parse(&chrome).map_err(|e| format!("internal chrome conversion: {e}"))?;
+    let trace = Trace::from_events_json(text).map_err(|e| match e {
+        TraceParseError::Header(_) => format!(
+            "{e}; --dstrace reads the native .dstrace.json format \
+             (DSTREAMS_TRACE_OUT, `tables trace`), not a Chrome export"
+        ),
+        e => e.to_string(),
+    })?;
+    // Phase ends duplicate their begins in the per-name tally.
+    let mut by_name = Vec::new();
+    for e in &trace.events {
+        if !matches!(e.kind, EventKind::PhaseEnd { .. }) {
+            bump(&mut by_name, e.kind.display_name());
+        }
     }
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or("no traceEvents array — is this a Chrome trace or a .dstrace.json capture?")?;
-    let nprocs = doc
-        .get("otherData")
-        .and_then(|o| o.get("nprocs"))
-        .and_then(Value::as_i64);
-    let (ranks, by_name) = summarize_trace(events)?;
+    let mut events = trace.events;
+    events.sort_by_key(|e| e.rank);
+    let nranks = events.last().map_or(0, |e| e.rank + 1);
+    let mut ranks = Vec::with_capacity(nranks);
+    let mut rest = &events[..];
+    for rank in 0..nranks {
+        let (mine, tail) = rest.split_at(rest.partition_point(|e| e.rank == rank));
+        rest = tail;
+        let end_ns = mine.iter().map(|e| e.vtime_ns).max().unwrap_or(0);
+        ranks.push((mine, OpCounts::from_events(mine), end_ns));
+    }
 
     let mut out = String::new();
     out.push_str(&format!("dstrace {path}:\n"));
-    match nprocs {
-        Some(n) => out.push_str(&format!("  {} events across {n} ranks\n", events.len())),
-        None => out.push_str(&format!("  {} events\n", events.len())),
-    }
+    out.push_str(&format!(
+        "  {} events across {} ranks\n",
+        events.len(),
+        trace.nprocs
+    ));
     out.push_str(&format!(
         "  {:<6}{:>8}{:>10}{:>12}{:>12}{:>10}{:>10}{:>12}{:>12}\n",
         "rank",
@@ -432,76 +297,91 @@ fn render_dstrace(path: &str, text: &str) -> Result<String, String> {
         "pfs_bytes",
         "end_ms"
     ));
-    for (rank, r) in ranks.iter().enumerate() {
+    for (rank, (mine, c, end_ns)) in ranks.iter().enumerate() {
         out.push_str(&format!(
             "  {:<6}{:>8}{:>10}{:>12}{:>12}{:>10}{:>10}{:>12}{:>12.3}\n",
             rank,
-            r.events,
-            r.p2p_sends,
-            r.p2p_bytes,
-            r.coll_msgs,
-            r.collectives,
-            r.pfs_independent + r.pfs_collective,
-            r.pfs_bytes,
-            r.last_ts_us / 1000.0
+            mine.len(),
+            c.p2p_messages,
+            c.p2p_bytes,
+            c.collective_messages,
+            c.total_collectives(),
+            c.pfs_independent_ops + c.pfs_collective_ops,
+            c.bytes_written + c.bytes_read,
+            *end_ns as f64 / 1e3 / 1e3
         ));
     }
     // Reliability traffic (retransmits, dedup-dropped duplicates,
     // suspected peers) only appears when a message-fault plan was live —
     // keep fault-free summaries unchanged.
-    let (rt, dd, sp) = ranks.iter().fold((0u64, 0u64, 0u64), |acc, r| {
-        (
-            acc.0 + r.retransmits,
-            acc.1 + r.dup_dropped,
-            acc.2 + r.suspects,
-        )
-    });
-    if rt + dd + sp > 0 {
+    let reliability = |c: &OpCounts| c.retransmits + c.dup_dropped + c.suspected_peers;
+    if ranks.iter().any(|(_, c, _)| reliability(c) > 0) {
+        let total = |f: fn(&OpCounts) -> u64| ranks.iter().map(|(_, c, _)| f(c)).sum::<u64>();
         out.push_str(&format!(
-            "  reliability: {rt} retransmit(s), {dd} duplicate(s) dropped, {sp} peer suspicion(s)\n"
+            "  reliability: {} retransmit(s), {} duplicate(s) dropped, {} peer suspicion(s)\n",
+            total(|c| c.retransmits),
+            total(|c| c.dup_dropped),
+            total(|c| c.suspected_peers)
         ));
-        for (rank, r) in ranks.iter().enumerate() {
-            if r.retransmits + r.dup_dropped + r.suspects > 0 {
+        for (rank, (_, c, _)) in ranks.iter().enumerate() {
+            if reliability(c) > 0 {
                 out.push_str(&format!(
                     "    rank {rank}: {} retransmit(s), {} dup(s) dropped, {} suspicion(s)\n",
-                    r.retransmits, r.dup_dropped, r.suspects
+                    c.retransmits, c.dup_dropped, c.suspected_peers
                 ));
             }
         }
     }
     // Serving-layer session summary: only traces captured from the
-    // multi-tenant service carry `session`/`cache` events, so plain
-    // machine traces keep their old summaries byte-for-byte.
-    let tenants = summarize_tenants(events);
+    // multi-tenant service carry session and cache events. They are
+    // decision-ledger entries the service replays identically on every
+    // rank, so the summary reads rank 0's lane alone.
+    let mut tenants: BTreeMap<u32, (Option<QosLevel>, Vec<Event>)> = BTreeMap::new();
+    for e in ranks.first().map_or(&[][..], |r| r.0) {
+        let (tenant, class) = match &e.kind {
+            EventKind::SessionAdmit { tenant, class, .. }
+            | EventKind::SessionShed { tenant, class, .. }
+            | EventKind::SessionDone { tenant, class, .. } => (*tenant, Some(*class)),
+            EventKind::CacheAccess { tenant, .. } => (*tenant, None),
+            _ => continue,
+        };
+        let t = tenants.entry(tenant).or_default();
+        t.0 = class.or(t.0);
+        t.1.push(e.clone());
+    }
     if !tenants.is_empty() {
         out.push_str("  sessions by tenant (rank 0 lane; identical on every rank):\n");
-        for (tenant, t) in &tenants {
-            let ops = if t.ops.is_empty() {
+        for (tenant, (class, lane)) in &tenants {
+            let c = OpCounts::from_events(lane);
+            let mut ops = Vec::new();
+            for e in lane {
+                if let EventKind::SessionDone { op, .. } = e.kind {
+                    bump(&mut ops, op.name());
+                }
+            }
+            let ops = if ops.is_empty() {
                 "-".to_string()
             } else {
-                t.ops
-                    .iter()
-                    .map(|(n, c)| format!("{n}={c}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
+                let ops: Vec<_> = ops.iter().map(|(n, c)| format!("{n}={c}")).collect();
+                ops.join(" ")
             };
-            let lookups = t.cache_hits + t.cache_misses;
+            let lookups = c.cache_hits + c.cache_misses;
             let cache = if lookups == 0 {
                 "no cache lookups".to_string()
             } else {
                 format!(
                     "cache {}/{lookups} hits ({:.1}%)",
-                    t.cache_hits,
-                    t.cache_hits as f64 / lookups as f64 * 100.0
+                    c.cache_hits,
+                    c.cache_hit_rate() * 100.0
                 )
             };
             out.push_str(&format!(
                 "    tenant {tenant} ({}): {} admitted, {} ok, {} failed, {} shed; ops {ops}; {cache}\n",
-                if t.class.is_empty() { "?" } else { &t.class },
-                t.admitted,
-                t.done_ok,
-                t.done_failed,
-                t.shed,
+                class.map_or("?", QosLevel::name),
+                c.sessions_admitted,
+                c.sessions_completed,
+                c.sessions_failed,
+                c.total_sessions_shed(),
             ));
         }
     }

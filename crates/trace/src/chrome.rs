@@ -1,434 +1,92 @@
 //! Chrome `trace_event` export: one process, one thread per rank,
 //! timestamps in virtual microseconds. The output opens directly in
 //! Perfetto (ui.perfetto.dev) or `chrome://tracing`.
+//!
+//! The export is a view of the `.dstrace.json` field list: an event's
+//! `args` are its dstrace members less `kind`, the members its display
+//! name already carries, and the member shown as `dur`.
 
+use crate::dstrace::kind_members;
 use crate::event::{Event, EventKind};
 use crate::json::Value;
 use crate::sink::Trace;
 
-fn ts_us(vtime_ns: u64) -> Value {
-    Value::Num(vtime_ns as f64 / 1000.0)
+/// How an event sits on its rank's track.
+enum Shape {
+    /// `ph:"i"`: a point in time.
+    Instant,
+    /// `ph:"X"`: a span lasting this many virtual nanoseconds.
+    Complete(u64),
+    /// `ph:"B"`: a stream phase opens.
+    Begin,
+    /// `ph:"E"`: a stream phase closes.
+    End,
 }
 
-fn base(name: &str, ph: &str, cat: &str, e: &Event) -> Vec<(String, Value)> {
-    vec![
-        ("name".into(), Value::Str(name.into())),
-        ("ph".into(), Value::Str(ph.into())),
-        ("cat".into(), Value::Str(cat.into())),
-        ("ts".into(), ts_us(e.vtime_ns)),
-        ("pid".into(), Value::Int(0)),
-        ("tid".into(), Value::Int(e.rank as i64)),
-    ]
+/// Category, shape, and the dstrace members that the display name or
+/// `dur` carries, per kind.
+fn layout(kind: &EventKind) -> (&'static str, Shape, &'static [&'static str]) {
+    use EventKind as K;
+    match kind {
+        K::MsgSend { .. } | K::MsgRecv { .. } => ("msg", Shape::Instant, &["collective"]),
+        K::Collective { .. } => ("collective", Shape::Instant, &["op"]),
+        K::PfsIndependent { cost_ns, .. } | K::PfsCollective { cost_ns, .. } => {
+            ("pfs", Shape::Complete(*cost_ns), &["op", "cost_ns"])
+        }
+        K::AggShuttle { .. } => ("agg", Shape::Instant, &["outgoing"]),
+        K::RedistShuttle { .. } => ("redist", Shape::Instant, &["outgoing"]),
+        K::FaultInjected { .. } => ("fault", Shape::Instant, &["fault"]),
+        K::PfsRetry { .. }
+        | K::Retransmit { .. }
+        | K::DupDropped { .. }
+        | K::SuspectPeer { .. } => ("fault", Shape::Instant, &[]),
+        K::PhaseBegin { .. } => ("stream", Shape::Begin, &["phase"]),
+        K::PhaseEnd { .. } => ("stream", Shape::End, &["phase"]),
+        K::AsyncSubmit { .. } => ("async", Shape::Instant, &[]),
+        K::AsyncComplete { stall_ns, .. } => ("async", Shape::Complete(*stall_ns), &["stall_ns"]),
+        K::SessionAdmit { .. } | K::SessionShed { .. } | K::SessionDone { .. } => {
+            ("session", Shape::Instant, &[])
+        }
+        K::CacheAccess { .. } => ("cache", Shape::Instant, &["outcome"]),
+        K::SegmentSeal { .. }
+        | K::TailAttach { .. }
+        | K::TailConsume { .. }
+        | K::TailDetach { .. }
+        | K::Compact { .. } => ("segment", Shape::Instant, &[]),
+    }
 }
 
-fn instant(name: &str, cat: &str, e: &Event, args: Vec<(String, Value)>) -> Value {
-    let mut m = base(name, "i", cat, e);
-    m.push(("s".into(), Value::Str("t".into())));
-    m.push(("args".into(), Value::Obj(args)));
-    Value::Obj(m)
-}
-
-fn complete(name: &str, cat: &str, e: &Event, dur_ns: u64, args: Vec<(String, Value)>) -> Value {
-    let mut m = base(name, "X", cat, e);
-    m.push(("dur".into(), Value::Num(dur_ns as f64 / 1000.0)));
-    m.push(("args".into(), Value::Obj(args)));
-    Value::Obj(m)
+fn micros(ns: u64) -> Value {
+    Value::Num(ns as f64 / 1000.0)
 }
 
 fn event_to_value(e: &Event) -> Value {
-    match &e.kind {
-        EventKind::MsgSend {
-            to,
-            tag,
-            bytes,
-            collective,
-        } => instant(
-            if *collective { "send(coll)" } else { "send" },
-            "msg",
-            e,
-            vec![
-                ("to".into(), Value::Int(*to as i64)),
-                ("tag".into(), Value::Int(*tag as i64)),
-                ("bytes".into(), Value::Int(*bytes as i64)),
-            ],
-        ),
-        EventKind::MsgRecv {
-            from,
-            tag,
-            bytes,
-            collective,
-        } => instant(
-            if *collective { "recv(coll)" } else { "recv" },
-            "msg",
-            e,
-            vec![
-                ("from".into(), Value::Int(*from as i64)),
-                ("tag".into(), Value::Int(*tag as i64)),
-                ("bytes".into(), Value::Int(*bytes as i64)),
-            ],
-        ),
-        EventKind::Collective { op, root, bytes } => instant(
-            op.name(),
-            "collective",
-            e,
-            vec![
-                (
-                    "root".into(),
-                    root.map_or(Value::Null, |r| Value::Int(r as i64)),
-                ),
-                ("bytes".into(), Value::Int(*bytes as i64)),
-            ],
-        ),
-        EventKind::PfsIndependent {
-            op,
-            file,
-            offset,
-            bytes,
-            regime,
-            cost_ns,
-        } => complete(
-            &format!("pfs.{}", op.name()),
-            "pfs",
-            e,
-            *cost_ns,
-            vec![
-                ("file".into(), Value::Str(file.clone())),
-                ("offset".into(), Value::Int(*offset as i64)),
-                ("bytes".into(), Value::Int(*bytes as i64)),
-                ("regime".into(), Value::Str(regime.name().into())),
-            ],
-        ),
-        EventKind::PfsCollective {
-            op,
-            file,
-            offset,
-            bytes,
-            total_bytes,
-            share_bytes,
-            stripes,
-            regime,
-            cost_ns,
-        } => complete(
-            &format!("pfs.coll_{}", op.name()),
-            "pfs",
-            e,
-            *cost_ns,
-            vec![
-                ("file".into(), Value::Str(file.clone())),
-                ("offset".into(), Value::Int(*offset as i64)),
-                ("bytes".into(), Value::Int(*bytes as i64)),
-                ("total_bytes".into(), Value::Int(*total_bytes as i64)),
-                ("share_bytes".into(), Value::Int(*share_bytes as i64)),
-                ("stripes".into(), Value::Int(*stripes as i64)),
-                ("regime".into(), Value::Str(regime.name().into())),
-            ],
-        ),
-        EventKind::AggShuttle {
-            outgoing,
-            peer,
-            bytes,
-            file,
-            ..
-        } => instant(
-            if *outgoing {
-                "agg.shuttle_out"
-            } else {
-                "agg.shuttle_in"
-            },
-            "agg",
-            e,
-            vec![
-                ("peer".into(), Value::Int(*peer as i64)),
-                ("bytes".into(), Value::Int(*bytes as i64)),
-                ("file".into(), Value::Str(file.clone())),
-            ],
-        ),
-        EventKind::RedistShuttle {
-            outgoing,
-            peer,
-            bytes,
-            elements,
-            file,
-        } => instant(
-            if *outgoing {
-                "redist.shuttle_out"
-            } else {
-                "redist.shuttle_in"
-            },
-            "redist",
-            e,
-            vec![
-                ("peer".into(), Value::Int(*peer as i64)),
-                ("bytes".into(), Value::Int(*bytes as i64)),
-                ("elements".into(), Value::Int(*elements as i64)),
-                ("file".into(), Value::Str(file.clone())),
-            ],
-        ),
-        EventKind::FaultInjected {
-            kind,
-            op_index,
-            file,
-            bytes_kept,
-        } => instant(
-            &format!("fault.{}", kind.name()),
-            "fault",
-            e,
-            vec![
-                ("op_index".into(), Value::Int(*op_index as i64)),
-                ("file".into(), Value::Str(file.clone())),
-                ("bytes_kept".into(), Value::Int(*bytes_kept as i64)),
-            ],
-        ),
-        EventKind::PfsRetry {
-            op_index,
-            attempt,
-            backoff_ns,
-        } => instant(
-            "pfs.retry",
-            "fault",
-            e,
-            vec![
-                ("op_index".into(), Value::Int(*op_index as i64)),
-                ("attempt".into(), Value::Int(*attempt as i64)),
-                ("backoff_ns".into(), Value::Int(*backoff_ns as i64)),
-            ],
-        ),
-        EventKind::Retransmit {
-            to,
-            tag,
-            msg_seq,
-            attempt,
-            backoff_ns,
-        } => instant(
-            "msg.retransmit",
-            "fault",
-            e,
-            vec![
-                ("to".into(), Value::Int(*to as i64)),
-                ("tag".into(), Value::Int(*tag as i64)),
-                ("msg_seq".into(), Value::Int(*msg_seq as i64)),
-                ("attempt".into(), Value::Int(*attempt as i64)),
-                ("backoff_ns".into(), Value::Int(*backoff_ns as i64)),
-            ],
-        ),
-        EventKind::DupDropped { from, tag, msg_seq } => instant(
-            "msg.dup_dropped",
-            "fault",
-            e,
-            vec![
-                ("from".into(), Value::Int(*from as i64)),
-                ("tag".into(), Value::Int(*tag as i64)),
-                ("msg_seq".into(), Value::Int(*msg_seq as i64)),
-            ],
-        ),
-        EventKind::SuspectPeer { peer, attempts } => instant(
-            "msg.suspect",
-            "fault",
-            e,
-            vec![
-                ("peer".into(), Value::Int(*peer as i64)),
-                ("attempts".into(), Value::Int(*attempts as i64)),
-            ],
-        ),
-        EventKind::PhaseBegin { phase } => {
-            let mut m = base(phase.name(), "B", "stream", e);
-            m.push(("args".into(), Value::Obj(vec![])));
-            Value::Obj(m)
-        }
-        EventKind::PhaseEnd { phase } => {
-            let mut m = base(phase.name(), "E", "stream", e);
-            m.push(("args".into(), Value::Obj(vec![])));
-            Value::Obj(m)
-        }
-        EventKind::AsyncSubmit {
-            op_id,
-            cost_ns,
-            completion_ns,
-            queue_depth,
-        } => instant(
-            "async.submit",
-            "async",
-            e,
-            vec![
-                ("op_id".into(), Value::Int(*op_id as i64)),
-                ("cost_ns".into(), Value::Int(*cost_ns as i64)),
-                ("completion_ns".into(), Value::Int(*completion_ns as i64)),
-                ("queue_depth".into(), Value::Int(*queue_depth as i64)),
-            ],
-        ),
-        EventKind::AsyncComplete {
-            op_id,
-            cost_ns,
-            stall_ns,
-            overlap_ns,
-        } => complete(
-            "async.wait",
-            "async",
-            e,
-            *stall_ns,
-            vec![
-                ("op_id".into(), Value::Int(*op_id as i64)),
-                ("cost_ns".into(), Value::Int(*cost_ns as i64)),
-                ("overlap_ns".into(), Value::Int(*overlap_ns as i64)),
-            ],
-        ),
-        EventKind::SessionAdmit {
-            request_id,
-            tenant,
-            class,
-            op,
-            queue_depth,
-        } => instant(
-            "session.admit",
-            "session",
-            e,
-            vec![
-                ("request_id".into(), Value::Int(*request_id as i64)),
-                ("tenant".into(), Value::Int(i64::from(*tenant))),
-                ("class".into(), Value::Str(class.name().into())),
-                ("op".into(), Value::Str(op.name().into())),
-                ("queue_depth".into(), Value::Int(i64::from(*queue_depth))),
-            ],
-        ),
-        EventKind::SessionShed {
-            request_id,
-            tenant,
-            class,
-            op,
-            reason,
-        } => instant(
-            "session.shed",
-            "session",
-            e,
-            vec![
-                ("request_id".into(), Value::Int(*request_id as i64)),
-                ("tenant".into(), Value::Int(i64::from(*tenant))),
-                ("class".into(), Value::Str(class.name().into())),
-                ("op".into(), Value::Str(op.name().into())),
-                ("reason".into(), Value::Str(reason.name().into())),
-            ],
-        ),
-        EventKind::SessionDone {
-            request_id,
-            tenant,
-            class,
-            op,
-            latency_ns,
-            ok,
-        } => instant(
-            "session.done",
-            "session",
-            e,
-            vec![
-                ("request_id".into(), Value::Int(*request_id as i64)),
-                ("tenant".into(), Value::Int(i64::from(*tenant))),
-                ("class".into(), Value::Str(class.name().into())),
-                ("op".into(), Value::Str(op.name().into())),
-                ("latency_ns".into(), Value::Int(*latency_ns as i64)),
-                ("ok".into(), Value::Bool(*ok)),
-            ],
-        ),
-        EventKind::CacheAccess {
-            tenant,
-            file,
-            outcome,
-            bytes,
-        } => instant(
-            &format!("cache.{}", outcome.name()),
-            "cache",
-            e,
-            vec![
-                ("tenant".into(), Value::Int(i64::from(*tenant))),
-                ("file".into(), Value::Str(file.clone())),
-                ("bytes".into(), Value::Int(*bytes as i64)),
-            ],
-        ),
-        EventKind::SegmentSeal {
-            stream,
-            segment,
-            file,
-            records,
-            bytes,
-        } => instant(
-            "segment.seal",
-            "segment",
-            e,
-            vec![
-                ("stream".into(), Value::Str(stream.clone())),
-                ("segment".into(), Value::Int(*segment as i64)),
-                ("file".into(), Value::Str(file.clone())),
-                ("records".into(), Value::Int(*records as i64)),
-                ("bytes".into(), Value::Int(*bytes as i64)),
-            ],
-        ),
-        EventKind::TailAttach {
-            stream,
-            reader,
-            first_segment,
-            sealed,
-        } => instant(
-            "tail.attach",
-            "segment",
-            e,
-            vec![
-                ("stream".into(), Value::Str(stream.clone())),
-                ("reader".into(), Value::Int(i64::from(*reader))),
-                ("first_segment".into(), Value::Int(*first_segment as i64)),
-                ("sealed".into(), Value::Int(*sealed as i64)),
-            ],
-        ),
-        EventKind::TailConsume {
-            stream,
-            reader,
-            segment,
-            file,
-            bytes,
-        } => instant(
-            "tail.consume",
-            "segment",
-            e,
-            vec![
-                ("stream".into(), Value::Str(stream.clone())),
-                ("reader".into(), Value::Int(i64::from(*reader))),
-                ("segment".into(), Value::Int(*segment as i64)),
-                ("file".into(), Value::Str(file.clone())),
-                ("bytes".into(), Value::Int(*bytes as i64)),
-            ],
-        ),
-        EventKind::TailDetach {
-            stream,
-            reader,
-            consumed_through,
-        } => instant(
-            "tail.detach",
-            "segment",
-            e,
-            vec![
-                ("stream".into(), Value::Str(stream.clone())),
-                ("reader".into(), Value::Int(i64::from(*reader))),
-                (
-                    "consumed_through".into(),
-                    Value::Int(*consumed_through as i64),
-                ),
-            ],
-        ),
-        EventKind::Compact {
-            stream,
-            segment,
-            file,
-            bytes,
-        } => instant(
-            "segment.compact",
-            "segment",
-            e,
-            vec![
-                ("stream".into(), Value::Str(stream.clone())),
-                ("segment".into(), Value::Int(*segment as i64)),
-                ("file".into(), Value::Str(file.clone())),
-                ("bytes".into(), Value::Int(*bytes as i64)),
-            ],
-        ),
+    let (cat, shape, carried) = layout(&e.kind);
+    let ph = match shape {
+        Shape::Instant => "i",
+        Shape::Complete(_) => "X",
+        Shape::Begin => "B",
+        Shape::End => "E",
+    };
+    let mut m = vec![
+        ("name".into(), Value::Str(e.kind.display_name().into())),
+        ("ph".into(), Value::Str(ph.into())),
+        ("cat".into(), Value::Str(cat.into())),
+        ("ts".into(), micros(e.vtime_ns)),
+        ("pid".into(), Value::Int(0)),
+        ("tid".into(), Value::Int(e.rank as i64)),
+    ];
+    match shape {
+        Shape::Instant => m.push(("s".into(), Value::Str("t".into()))),
+        Shape::Complete(dur_ns) => m.push(("dur".into(), micros(dur_ns))),
+        Shape::Begin | Shape::End => {}
     }
+    let args = kind_members(&e.kind)
+        .into_iter()
+        .filter(|(key, _)| key != "kind" && !carried.contains(&key.as_str()))
+        .collect();
+    m.push(("args".into(), Value::Obj(args)));
+    Value::Obj(m)
 }
 
 /// Render a merged trace as a Chrome `trace_event` JSON document.
@@ -448,48 +106,49 @@ pub fn to_chrome_json(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CollOp, StreamPhase};
-    use crate::json;
+
+    /// One event of every kind, one exported event per line. The Chrome
+    /// bytes of every kind are pinned; `agg_shuttle` carries `op` and
+    /// `offset` like its dstrace members.
+    const EXPORT: &str = r#"{"traceEvents":[
+{"name":"send","ph":"i","cat":"msg","ts":0.01,"pid":0,"tid":0,"s":"t","args":{"to":1,"tag":77,"bytes":1024}},
+{"name":"all_reduce","ph":"i","cat":"collective","ts":0.012,"pid":0,"tid":0,"s":"t","args":{"root":null,"bytes":8}},
+{"name":"broadcast","ph":"i","cat":"collective","ts":0.013,"pid":0,"tid":0,"s":"t","args":{"root":0,"bytes":16}},
+{"name":"pfs.write","ph":"X","cat":"pfs","ts":0.02,"pid":0,"tid":0,"dur":0.9,"args":{"file":"out \"quoted\".ds","offset":0,"bytes":4096,"regime":"cached"}},
+{"name":"pfs.coll_read","ph":"X","cat":"pfs","ts":0.03,"pid":0,"tid":0,"dur":1.2,"args":{"file":"in.ds","offset":16,"bytes":2048,"total_bytes":4096,"share_bytes":2048,"stripes":3,"regime":"cache_knee"}},
+{"name":"agg.shuttle_out","ph":"i","cat":"agg","ts":0.031,"pid":0,"tid":0,"s":"t","args":{"peer":1,"bytes":512,"file":"in.ds","op":"write","offset":4096}},
+{"name":"redist.shuttle_out","ph":"i","cat":"redist","ts":0.032,"pid":0,"tid":0,"s":"t","args":{"peer":1,"bytes":768,"elements":5,"file":"in.ds"}},
+{"name":"recv(coll)","ph":"i","cat":"msg","ts":0.011,"pid":0,"tid":1,"s":"t","args":{"from":0,"tag":77,"bytes":1024}},
+{"name":"fault.torn","ph":"i","cat":"fault","ts":0.015,"pid":0,"tid":1,"s":"t","args":{"op_index":3,"file":"out.ds","bytes_kept":100}},
+{"name":"pfs.retry","ph":"i","cat":"fault","ts":0.016,"pid":0,"tid":1,"s":"t","args":{"op_index":3,"attempt":2,"backoff_ns":5000}},
+{"name":"msg.retransmit","ph":"i","cat":"fault","ts":0.016,"pid":0,"tid":1,"s":"t","args":{"to":0,"tag":77,"msg_seq":9,"attempt":1,"backoff_ns":2500}},
+{"name":"msg.dup_dropped","ph":"i","cat":"fault","ts":0.016,"pid":0,"tid":1,"s":"t","args":{"from":0,"tag":77,"msg_seq":4}},
+{"name":"msg.suspect","ph":"i","cat":"fault","ts":0.016,"pid":0,"tid":1,"s":"t","args":{"peer":0,"attempts":8}},
+{"name":"write_behind","ph":"B","cat":"stream","ts":0.017,"pid":0,"tid":1,"args":{}},
+{"name":"write_behind","ph":"E","cat":"stream","ts":0.018,"pid":0,"tid":1,"args":{}},
+{"name":"async.submit","ph":"i","cat":"async","ts":0.019,"pid":0,"tid":1,"s":"t","args":{"op_id":7,"cost_ns":100,"completion_ns":160,"queue_depth":2}},
+{"name":"async.wait","ph":"X","cat":"async","ts":0.025,"pid":0,"tid":1,"dur":0.04,"args":{"op_id":7,"cost_ns":100,"overlap_ns":60}},
+{"name":"session.admit","ph":"i","cat":"session","ts":0.04,"pid":0,"tid":0,"s":"t","args":{"request_id":901,"tenant":12,"class":"premium","op":"read","queue_depth":3}},
+{"name":"session.shed","ph":"i","cat":"session","ts":0.041,"pid":0,"tid":0,"s":"t","args":{"request_id":902,"tenant":13,"class":"best_effort","op":"write","reason":"rate_limited"}},
+{"name":"session.done","ph":"i","cat":"session","ts":0.045,"pid":0,"tid":0,"s":"t","args":{"request_id":901,"tenant":12,"class":"premium","op":"read","latency_ns":5000,"ok":true}},
+{"name":"cache.hit","ph":"i","cat":"cache","ts":0.046,"pid":0,"tid":1,"s":"t","args":{"tenant":12,"file":"t12.4","bytes":4096}},
+{"name":"segment.seal","ph":"i","cat":"segment","ts":0.05,"pid":0,"tid":0,"s":"t","args":{"stream":"log","segment":3,"file":"log.seg000003","records":4,"bytes":8192}},
+{"name":"tail.attach","ph":"i","cat":"segment","ts":0.051,"pid":0,"tid":1,"s":"t","args":{"stream":"log","reader":2,"first_segment":1,"sealed":4}},
+{"name":"tail.consume","ph":"i","cat":"segment","ts":0.052,"pid":0,"tid":1,"s":"t","args":{"stream":"log","reader":2,"segment":1,"file":"log.seg000001","bytes":2048}},
+{"name":"tail.detach","ph":"i","cat":"segment","ts":0.053,"pid":0,"tid":1,"s":"t","args":{"stream":"log","reader":2,"consumed_through":2}},
+{"name":"segment.compact","ph":"i","cat":"segment","ts":0.054,"pid":0,"tid":0,"s":"t","args":{"stream":"log","segment":0,"file":"log.seg000000","bytes":2048}}
+],"displayTimeUnit":"ms","otherData":{"nprocs":2}}"#;
 
     #[test]
     fn export_parses_and_carries_every_event() {
-        let trace = Trace {
-            nprocs: 2,
-            events: vec![
-                Event {
-                    rank: 0,
-                    vtime_ns: 1500,
-                    seq: 0,
-                    kind: EventKind::PhaseBegin {
-                        phase: StreamPhase::Pack,
-                    },
-                },
-                Event {
-                    rank: 0,
-                    vtime_ns: 2500,
-                    seq: 1,
-                    kind: EventKind::PhaseEnd {
-                        phase: StreamPhase::Pack,
-                    },
-                },
-                Event {
-                    rank: 1,
-                    vtime_ns: 2000,
-                    seq: 0,
-                    kind: EventKind::Collective {
-                        op: CollOp::Barrier,
-                        root: None,
-                        bytes: 0,
-                    },
-                },
-            ],
-        };
-        let text = to_chrome_json(&trace);
-        let doc = json::parse(&text).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].get("ph").and_then(json::Value::as_str), Some("B"));
-        assert_eq!(events[0].get("ts").and_then(json::Value::as_f64), Some(1.5));
-        assert_eq!(events[2].get("tid").and_then(json::Value::as_i64), Some(1));
+        let mut trace = crate::dstrace::tests::sample_trace();
+        for e in &mut trace.events {
+            // The sample's past-i64 completion time exports as a decimal
+            // string (as in dstrace); pin an ordinary one here.
+            if let EventKind::AsyncSubmit { completion_ns, .. } = &mut e.kind {
+                *completion_ns = 160;
+            }
+        }
+        assert_eq!(to_chrome_json(&trace), EXPORT.replace('\n', ""));
     }
 }

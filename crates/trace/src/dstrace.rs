@@ -1,11 +1,11 @@
 //! Full-fidelity trace serialization (the `.dstrace.json` format).
 //!
-//! The Chrome export in [`crate::chrome`] is lossy by design — it targets a
-//! viewer, not a tool. This module serializes a [`Trace`] so that every
-//! field of every [`EventKind`] survives a round trip, which is what the
-//! `dsverify` analyzer consumes: examples write a trace with
-//! [`to_events_json`], the analyzer reads it back with
-//! [`parse_events_json`] and sees exactly the events the runtime emitted.
+//! This module serializes a [`Trace`] so that every field of every
+//! [`EventKind`] survives a round trip, which is what `dsverify` and
+//! `dsdump --dstrace` consume: examples write a trace with
+//! [`to_events_json`], the tools read it back with [`parse_events_json`]
+//! and see exactly the events the runtime emitted. [`kind_members`] is
+//! also the field list the Chrome export in [`crate::chrome`] shows.
 //!
 //! The format is a single JSON object:
 //!
@@ -22,6 +22,8 @@
 //! }
 //! ```
 
+use std::fmt;
+
 use crate::event::{
     CacheOutcome, CollOp, CollectiveRegime, Event, EventKind, FaultKind, IndependentRegime, PfsOp,
     QosLevel, ServeOp, ShedReason, StreamPhase,
@@ -31,7 +33,52 @@ use crate::sink::Trace;
 
 /// Format version written by [`to_events_json`]; [`parse_events_json`]
 /// rejects anything newer.
-pub const FORMAT_VERSION: i64 = 1;
+const FORMAT_VERSION: i64 = 1;
+
+/// Why a text is not a readable `.dstrace.json` trace.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceParseError {
+    /// The text is not well-formed JSON.
+    Json(ParseError),
+    /// The document's header is not a dstrace header.
+    Header(String),
+    /// Event `index` has a missing, mistyped or unknown field.
+    Event {
+        /// Position of the event in the `events` array.
+        index: usize,
+        /// What is wrong with it.
+        message: String,
+    },
+    /// Event `index` sits on a rank the trace does not have.
+    RankOutOfRange {
+        /// Position of the event in the `events` array.
+        index: usize,
+        /// The event's rank.
+        rank: usize,
+        /// Ranks in the trace.
+        nprocs: usize,
+    },
+}
+
+impl fmt::Display for TraceParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceParseError::Json(e) => e.fmt(f),
+            TraceParseError::Header(message) => f.write_str(message),
+            TraceParseError::Event { index, message } => write!(f, "event {index}: {message}"),
+            TraceParseError::RankOutOfRange {
+                index,
+                rank,
+                nprocs,
+            } => write!(
+                f,
+                "event {index}: rank {rank} is out of range for a trace of {nprocs} rank(s)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TraceParseError {}
 
 /// Serialize a trace with every event field intact.
 pub fn to_events_json(trace: &Trace) -> String {
@@ -46,12 +93,9 @@ pub fn to_events_json(trace: &Trace) -> String {
 }
 
 /// Parse a document produced by [`to_events_json`] back into a [`Trace`].
-pub fn parse_events_json(input: &str) -> Result<Trace, ParseError> {
-    let doc = json::parse(input)?;
-    let fail = |message: &str| ParseError {
-        offset: 0,
-        message: message.to_string(),
-    };
+pub fn parse_events_json(input: &str) -> Result<Trace, TraceParseError> {
+    let doc = json::parse(input).map_err(TraceParseError::Json)?;
+    let fail = |message: &str| TraceParseError::Header(message.to_string());
     if doc.get("format").and_then(Value::as_str) != Some("dstrace") {
         return Err(fail("not a dstrace document (missing format: \"dstrace\")"));
     }
@@ -70,9 +114,17 @@ pub fn parse_events_json(input: &str) -> Result<Trace, ParseError> {
         .and_then(Value::as_array)
         .ok_or_else(|| fail("missing events array"))?;
     let mut events = Vec::with_capacity(raw_events.len());
-    for (i, ev) in raw_events.iter().enumerate() {
-        events
-            .push(event_from_value(ev).map_err(|message| fail(&format!("event {i}: {message}")))?);
+    for (index, ev) in raw_events.iter().enumerate() {
+        let event =
+            event_from_value(ev).map_err(|message| TraceParseError::Event { index, message })?;
+        if event.rank >= nprocs {
+            return Err(TraceParseError::RankOutOfRange {
+                index,
+                rank: event.rank,
+                nprocs,
+            });
+        }
+        events.push(event);
     }
     Ok(Trace { nprocs, events })
 }
@@ -96,7 +148,8 @@ fn u64_value(v: u64) -> Value {
     }
 }
 
-fn kind_members(kind: &EventKind) -> Vec<(String, Value)> {
+/// The `kind` tag and fields of one event, in their serialized order.
+pub(crate) fn kind_members(kind: &EventKind) -> Vec<(String, Value)> {
     let tag = |name: &str| ("kind".to_string(), Value::Str(name.to_string()));
     match kind {
         EventKind::MsgSend {
@@ -742,10 +795,10 @@ fn stream_phase(name: &str) -> Result<StreamPhase, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample_trace() -> Trace {
+    pub(crate) fn sample_trace() -> Trace {
         let mut seq = 0;
         let mut ev = |rank: usize, vtime_ns: u64, kind: EventKind| {
             seq += 1;
@@ -1053,6 +1106,40 @@ mod tests {
             r#"{"format":"dstrace","version":1,"nprocs":1,"events":[{"rank":0,"vtime_ns":0,"seq":0,"kind":"nope"}]}"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn rejects_events_on_ranks_the_trace_does_not_have() {
+        let doc = r#"{"format":"dstrace","version":1,"nprocs":2,"events":[
+            {"rank":0,"vtime_ns":0,"seq":0,"kind":"collective","op":"barrier","root":null,"bytes":0},
+            {"rank":5,"vtime_ns":0,"seq":0,"kind":"collective","op":"barrier","root":null,"bytes":0}]}"#;
+        let err = parse_events_json(doc).unwrap_err();
+        assert_eq!(
+            err,
+            TraceParseError::RankOutOfRange {
+                index: 1,
+                rank: 5,
+                nprocs: 2
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "event 1: rank 5 is out of range for a trace of 2 rank(s)"
+        );
+    }
+
+    #[test]
+    fn field_errors_name_the_event_and_no_byte_offset() {
+        let doc = r#"{"format":"dstrace","version":1,"nprocs":1,"events":[
+            {"rank":0,"vtime_ns":0,"seq":0,"kind":"collective","op":"nope","root":null,"bytes":0}]}"#;
+        let err = parse_events_json(doc).unwrap_err();
+        assert_eq!(err.to_string(), "event 0: unknown collective op `nope`");
+        let header = parse_events_json("{}").unwrap_err();
+        assert!(matches!(header, TraceParseError::Header(_)), "{header:?}");
+        assert!(!header.to_string().contains("at byte"), "{header}");
+        // Malformed JSON still reports where the parser stopped.
+        let json = parse_events_json("{\"format\":").unwrap_err();
+        assert!(json.to_string().contains("at byte"), "{json}");
     }
 
     #[test]

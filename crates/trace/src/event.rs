@@ -601,6 +601,64 @@ pub enum EventKind {
     },
 }
 
+impl EventKind {
+    /// Display name: the Chrome event name and the key of `dsdump`'s
+    /// per-name tally (`send(coll)`, `barrier`, `pfs.coll_write`,
+    /// `fault.crash`, `cache.hit`, `write_behind`, ...).
+    pub fn display_name(&self) -> &'static str {
+        match self {
+            EventKind::MsgSend {
+                collective: true, ..
+            } => "send(coll)",
+            EventKind::MsgSend { .. } => "send",
+            EventKind::MsgRecv {
+                collective: true, ..
+            } => "recv(coll)",
+            EventKind::MsgRecv { .. } => "recv",
+            EventKind::Collective { op, .. } => op.name(),
+            EventKind::PfsIndependent { op, .. } => match op {
+                PfsOp::Read => "pfs.read",
+                PfsOp::Write => "pfs.write",
+            },
+            EventKind::PfsCollective { op, .. } => match op {
+                PfsOp::Read => "pfs.coll_read",
+                PfsOp::Write => "pfs.coll_write",
+            },
+            EventKind::AggShuttle { outgoing: true, .. } => "agg.shuttle_out",
+            EventKind::AggShuttle { .. } => "agg.shuttle_in",
+            EventKind::RedistShuttle { outgoing: true, .. } => "redist.shuttle_out",
+            EventKind::RedistShuttle { .. } => "redist.shuttle_in",
+            EventKind::FaultInjected { kind, .. } => match kind {
+                FaultKind::Transient => "fault.transient",
+                FaultKind::Torn => "fault.torn",
+                FaultKind::Crash => "fault.crash",
+            },
+            EventKind::PfsRetry { .. } => "pfs.retry",
+            EventKind::Retransmit { .. } => "msg.retransmit",
+            EventKind::DupDropped { .. } => "msg.dup_dropped",
+            EventKind::SuspectPeer { .. } => "msg.suspect",
+            EventKind::PhaseBegin { phase } | EventKind::PhaseEnd { phase } => phase.name(),
+            EventKind::AsyncSubmit { .. } => "async.submit",
+            EventKind::AsyncComplete { .. } => "async.wait",
+            EventKind::SessionAdmit { .. } => "session.admit",
+            EventKind::SessionShed { .. } => "session.shed",
+            EventKind::SessionDone { .. } => "session.done",
+            EventKind::CacheAccess { outcome, .. } => match outcome {
+                CacheOutcome::Hit => "cache.hit",
+                CacheOutcome::Miss => "cache.miss",
+                CacheOutcome::Insert => "cache.insert",
+                CacheOutcome::Evict => "cache.evict",
+                CacheOutcome::Invalidate => "cache.invalidate",
+            },
+            EventKind::SegmentSeal { .. } => "segment.seal",
+            EventKind::TailAttach { .. } => "tail.attach",
+            EventKind::TailConsume { .. } => "tail.consume",
+            EventKind::TailDetach { .. } => "tail.detach",
+            EventKind::Compact { .. } => "segment.compact",
+        }
+    }
+}
+
 /// One observed event: where, when, and what.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {

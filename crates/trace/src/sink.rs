@@ -104,7 +104,7 @@ impl Trace {
     }
 
     /// Export as Chrome `trace_event` JSON (open in Perfetto or
-    /// `chrome://tracing`).
+    /// `chrome://tracing`). An export only: no tool reads it back.
     pub fn to_chrome_json(&self) -> String {
         crate::chrome::to_chrome_json(self)
     }
@@ -116,7 +116,7 @@ impl Trace {
     }
 
     /// Parse a document produced by [`Trace::to_events_json`].
-    pub fn from_events_json(input: &str) -> Result<Trace, crate::json::ParseError> {
+    pub fn from_events_json(input: &str) -> Result<Trace, crate::TraceParseError> {
         crate::dstrace::parse_events_json(input)
     }
 }

@@ -169,6 +169,23 @@ fn dsverify_usage_and_bad_input_exit_2() {
     assert_eq!(parse_err.status.code(), Some(2), "{parse_err:?}");
 }
 
+#[test]
+fn dsverify_rejects_events_on_ranks_the_trace_lacks() {
+    // A 2-rank trace with a barrier on rank 5: skipping the event would
+    // report the trace clean and miss any hazard on that rank.
+    let out = Command::new(env!("CARGO_BIN_EXE_dsverify"))
+        .arg(fixture("rank_out_of_range.dstrace.json"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("event 2: rank 5 is out of range for a trace of 2 rank(s)"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("at byte"), "{stderr}");
+}
+
 /// A real traced run, exported through the portable JSON format and
 /// re-analyzed: the runtime's own protocol discipline must be clean.
 #[test]

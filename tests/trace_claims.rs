@@ -435,7 +435,7 @@ proptest! {
         let (b, _) = traced_roundtrip(n, nprocs, kind, seed);
 
         // Byte-identical merged event streams across two identical runs.
-        prop_assert_eq!(a.to_chrome_json(), b.to_chrome_json());
+        prop_assert_eq!(&a, &b);
 
         // The aggregated op counts agree exactly with the PFS counters.
         let counts = a.op_counts();
